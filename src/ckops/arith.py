@@ -475,5 +475,10 @@ def rational_to_str(q: Fraction | int) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
+    """Parse "num/den" or an integer string "num"; a zero denominator is a
+    ValueError, like any other malformed coefficient."""
+    num, slash, den = s.partition("/")
+    den = int(den) if slash else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in coefficient {s!r}")
+    return Fraction(int(num), den)

@@ -13,7 +13,7 @@ import sys
 
 from .arith import IncompatibleCongruences, PrecisionError, PrimeBudget
 from .classify import NotInGroup, in_Qn, in_Qnm, in_Opnm_phi
-from .series import TruncSeries, TruncationExhausted
+from .series import ProfiniteRing, TruncSeries, TruncationExhausted
 from .stable import construct_Fn, dn, s_criterion, tower_member
 from .suites import SUITES
 
@@ -21,6 +21,17 @@ from .suites import SUITES
 def _budget_from_args(args) -> PrimeBudget:
     primes = tuple(int(p) for p in args.primes.split(","))
     return PrimeBudget.uniform(primes, args.prec)
+
+
+def _require_primes(G: TruncSeries, budget: PrimeBudget) -> None:
+    """A profinite input is unknown at primes outside its own budget, so it
+    must carry every --primes prime that the s and tower tests read."""
+    if isinstance(G.ring, ProfiniteRing):
+        missing = [p for p in budget.primes if p not in G.ring.budget.primes]
+        if missing:
+            raise ValueError(
+                f"input budget {G.ring.budget.to_json()} lacks --primes {missing}"
+            )
 
 
 def _emit(data, fmt: str) -> None:
@@ -64,6 +75,7 @@ def cmd_check(args) -> int:
         elif args.test == "opnm":
             member = in_Opnm_phi(G, args.n, args.m)
         elif args.test == "s":
+            _require_primes(G, budget)
             rep = s_criterion(G, primes=budget.primes)
             member = rep.ok
             if rep.witness:
@@ -71,6 +83,7 @@ def cmd_check(args) -> int:
             if rep.skipped:
                 verdict["skipped"] = [list(s) for s in rep.skipped]
         elif args.test == "tower":
+            _require_primes(G, budget)
             member = tower_member(G, args.n, budget)
         else:
             _emit({"error": f"unknown test {args.test}"}, "json")

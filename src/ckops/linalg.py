@@ -103,7 +103,7 @@ def _howell_rows(
     res_comp: list[list[int]] = []
     c = 0
     while c < cols:
-        # eliminate column c across all remaining работy rows
+        # eliminate column c across all remaining work rows
         live = [i for i in range(len(work)) if work[i][c] % n != 0]
         while len(live) > 1:
             i, j = live[0], live[1]
@@ -211,6 +211,9 @@ def solve_vandermonde(
     Solved exactly over Q (Gaussian elimination on Fractions).  With
     modulus=(p, e) the exact solution is reduced mod p**e; a denominator
     divisible by p raises ValueError (the p-adic valuation obstruction).
+
+    This is the test oracle for ``stable.construct_Gn``, which computes the
+    one column of the inverse it needs in closed form instead.
     """
     n = len(nodes)
     if len(set(nodes)) != n:

@@ -26,7 +26,7 @@ from .arith import (
     vp,
     vp_factorial,
 )
-from .linalg import ModMatrix, howell_form, in_row_span, solve_vandermonde
+from .linalg import ModMatrix, howell_form, in_row_span
 from .series import (
     ProfiniteRing,
     TruncSeries,
@@ -323,21 +323,40 @@ def _glued_nodes(budget: PrimeBudget, count: int) -> list[int]:
 
 def construct_Gn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     """Profinite combination of n+1 unit Adams series with leading term
-    d_n x^n: solve the binomial Vandermonde system at the glued integer
-    nodes once over Q, then reduce the coefficients at each budget prime
-    (denominators are units there by the minimal-sequence divisibility)."""
-    d = dn(n).value
-    nodes = _glued_nodes(budget, n + 1)
-    target = [0] * n + [(-1) ** n * d]
-    xs = solve_vandermonde(nodes, target)
-    ring = ProfiniteRing(budget)
+    d_n x^n, in closed form at the glued integer nodes a_0..a_n.
+
+    Only the last column of the inverse binomial Vandermonde matrix is
+    needed: x_j = (-1)^n d_n n! / prod_{i != j} (a_j - a_i), the top binomial
+    coefficient of the j-th Lagrange polynomial; then
+    [x^k] G_n = (-1)^k sum_j x_j C(a_j, k).  Both are summed as integers over
+    the lcm L of the weights' denominators and embedded once per prime; a
+    budget prime dividing L raises PrecisionError naming it.
+    ``linalg.solve_vandermonde`` is the test oracle for this route.
+    """
+    nodes = _glued_nodes(budget, n + 1)  # distinct
+    top = (-1) ** n * dn(n).value * math.factorial(n)
+    weights = [Fraction(top, math.prod(a - b for b in nodes if b != a)) for a in nodes]
+    L = math.lcm(*(w.denominator for w in weights))
+    for p in budget.primes:
+        if L % p == 0:
+            raise PrecisionError(
+                f"G_{n} weights have a denominator divisible by p={p}: "
+                f"budget precision {p}^{budget.exponent(p)} is too shallow"
+            )
+    nums = [w.numerator * (L // w.denominator) for w in weights]
+    inv = {p: modinv(L, p ** budget.exponent(p)) for p in budget.primes}
+
+    def embed(num: int) -> ProfiniteApprox:
+        return ProfiniteApprox(budget, {p: num * u for p, u in inv.items()})
+
     coeffs = []
-    for x in xs:
-        coeffs.append(ProfiniteApprox.from_rational(budget, x))
-    G = TruncSeries.zero(ring, T)
-    for cof, node in zip(coeffs, nodes):
-        G = G + adams_series(node, T).map_coeffs(lambda v: cof * v, ring)
-    return BasisSeries("G", n, G, combination=list(zip(coeffs, nodes)))
+    binoms = [1] * (n + 1)  # C(a_j, k), updated in k
+    for k in range(T + 1):
+        num = sum(c * b for c, b in zip(nums, binoms))
+        coeffs.append(embed(-num if k % 2 else num))
+        binoms = [b * (a - k) // (k + 1) for b, a in zip(binoms, nodes)]
+    G = TruncSeries(ProfiniteRing(budget), T, coeffs)
+    return BasisSeries("G", n, G, combination=[(embed(c), a) for c, a in zip(nums, nodes)])
 
 
 def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:

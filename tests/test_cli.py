@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ckops import TruncSeries, Z, adams_series
+from ckops import PrimeBudget, ProfiniteRing, TruncSeries, Z, adams_series
 from ckops.cli import main
 
 
@@ -68,6 +68,29 @@ def test_check_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_zero_denominator_is_error(tmp_path, capsys):
+    f = tmp_path / "zero_den.json"
+    f.write_text(json.dumps({"ring": "Q", "trunc": 3, "coeffs": ["1/2", "1/0", "0", "3"]}))
+    code, out = run(capsys, "check", "--input", str(f), "--test", "qn")
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "zero denominator" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("test", [["s"], ["tower", "--n", "1"]])
+def test_check_input_budget_missing_primes_is_error(tmp_path, capsys, test):
+    small = ProfiniteRing(PrimeBudget.uniform([2], 4))
+    f = tmp_path / "small.json"
+    f.write_text(json.dumps(adams_series(3, 4).map_coeffs(small.coerce, small).to_json()))
+    code, out = run(capsys, "check", "--input", str(f), "--test", *test)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "[3, 5, 7]" in json.loads(out)["error"]
+    # with --primes inside the input budget the same series is checked
+    code, out = run(capsys, "check", "--input", str(f), "--test", *test, "--primes", "2", "--prec", "4")
+    assert code == 0 and json.loads(out)["member"] is True
+
+
 def test_basis_leading_coefficients(tmp_path, capsys):
     code, out = run(capsys, "basis", "--n", "1", "--trunc", "8")
     assert code == 0
@@ -75,6 +98,17 @@ def test_basis_leading_coefficients(tmp_path, capsys):
     assert payload["int_coeffs"][1] == 2
     code, out = run(capsys, "basis", "--n", "2", "--trunc", "8")
     assert json.loads(out)["int_coeffs"][2] == 12
+
+
+def test_basis_shallow_budget_is_error(capsys):
+    # G_16's weight denominators are not units mod 2^5 at the glued nodes
+    code, out = run(
+        capsys, "basis", "--n", "2", "--trunc", "16",
+        "--primes", "2,3,5,7,11,13", "--prec", "5",
+    )
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "p=2" in json.loads(out)["error"]
 
 
 def test_basis_pipe_through_check(tmp_path, capsys):

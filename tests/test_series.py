@@ -331,3 +331,14 @@ def test_series_json_round_trip(budget):
     assert TruncSeries.from_json(H.to_json()) == H
     P = to_profinite(H, budget)
     assert TruncSeries.from_json(P.to_json()) == P
+
+
+def test_series_json_integer_string_coefficients():
+    data = {"ring": "Q", "trunc": 3, "coeffs": ["3", "-2", "0", "5/10"]}
+    G = TruncSeries.from_json(data)
+    assert G.coeffs == (Fraction(3), Fraction(-2), Fraction(0), Fraction(1, 2))
+    # written back in the canonical "num/den" form, which reads back the same
+    assert G.to_json()["coeffs"] == ["3/1", "-2/1", "0/1", "1/2"]
+    assert TruncSeries.from_json(G.to_json()) == G
+    with pytest.raises(ValueError, match="zero denominator"):
+        TruncSeries.from_json({"ring": "Q", "trunc": 0, "coeffs": ["1/0"]})

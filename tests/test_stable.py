@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ckops import (
+    BasisSeries,
     PrecisionError,
     PrimeBudget,
     ProfiniteApprox,
@@ -24,6 +25,7 @@ from ckops import (
     phi,
     s_criterion,
     s_oracle,
+    solve_vandermonde,
     stable_mult_check,
     tower_member,
     twisted_adams,
@@ -31,6 +33,7 @@ from ckops import (
     vp,
     vp_factorial,
 )
+from ckops import stable
 from ckops.arith import gbinom
 
 
@@ -210,6 +213,61 @@ def test_construct_G0_is_one_minus_x(budget):
     assert B.series.coeffs[0].eq_within(1)
     assert B.series.coeffs[1].eq_within(-1)
     assert all(B.series.coeffs[k].is_zero() for k in range(2, 7))
+
+
+def _oracle_Gn(n, T, budget):
+    """G_n by the elimination route: solve the binomial Vandermonde system
+    with linalg.solve_vandermonde, embed each weight, and sum the weighted
+    integer Adams series coefficient by coefficient."""
+    nodes = stable._glued_nodes(budget, n + 1)
+    xs = solve_vandermonde(nodes, [0] * n + [(-1) ** n * dn(n).value])
+    ring = ProfiniteRing(budget)
+    comb = [(ProfiniteApprox.from_rational(budget, x), a) for x, a in zip(xs, nodes)]
+    G = TruncSeries.zero(ring, T)
+    for cof, a in comb:
+        G = G + adams_series(a, T).map_coeffs(lambda v: cof * v, ring)
+    return BasisSeries("G", n, G, combination=comb)
+
+
+def _digits(B):
+    """Every stored residue and precision of a basis element."""
+    return (
+        B.series.to_json(),
+        [(cof.to_json(), node) for cof, node in B.combination],
+        B.int_coeffs,
+    )
+
+
+@pytest.mark.parametrize(
+    "primes,e", [((2, 3, 5, 7), 8), ((2, 3, 5, 7), 12), ((2, 3), 6)]
+)
+def test_construct_Gn_closed_form_matches_vandermonde_oracle(monkeypatch, primes, e):
+    budget = PrimeBudget.uniform(primes, e)
+    oracle = {}
+
+    def oracle_Gn(n, T, b):
+        if (n, T, b) not in oracle:
+            oracle[n, T, b] = _oracle_Gn(n, T, b)
+        return oracle[n, T, b]
+
+    for T in (12, 16):
+        fast_F = [construct_Fn(n, T, budget) for n in range(T + 1)]
+        for n in range(T + 1):
+            assert _digits(construct_Gn(n, T, budget)) == _digits(oracle_Gn(n, T, budget)), (n, T)
+        with monkeypatch.context() as m:
+            m.setattr(stable, "construct_Gn", oracle_Gn)
+            slow_F = [construct_Fn(n, T, budget) for n in range(T + 1)]
+        for n in range(T + 1):
+            assert _digits(fast_F[n]) == _digits(slow_F[n]), (n, T)
+
+
+def test_construct_Gn_shallow_budget_names_prime():
+    # the weight denominators of G_16 keep a factor 2 at nodes glued mod 2^5
+    budget = PrimeBudget.uniform((2, 3, 5, 7, 11, 13), 5)
+    with pytest.raises(ValueError, match="not invertible mod 32"):
+        _oracle_Gn(16, 16, budget)
+    with pytest.raises(PrecisionError, match="p=2"):
+        construct_Gn(16, 16, budget)
 
 
 def test_construct_Fn_canonical_low_indices(budget):
