@@ -11,10 +11,10 @@ from fractions import Fraction
 
 from functools import lru_cache
 
-from .arith import PrecisionError, PrimeBudget, crt_lift
+from .arith import PrecisionError, PrimeBudget, crt_lift, gbinom
 from .linalg import ModMatrix, howell_form, in_row_span
 from .series import SeqWindow, TruncSeries
-from .stable import construct_Fn, dn_tilde
+from .stable import a_min, construct_Fn, dn_tilde
 
 
 @lru_cache(maxsize=None)
@@ -45,14 +45,8 @@ class NumericalPoly:
 
     def __call__(self, m: int) -> int:
         return sum(
-            c * (-1) ** n * _gbinom_int(m, n) for n, c in enumerate(self.e_coeffs)
+            c * (-1) ** n * gbinom(m, n) for n, c in enumerate(self.e_coeffs)
         )
-
-
-def _gbinom_int(m: int, n: int) -> int:
-    if m >= 0:
-        return math.comb(m, n)
-    return (-1) ** n * math.comb(n - m - 1, n)
 
 
 def to_e_basis(mono_coeffs) -> NumericalPoly | None:
@@ -116,7 +110,7 @@ def interval_in_N(v, budget: PrimeBudget, unit_count: int | None = None) -> bool
         count = unit_count or max(2 * n, 8)
         H = None
         while True:
-            units = _units(p, count)
+            units = a_min(p, count)
             rows = [[pow(r, j, q) for j in range(n)] for r in units]
             newH = howell_form(ModMatrix(q, rows, cols=n))
             if unit_count is not None or (H is not None and newH == H):
@@ -130,16 +124,6 @@ def interval_in_N(v, budget: PrimeBudget, unit_count: int | None = None) -> bool
         if not ok:
             return False
     return True
-
-
-def _units(p: int, count: int) -> list[int]:
-    out = []
-    k = 1
-    while len(out) < count:
-        if k % p:
-            out.append(k)
-        k += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -265,12 +265,6 @@ class TruncSeries:
                 out[i + j] = out[i + j] + a * b
         return TruncSeries(self.ring, T, out)
 
-    def pow(self, n: int) -> "TruncSeries":
-        out = TruncSeries.one(self.ring, self.trunc)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def truncate(self, T: int) -> "TruncSeries":
         if T > self.trunc:
             raise TruncationExhausted(f"cannot extend T={self.trunc} to {T}")
@@ -477,36 +471,54 @@ def _window_values(a, start: int, stop: int) -> list:
     return seq[: stop - start + 1]
 
 
-def classical_adams_arg(j: int, ring, T: int) -> TruncSeries:
-    """[j](x) = 1 - (1-x)^j, the j-fold multiplicative formal sum of x."""
-    one = TruncSeries.one(ring, T)
-    base = TruncSeries(ring, T, [1, -1])
-    return one - base.pow(j)
+def adams_coordinates(H: TruncSeries) -> list:
+    """b_0..b_T with H = sum_k b_k (1-x)^k as polynomials of degree T:
+    b_k = (-1)^k sum_{m>=k} C(m,k) a_m.  Integer combinations only, so any
+    ring works; a profinite b_k has the least precision of a_k..a_T."""
+    a, T = H.coeffs, H.trunc
+    out = []
+    for k in range(T + 1):
+        acc = H.ring.zero()
+        for m in range(k, T + 1):
+            acc = acc + a[m] * ((-1) ** k * math.comb(m, k))
+        out.append(acc)
+    return out
 
 
 class Composer:
     """Composition against a fixed left factor H.
 
-    Defining formula: H o H' = a_0 H(0) + sum_{i>=1} (-1)^i a_i
-    (partial^{i-1} H)(x, ..., x).  The diagonal of the subset-sum form of
-    the iterated partial derivative collapses to the exact identity
-    (partial^{i-1} H)(x,...,x) = sum_j (-1)^(i-j) C(i,j) H([j](x)),
-    so the table U_i = sum_j (-1)^j C(i,j) H([j](x)) is precomputed once
-    and H o H' = sum_i a_i U_i.  Division-free, hence valid over Z and
-    profinite coefficients.
+    H o H' = sum_i a_i U_i over the coefficients a_i of H', where
+    U_i = sum_j (-1)^j C(i,j) H([j](x)), [j](x) = 1 - (1-x)^j, is (-1)^i
+    times the diagonal (partial^{i-1} H)(x,...,x).  In Adams coordinates
+    H = sum_k b_k (1-x)^k (adams_coordinates), substituting [j](x) maps k
+    to jk and the sum over j closes to U_0 = H(0), U_i = sum_{k>=1} b_k
+    [k](x)^i: O(T^3) ring multiply-adds by integers, no substitution,
+    division-free, hence valid over Z and profinite coefficients.
+
+    Precision: [x^d] U_i has the least precision of the b_k whose integer
+    multiplier [x^d] [k](x)^i is nonzero.  A term is skipped only for a
+    zero integer multiplier, never for a coefficient that tests as zero.
     """
 
     def __init__(self, H: TruncSeries):
         self.H = H
         self.ring = H.ring
         T = H.trunc
-        W = [H.substitute(classical_adams_arg(j, self.ring, T)) for j in range(T + 1)]
-        self.U = []
-        for i in range(T + 1):
-            U = TruncSeries.zero(self.ring, T)
-            for j in range(i + 1):
-                U = U + W[j].scale((-1) ** j * math.comb(i, j))
-            self.U.append(U)
+        b = adams_coordinates(H)
+        U = [[self.ring.zero() for _ in range(T + 1)] for _ in range(T + 1)]
+        for k in range(1, T + 1):
+            arg = [0] + [(-1) ** (d + 1) * math.comb(k, d) for d in range(1, T + 1)]
+            power = [1] + [0] * T
+            for i in range(1, T + 1):
+                # power = [k](x)^i has valuation i; [k](x) has degree k
+                power = [sum(power[e] * arg[d - e] for e in range(max(i - 1, d - k), d))
+                         for d in range(T + 1)]
+                for d in range(i, T + 1):
+                    if power[d]:
+                        U[i][d] = U[i][d] + b[k] * power[d]
+        U[0][0] = H.coeffs[0]
+        self.U = [TruncSeries(self.ring, T, row) for row in U]
 
     def compose(self, H2: TruncSeries) -> TruncSeries:
         T = min(self.H.trunc, H2.trunc)
@@ -527,12 +539,16 @@ def compose_op(H: TruncSeries, H2: TruncSeries) -> TruncSeries:
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k)."""
-    if n == k:
-        return 1
-    if k == 0 or k > n:
+    """Stirling number of the second kind S(n, k), from the row recurrence
+    S(m, j) = j S(m-1, j) + S(m-1, j-1) iterated up to row n."""
+    if not 0 <= k <= n:
         return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    row = [1] + [0] * k  # S(0, j)
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
 
 
 def b_map(G: TruncSeries, N: int) -> SeqWindow:

@@ -24,7 +24,7 @@ from ckops import (
     weighted_lg,
 )
 from ckops.multisym import iter_partial
-from ckops.series import Composer, assemble_lg
+from ckops.series import Composer, adams_coordinates, assemble_lg, stirling2
 
 
 def prof(budget, n):
@@ -215,6 +215,123 @@ def test_compose_diagonal_matches_iter_partial():
             if d <= T:
                 diag[d] += val
         assert list(comp.U[i].coeffs) == [(-1) ** i * c for c in diag]
+
+
+# The Composer table against the Horner-substitution oracle, the route it
+# replaced: U_i = sum_j (-1)^j C(i,j) H([j](x)) with each H([j](x)) built
+# by TruncSeries.substitute of [j](x) = 1 - (1-x)^j.
+
+
+def horner_U(H):
+    T, ring = H.trunc, H.ring
+    one = TruncSeries.one(ring, T)
+    W, power = [], one
+    for _ in range(T + 1):
+        W.append(H.substitute(one - power))
+        power = power * TruncSeries(ring, T, [1, -1])
+    U = []
+    for i in range(T + 1):
+        acc = TruncSeries.zero(ring, T)
+        for j in range(i + 1):
+            acc = acc + W[j].scale((-1) ** j * math.comb(i, j))
+        U.append(acc)
+    return U
+
+
+def composer_arg_power(k, i, d):
+    # [x^d] [k](x)^i = sum_j (-1)^j C(i,j) [x^d] (1-x)^(jk)
+    return sum((-1) ** (j + d) * math.comb(i, j) * math.comb(j * k, d) for j in range(i + 1))
+
+
+def composer_prec_rule(H, i, d, p):
+    # the precision the Composer docstring promises for [x^d] U_i at p
+    prec = [c.prec[p] for c in H.coeffs]
+    if i == 0:
+        return prec[0] if d == 0 else H.ring.budget.exponent(p)
+    deps = [min(prec[k:]) for k in range(1, H.trunc + 1) if composer_arg_power(k, i, d)]
+    return min(deps, default=H.ring.budget.exponent(p))
+
+
+def check_profinite_table(H):
+    # The oracle's TruncSeries.__mul__ skips a coefficient that tests as
+    # zero, so for an H with such a coefficient it reports digits it does
+    # not have; its precision is a lower bound only when H has none.
+    oracle_honest = not any(c.is_zero() for c in H.coeffs)
+    for i, (got, want) in enumerate(zip(Composer(H).U, horner_U(H))):
+        for d, (a, b) in enumerate(zip(got.coeffs, want.coeffs)):
+            for p in H.ring.budget.primes:
+                assert a.prec[p] == composer_prec_rule(H, i, d, p)
+                k = min(a.prec[p], b.prec[p])
+                assert a.residue_mod(p, k) == b.residue_mod(p, k)
+                assert a.prec[p] >= b.prec[p] or not oracle_honest
+
+
+@pytest.mark.parametrize("T", [6, 12, 16])
+def test_composer_table_matches_horner_oracle_over_Q_and_Z(T):
+    rng = random.Random(T)
+    cases = [lg_series(n, T) for n in range(T + 1)]
+    cases += [adams_series(k, T) for k in (-3, -1, 0, 1, 2, 5)]
+    cases += [rand_rational_series(rng, T) for _ in range(2)]
+    cases += [TruncSeries(Z, T, [rng.randint(-9, 9) for _ in range(T + 1)]) for _ in range(2)]
+    for H in cases:
+        b = adams_coordinates(H)
+        back = TruncSeries.zero(H.ring, T)
+        for k, bk in enumerate(b):
+            back = back + adams_series(k, T).map_coeffs(H.ring.coerce, H.ring).scale(bk)
+        assert back == H
+        assert [U.coeffs for U in Composer(H).U] == [U.coeffs for U in horner_U(H)]
+
+
+@pytest.mark.parametrize("prec", [6, 8, 12])
+def test_composer_table_matches_horner_oracle_over_profinite(prec):
+    budget = PrimeBudget.uniform([2, 3, 5, 7], prec)
+    ring = ProfiniteRing(budget)
+    rng = random.Random(prec)
+    for T in (5, 8):
+        for _ in range(2):
+            coeffs = []
+            for _ in range(T + 1):
+                c = prof(budget, rng.randrange(10**6))
+                if rng.random() < 0.4:  # lose a few digits at the divisor's primes
+                    m = rng.choice([2, 3, 4, 6, 9, 10, 25])
+                    c = (c * m).divide_exact(m)
+                coeffs.append(c)
+            check_profinite_table(TruncSeries(ring, T, coeffs))
+    # a profinite Adams exponent: coefficient k has lost v_p(k!) digits, and
+    # the coefficients past k = 5 are zero within their precision
+    check_profinite_table(adams_series(prof(budget, 5), 7))
+
+
+def test_composer_low_precision_zero_coefficient(budget):
+    # a_4 = 0 known only mod 2: it tests as zero, but every entry of the
+    # table that depends on it must keep only that one digit at p = 2
+    T, m = 8, 4
+    ring = ProfiniteRing(budget)
+    low = ProfiniteApprox(budget, {p: 0 for p in budget.primes},
+                          {p: 1 if p == 2 else 8 for p in budget.primes})
+    assert low.is_zero()
+    coeffs = [prof(budget, c) for c in (3, -1, 4, 1, 0, 9, -2, 6, 5)]
+    coeffs[m] = low
+    H = TruncSeries(ring, T, coeffs)
+    U = Composer(H).U
+    assert U[0].coeffs[0].prec == coeffs[0].prec
+    for i in range(1, T + 1):
+        for d in range(T + 1):
+            depends = any(composer_arg_power(k, i, d) for k in range(1, m + 1))
+            assert U[i].coeffs[d].prec[2] == (1 if depends else 8)
+            assert all(U[i].coeffs[d].prec[p] == 8 for p in (3, 5, 7))
+    assert U[1].coeffs[1].prec[2] == 1
+    check_profinite_table(H)
+
+
+def test_stirling2_iterative_and_explicit_formula():
+    assert stirling2(2000, 2) == 2**1999 - 1
+    for n in range(31):
+        for k in range(n + 2):
+            explicit = sum(
+                (-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)
+            ) // math.factorial(k)
+            assert stirling2(n, k) == explicit
 
 
 def test_zero_divisor_pair():
