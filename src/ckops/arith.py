@@ -58,6 +58,15 @@ def vp_factorial(n: int, p: int) -> int:
     return total
 
 
+def largest_prime_power(p: int, m: int, cap: int | None = None) -> tuple[int, int]:
+    """(k, p**k) for the largest k with p**k <= m, k at most ``cap``."""
+    k, q = 0, 1
+    while q * p <= m and (cap is None or k < cap):
+        q *= p
+        k += 1
+    return k, q
+
+
 def gbinom(r: int, k: int) -> int:
     """Generalized binomial coefficient C(r, k) for any integer r, k >= 0.
 
@@ -250,9 +259,6 @@ class ProfiniteApprox:
             [(self.residue[p], p ** self.prec[p]) for p in self.budget.primes]
         )
         return x - m if 2 * x > m else x
-
-    def min_prec(self) -> int:
-        return min(self.prec.values())
 
     # -- arithmetic -----------------------------------------------------
 
@@ -449,10 +455,7 @@ def compatible_lift(
             continue
         if p not in budget.primes:
             raise PrecisionError(f"prime {p} <= {m} is outside the budget")
-        q, r = p, 1
-        while q * p <= m and r < b[1].budget.exponent(p):
-            q *= p
-            r += 1
+        r, q = largest_prime_power(p, m, budget.exponent(p))
         pairs.append((b[q].residue_mod(p, r), q))
     return crt_lift(pairs)[0] if pairs else 0
 

@@ -21,6 +21,7 @@ from .arith import (
     ProfiniteApprox,
     compatible_lift,
     crt_lift,
+    largest_prime_power,
     rational_mod,
     rational_reconstruct,
     set_primes_upto,
@@ -129,14 +130,9 @@ def _component_from_family(fam, budget: PrimeBudget, window: int, r: int):
     for p in set_primes_upto(window):
         if p not in budget.primes:
             continue
-        k = 0
-        q = 1
-        while q * p <= window:
-            q *= p
-            k += 1
-        k = min(k, budget.exponent(p))
-        residues[p] = (k, t % p**k)
-        modulus *= p**k
+        k, q = largest_prime_power(p, window, budget.exponent(p))
+        residues[p] = (k, t % q)
+        modulus *= q
     return residues, modulus, t % modulus if modulus > 1 else 0
 
 
@@ -253,10 +249,7 @@ def rho_n(G: TruncSeries, n: int, budget: PrimeBudget) -> list[ComponentClass]:
         obstructions = {}
         pairs = []
         for p in budget.primes:
-            k, q = 0, 1
-            while q * p <= window:
-                q *= p
-                k += 1
+            k, q = largest_prime_power(p, window)
             if k == 0:
                 continue
             val = bvals[q]
@@ -382,11 +375,7 @@ def classical_approx(G: TruncSeries, n: int, d: int) -> TruncSeries:
             if need <= 0:
                 continue
             q = p**need
-            kmax_avail = 0
-            qa = 1
-            while qa * p <= window:
-                qa *= p
-                kmax_avail += 1
+            kmax_avail, _ = largest_prime_power(p, window)
             if need > kmax_avail:
                 raise PrecisionError(
                     f"component {r} needs c mod {p}^{need}, window {window} "

@@ -51,6 +51,8 @@ class RationalRing:
     def is_zero(x):
         return x == 0
 
+    is_exact_zero = is_zero
+
     @staticmethod
     def coeff_to_json(x):
         return rational_to_str(x)
@@ -89,6 +91,8 @@ class IntegerRing:
     @staticmethod
     def is_zero(x):
         return x == 0
+
+    is_exact_zero = is_zero
 
     @staticmethod
     def coeff_to_json(x):
@@ -137,6 +141,10 @@ class ProfiniteRing:
     @staticmethod
     def is_zero(x):
         return x.is_zero()
+
+    # a profinite zero is zero only to its precision, which every product
+    # with it keeps: no term is ever skipped
+    is_exact_zero = staticmethod(lambda x: False)
 
     @staticmethod
     def coeff_to_json(x):
@@ -258,7 +266,7 @@ class TruncSeries:
         T = self._align(other)
         out = [self.ring.zero() for _ in range(T + 1)]
         for i, a in enumerate(self.coeffs[: T + 1]):
-            if self.ring.is_zero(a):
+            if self.ring.is_exact_zero(a):
                 continue
             for j in range(T + 1 - i):
                 b = other.coeffs[j]
@@ -525,7 +533,7 @@ class Composer:
         out = TruncSeries.zero(self.ring, T)
         for i in range(T + 1):
             a = H2.coeffs[i]
-            if self.ring.is_zero(a):
+            if self.ring.is_exact_zero(a):
                 continue
             out = out + self.U[i].truncate(T).scale(a)
         return out

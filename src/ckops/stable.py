@@ -11,6 +11,7 @@ module's central check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from .arith import (
     crt_lift,
     gen_binomial,
     is_unit,
+    largest_prime_power,
     modinv,
     set_primes_upto,
     vp,
@@ -141,11 +143,7 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
             primes = set_primes_upto(T + 1)
     skipped = []
     for p in sorted(primes):
-        nmax = 0
-        q = 1
-        while q * p <= T + 1:
-            q *= p
-            nmax += 1
+        nmax, _ = largest_prime_power(p, T + 1)
         for n in range(1, nmax + 1):
             q = p**n
             for m in range(q, T + 2, q):
@@ -162,20 +160,13 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
     return CriterionReport(True, None, skipped)
 
 
-def _phi_matrix_rows(m: int, modulus: int, r: int) -> list[list[int]]:
-    """Rows Phi^r(x^k) mod (modulus, degree < m) for k = 0..m-1; exact
-    because Phi preserves polynomial degree."""
-    rows = []
-    for k in range(m):
-        vec = [0] * m
-        vec[k] = 1
-        for _ in range(r):
-            vec = [
-                (j * vec[j] - ((j + 1) * vec[j + 1] if j + 1 < m else 0)) % modulus
-                for j in range(m)
-            ]
-        rows.append(vec)
-    return rows
+def _phi_step(vec: list[int], q: int) -> list[int]:
+    """One Phi step on a coefficient vector mod q, Phi(x^k) = k x^k - k x^(k-1),
+    kept to the vector's length (exact: Phi does not raise degrees)."""
+    m = len(vec)
+    return [
+        (j * vec[j] - ((j + 1) * vec[j + 1] if j + 1 < m else 0)) % q for j in range(m)
+    ]
 
 
 def s_oracle(
@@ -205,13 +196,7 @@ def s_oracle(
         prev_h = None
         stab = None
         for r in range(1, r_max + 1):
-            rows = [
-                [
-                    (j * row[j] - ((j + 1) * row[j + 1] if j + 1 < m else 0)) % q
-                    for j in range(m)
-                ]
-                for row in rows
-            ]
+            rows = [_phi_step(row, q) for row in rows]
             h = howell_form(ModMatrix(q, rows, cols=m))
             if prev_h is not None and h == prev_h:
                 stab = h
@@ -232,13 +217,9 @@ def _phi_image_rows(D: int, r: int, q: int) -> list[list[int]]:
     span the full image of Phi^r on series, reduced mod (q, x^D)."""
     rows = []
     for k in range(1, D + r):
-        vec = [0] * (k + 1)
-        vec[k] = 1
+        vec = [0] * k + [1]
         for _ in range(r):
-            vec = [
-                (j * vec[j] - ((j + 1) * vec[j + 1] if j + 1 < len(vec) else 0)) % q
-                for j in range(len(vec))
-            ]
+            vec = _phi_step(vec, q)
         rows.append((vec + [0] * D)[:D])
     return rows
 
@@ -250,10 +231,17 @@ def tower_member(
     G's truncation window?
 
     The tower maps compose to Phi-powers, so this is membership of G's
-    coefficient window in each image lattice of Phi^r for r >= n; the
-    decreasing chain of lattices mod p^e is constant once r >= e, so only
-    finitely many r matter.  Scaled monomials d x^j (stored at truncation
-    j) pass level j+1 exactly when d_j divides d.
+    window mod (p^e, x^D), D = trunc + 1, in the image lattice L_r of Phi^r
+    for every r >= n.  As Phi^(r+1)(x^k) = k Phi^r(x^k) - k Phi^r(x^(k-1))
+    and Phi^r(x^(D+r)) vanishes below degree D, L_(r+1) lies in L_r; the
+    chain is constant once r >= e, so one row-span test per prime, at
+    r = max(n, e) + 1, decides.  e is the budget exponent, lowered to the
+    least precision of a profinite G.
+
+    Pinned by tests for j <= 4: d x^j (stored at truncation j) passes level
+    j+1 when d_j divides d, and fails for d = 1 and d = d_j/2.  This is no
+    "iff" at finite precision: d_j/2 x^j passes for j = 6..10 at budget
+    (2,3,5,7)^8, and for j = 8..10 at (2,3,5,7)^14.
     """
     if n < 1:
         return True
@@ -270,13 +258,9 @@ def tower_member(
             raise PrecisionError(f"no digits left at p={p}")
         q = p**e
         target = [_coeff_residue(G.coeffs[i], p, e) for i in range(D)]
-        # the p-divisible part of the generators dies once r >= e
-        for r in range(n, max(n, e) + 2):
-            member, _ = in_row_span(
-                ModMatrix(q, _phi_image_rows(D, r, q), cols=D), target
-            )
-            if not member:
-                return False
+        rows = _phi_image_rows(D, max(n, e) + 1, q)
+        if not in_row_span(ModMatrix(q, rows, cols=D), target)[0]:
+            return False
     return True
 
 
@@ -307,125 +291,139 @@ def _glued_nodes(budget: PrimeBudget, count: int) -> list[int]:
     """Integer lifts of the per-prime minimal unit sequences, glued by CRT
     over the budget modulus (least nonnegative).  A_node then has exact
     integer coefficients while matching the prescribed unit at every
-    budget prime."""
-    per_p = {p: a_min(p, count) for p in budget.primes}
-    nodes = []
-    for i in range(count):
-        pairs = [
-            (per_p[p][i] % p ** budget.exponent(p), p ** budget.exponent(p))
-            for p in budget.primes
-        ]
-        nodes.append(crt_lift(pairs)[0])
-    if len(set(nodes)) != count:
-        raise PrecisionError("budget too small to separate the Adams nodes")
-    return nodes
+    budget prime.  The list is prefix-stable in ``count``: G_i uses the
+    first i+1 nodes, whose distinctness ``_lagrange_weights`` checks."""
+    mods = {p: p ** budget.exponent(p) for p in budget.primes}
+    per_p = {p: a_min(p, count) for p in mods}
+    return [crt_lift((per_p[p][i] % q, q) for p, q in mods.items())[0] for i in range(count)]
 
 
-def construct_Gn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
-    """Profinite combination of n+1 unit Adams series with leading term
-    d_n x^n, in closed form at the glued integer nodes a_0..a_n.
-
-    Only the last column of the inverse binomial Vandermonde matrix is
-    needed: x_j = (-1)^n d_n n! / prod_{i != j} (a_j - a_i), the top binomial
-    coefficient of the j-th Lagrange polynomial; then
-    [x^k] G_n = (-1)^k sum_j x_j C(a_j, k).  Both are summed as integers over
-    the lcm L of the weights' denominators and embedded once per prime; a
-    budget prime dividing L raises PrecisionError naming it.
-    ``linalg.solve_vandermonde`` is the test oracle for this route.
+def _lagrange_weights(n: int, nodes: list[int], budget: PrimeBudget) -> dict:
+    """Weights of G_n = sum_{j<=n} x_j A_(a_j) at the first n+1 nodes, as
+    residues mod p^e_p per budget prime: the last column of the inverse
+    binomial Vandermonde matrix, x_j = (-1)^n d_n n! / prod_{i != j}
+    (a_j - a_i).  A budget prime dividing a reduced denominator raises
+    PrecisionError naming it.
     """
-    nodes = _glued_nodes(budget, n + 1)  # distinct
+    nodes = nodes[: n + 1]
+    if len(set(nodes)) != n + 1:
+        raise PrecisionError("budget too small to separate the Adams nodes")
     top = (-1) ** n * dn(n).value * math.factorial(n)
     weights = [Fraction(top, math.prod(a - b for b in nodes if b != a)) for a in nodes]
-    L = math.lcm(*(w.denominator for w in weights))
+    out = {}
     for p in budget.primes:
-        if L % p == 0:
+        if any(w.denominator % p == 0 for w in weights):
             raise PrecisionError(
                 f"G_{n} weights have a denominator divisible by p={p}: "
                 f"budget precision {p}^{budget.exponent(p)} is too shallow"
             )
-    nums = [w.numerator * (L // w.denominator) for w in weights]
-    inv = {p: modinv(L, p ** budget.exponent(p)) for p in budget.primes}
+        q = p ** budget.exponent(p)
+        out[p] = [w.numerator * modinv(w.denominator, q) % q for w in weights]
+    return out
 
-    def embed(num: int) -> ProfiniteApprox:
-        return ProfiniteApprox(budget, {p: num * u for p, u in inv.items()})
 
-    coeffs = []
-    binoms = [1] * (n + 1)  # C(a_j, k), updated in k
+def _adams_table(nodes: list[int], T: int, budget: PrimeBudget) -> list[dict]:
+    """table[k][p][j] = [x^k] A_(a_j) = (-1)^k C(a_j, k) mod p^e_p for k <= T.
+    The binomials are exact integers, updated in k."""
+    mods = {p: p ** budget.exponent(p) for p in budget.primes}
+    table, binoms = [], [1] * len(nodes)
     for k in range(T + 1):
-        num = sum(c * b for c, b in zip(nums, binoms))
-        coeffs.append(embed(-num if k % 2 else num))
+        table.append({p: [(-b if k % 2 else b) % q for b in binoms] for p, q in mods.items()})
         binoms = [b * (a - k) // (k + 1) for b, a in zip(binoms, nodes)]
-    G = TruncSeries(ProfiniteRing(budget), T, coeffs)
-    return BasisSeries("G", n, G, combination=[(embed(c), a) for c, a in zip(nums, nodes)])
+    return table
+
+
+def _adams_coeff(weights: dict, row: dict) -> dict:
+    """Per-prime residues (unreduced) of [x^k] sum_j w_j A_(a_j), from the
+    table row of degree k."""
+    return {p: sum(map(operator.mul, w, row[p])) for p, w in weights.items()}
+
+
+def _weighted_adams(weights: dict, nodes: list[int], table: list[dict], budget: PrimeBudget):
+    """sum_j w_j A_(a_j) as a profinite series, with its combination
+    [(w_j, a_j), ...] over the weighted prefix of the nodes."""
+    coeffs = [ProfiniteApprox(budget, _adams_coeff(weights, row)) for row in table]
+    comb = [
+        (ProfiniteApprox(budget, dict(zip(weights, col))), a)
+        for col, a in zip(zip(*weights.values()), nodes)
+    ]
+    return TruncSeries(ProfiniteRing(budget), len(table) - 1, coeffs), comb
+
+
+def construct_Gn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
+    """Profinite combination of n+1 unit Adams series with leading term
+    d_n x^n, in closed form at the glued integer nodes a_0..a_n:
+    [x^k] G_n = (-1)^k sum_j x_j C(a_j, k) with the weights x_j of
+    ``_lagrange_weights``, summed per prime.  ``linalg.solve_vandermonde``
+    is the test oracle for this route.
+    """
+    nodes = _glued_nodes(budget, n + 1)
+    weights = _lagrange_weights(n, nodes, budget)
+    G, comb = _weighted_adams(weights, nodes, _adams_table(nodes, T, budget), budget)
+    return BasisSeries("G", n, G, combination=comb)
 
 
 def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     """Integer-consistent basis element with leading term d_n x^n.
 
     F_0 and F_1 are the canonical closed forms A_1 and A_(-1) - A_1 (these
-    pin the sequence model's windows).  For n >= 2 the G_n-descent runs
-    with integer correction multipliers: b_i is lifted by CRT to an
-    integer, so an integer multiple of G_i subtracts with no precision
-    loss and F_n keeps the full budget precision.
+    pin the sequence model's windows).  For n >= 2 the G_n-descent runs on
+    node weights: G_i = sum_{j<=i} x_ij A_(a_j) on a prefix of the same
+    glued nodes, so F = sum_j c_j A_(a_j) is one weight vector mod p^e_p
+    per prime, starting at G_n's.  Step i > n reads
+    [x^i]F = (-1)^i sum_j c_j C(a_j, i), lifts its correction multiplier
+    b_i by CRT to an integer and subtracts b_i x_ij from c_j, so F_n keeps
+    the full budget precision.  ``combination`` holds the final weights of
+    the nodes used, sorted by node.
     """
     ring = ProfiniteRing(budget)
     one = ProfiniteApprox.from_int(budget, 1)
     if n == 0:
         ints = [1, -1] + [0] * (T - 1)
         return BasisSeries(
-            "F", 0, _int_series_to_profinite(ints, ring, T), ints[: T + 1],
+            "F", 0, TruncSeries(ring, T, ints[: T + 1]), ints[: T + 1],
             combination=[(one, 1)],
         )
     if n == 1:
         ints = [0, 2] + [1] * (T - 1)
         return BasisSeries(
-            "F", 1, _int_series_to_profinite(ints, ring, T), ints[: T + 1],
+            "F", 1, TruncSeries(ring, T, ints[: T + 1]), ints[: T + 1],
             combination=[(one, -1), (-one, 1)],
         )
-    Gn = construct_Gn(n, T, budget)
-    F = Gn.series
-    comb = {node: cof for cof, node in Gn.combination}
+    e = dict(zip(budget.primes, budget.exponents))
+    mods = {p: p**k for p, k in e.items()}
+    nodes = _glued_nodes(budget, max(n, T) + 1)
+    c = _lagrange_weights(n, nodes, budget)
+    table = _adams_table(nodes, T, budget)
     ints = [0] * n + [dn(n).value] + [0] * (T - n)
     for i in range(n + 1, T + 1):
+        s = _adams_coeff(c, table[i])
         di = dn(i)
-        a = F.coeffs[i]
+        v = {p: di.per_prime.get(p, 0) for p in e}
         # least-nonnegative representative modulo the *visible* part of d_i:
-        # corrections beyond the budget exponent are invisible mod p^e_p,
-        # so capping at e_p keeps the result integer-consistent at full
+        # corrections beyond the budget exponent are invisible mod p^e_p, so
+        # capping at e_p keeps the result integer-consistent at full
         # precision (the uncapped precondition would be unattainable here)
-        caps = {p: min(di.per_prime.get(p, 0), budget.exponent(p)) for p in budget.primes}
-        pairs = [(a.residue_mod(p, caps[p]), p ** caps[p]) for p in budget.primes if caps[p]]
-        a_rep = crt_lift(pairs)[0] if pairs else 0
-        ints[i] = a_rep
-        # integer lift of (a - a_rep)/d_i across the budget, skipping primes
-        # where d_i already swallows the whole budget precision
+        visible = {p: p ** min(v[p], e[p]) for p in e}
+        ints[i] = a_rep = crt_lift((s[p] % q, q) for p, q in visible.items())[0]
+        # integer lift of ([x^i]F - a_rep)/d_i across the budget, skipping
+        # primes where d_i already swallows the whole budget precision
         bpairs = []
-        for p in budget.primes:
-            v = di.per_prime.get(p, 0)
-            k = budget.exponent(p) - v
-            if k <= 0:
-                continue
-            unit = di.value // p**v
-            diff = (a - a_rep).residue_mod(p, budget.exponent(p))
-            if v and diff % p**v:
-                raise AssertionError("descent invariant broke")
-            res = (diff // p**v) * modinv(unit, p**k) % p**k
-            bpairs.append((res, p**k))
-        b_int = crt_lift(bpairs)[0] if bpairs else 0
+        for p in e:
+            if e[p] > v[p]:
+                diff, q = (s[p] - a_rep) % mods[p], p ** (e[p] - v[p])
+                if diff % p ** v[p]:
+                    raise AssertionError("descent invariant broke")
+                unit = modinv(di.value // p ** v[p], q)
+                bpairs.append((diff // p ** v[p] * unit % q, q))
+        b_int = crt_lift(bpairs)[0]
         if b_int:
-            Gi = construct_Gn(i, T, budget)
-            F = F - Gi.series.scale(b_int)
-            for cof, node in Gi.combination:
-                cur = comb.get(node)
-                delta = cof * (-b_int)
-                comb[node] = delta if cur is None else cur + delta
-    return BasisSeries(
-        "F", n, F, ints, combination=[(c, node) for node, c in sorted(comb.items())]
-    )
-
-
-def _int_series_to_profinite(ints, ring: ProfiniteRing, T: int) -> TruncSeries:
-    return TruncSeries(ring, T, [ring.coerce(c) for c in ints[: T + 1]])
+            x = _lagrange_weights(i, nodes, budget)
+            for p, m in mods.items():
+                cp = c[p] + [0] * (i + 1 - len(c[p]))
+                c[p] = [(cj - b_int * xj) % m for cj, xj in zip(cp, x[p])]
+    F, comb = _weighted_adams(c, nodes, table, budget)
+    return BasisSeries("F", n, F, ints, combination=sorted(comb, key=lambda t: t[1]))
 
 
 def basis_family(T: int, budget: PrimeBudget, upto: int | None = None):

@@ -253,17 +253,15 @@ def composer_prec_rule(H, i, d, p):
 
 
 def check_profinite_table(H):
-    # The oracle's TruncSeries.__mul__ skips a coefficient that tests as
-    # zero, so for an H with such a coefficient it reports digits it does
-    # not have; its precision is a lower bound only when H has none.
-    oracle_honest = not any(c.is_zero() for c in H.coeffs)
+    # every term of the oracle's products enters, so its precision is a
+    # lower bound for the table's
     for i, (got, want) in enumerate(zip(Composer(H).U, horner_U(H))):
         for d, (a, b) in enumerate(zip(got.coeffs, want.coeffs)):
             for p in H.ring.budget.primes:
                 assert a.prec[p] == composer_prec_rule(H, i, d, p)
                 k = min(a.prec[p], b.prec[p])
                 assert a.residue_mod(p, k) == b.residue_mod(p, k)
-                assert a.prec[p] >= b.prec[p] or not oracle_honest
+                assert a.prec[p] >= b.prec[p]
 
 
 @pytest.mark.parametrize("T", [6, 12, 16])
@@ -322,6 +320,24 @@ def test_composer_low_precision_zero_coefficient(budget):
             assert all(U[i].coeffs[d].prec[p] == 8 for p in (3, 5, 7))
     assert U[1].coeffs[1].prec[2] == 1
     check_profinite_table(H)
+
+
+def test_profinite_product_keeps_precision_of_zero_factor():
+    # z = 0 known to 1 digit at p = 2: every product and composition term
+    # that touches it keeps only that digit, whichever side z is on
+    budget = PrimeBudget.uniform([2, 3], 4)
+    ring = ProfiniteRing(budget)
+    z = ProfiniteApprox(budget, {2: 0, 3: 0}, {2: 1, 3: 4})
+    assert z.is_zero()
+    F = TruncSeries(ring, 2, [z, prof(budget, 1), prof(budget, 0)])
+    G = TruncSeries(ring, 2, [prof(budget, 1)] * 3)
+    FG, GF = F * G, G * F
+    assert [c.prec for c in FG.coeffs] == [c.prec for c in GF.coeffs]
+    assert all(c.prec == {2: 1, 3: 4} for c in FG.coeffs)
+    assert FG == GF
+    H = TruncSeries(ring, 2, [prof(budget, 0), prof(budget, 1), prof(budget, 1)])
+    C = Composer(H).compose(F)
+    assert all(c.prec == {2: 1, 3: 4} for c in C.coeffs)
 
 
 def test_stirling2_iterative_and_explicit_formula():

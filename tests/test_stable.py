@@ -34,7 +34,8 @@ from ckops import (
     vp_factorial,
 )
 from ckops import stable
-from ckops.arith import gbinom
+from ckops.arith import crt_lift, gbinom
+from ckops.linalg import ModMatrix, in_row_span
 
 
 def prof(budget, n):
@@ -229,6 +230,46 @@ def _oracle_Gn(n, T, budget):
     return BasisSeries("G", n, G, combination=comb)
 
 
+def _oracle_Fn(n, T, budget, Gn=_oracle_Gn):
+    """F_n by the series descent: subtract b_i * G_i, with G_i a whole
+    profinite series built by ``Gn``, for each i > n whose b_i is nonzero.
+    construct_Fn runs the same descent on node weights instead; F_0 and
+    F_1 are closed forms, taken from it."""
+    if n < 2:
+        return construct_Fn(n, T, budget)
+    G = Gn(n, T, budget)
+    F = G.series
+    comb = {node: cof for cof, node in G.combination}
+    ints = [0] * n + [dn(n).value] + [0] * (T - n)
+    for i in range(n + 1, T + 1):
+        di = dn(i)
+        a = F.coeffs[i]
+        caps = {p: min(di.per_prime.get(p, 0), budget.exponent(p)) for p in budget.primes}
+        pairs = [(a.residue_mod(p, caps[p]), p ** caps[p]) for p in budget.primes if caps[p]]
+        a_rep = crt_lift(pairs)[0] if pairs else 0
+        ints[i] = a_rep
+        bpairs = []
+        for p in budget.primes:
+            v = di.per_prime.get(p, 0)
+            k = budget.exponent(p) - v
+            if k <= 0:
+                continue
+            diff = (a - a_rep).residue_mod(p, budget.exponent(p))
+            assert diff % p**v == 0
+            unit = di.value // p**v
+            bpairs.append(((diff // p**v) * pow(unit, -1, p**k) % p**k, p**k))
+        b_int = crt_lift(bpairs)[0] if bpairs else 0
+        if b_int:
+            Gi = Gn(i, T, budget)
+            F = F - Gi.series.scale(b_int)
+            for cof, node in Gi.combination:
+                cur = comb.get(node)
+                comb[node] = cof * (-b_int) if cur is None else cur + cof * (-b_int)
+    return BasisSeries(
+        "F", n, F, ints, combination=[(c, node) for node, c in sorted(comb.items())]
+    )
+
+
 def _digits(B):
     """Every stored residue and precision of a basis element."""
     return (
@@ -241,7 +282,7 @@ def _digits(B):
 @pytest.mark.parametrize(
     "primes,e", [((2, 3, 5, 7), 8), ((2, 3, 5, 7), 12), ((2, 3), 6)]
 )
-def test_construct_Gn_closed_form_matches_vandermonde_oracle(monkeypatch, primes, e):
+def test_construct_Gn_closed_form_matches_vandermonde_oracle(primes, e):
     budget = PrimeBudget.uniform(primes, e)
     oracle = {}
 
@@ -251,14 +292,31 @@ def test_construct_Gn_closed_form_matches_vandermonde_oracle(monkeypatch, primes
         return oracle[n, T, b]
 
     for T in (12, 16):
-        fast_F = [construct_Fn(n, T, budget) for n in range(T + 1)]
         for n in range(T + 1):
             assert _digits(construct_Gn(n, T, budget)) == _digits(oracle_Gn(n, T, budget)), (n, T)
-        with monkeypatch.context() as m:
-            m.setattr(stable, "construct_Gn", oracle_Gn)
-            slow_F = [construct_Fn(n, T, budget) for n in range(T + 1)]
-        for n in range(T + 1):
-            assert _digits(fast_F[n]) == _digits(slow_F[n]), (n, T)
+            want = _oracle_Fn(n, T, budget, Gn=oracle_Gn)
+            assert _digits(construct_Fn(n, T, budget)) == _digits(want), (n, T)
+
+
+def _outcome(fn, *args):
+    try:
+        return _digits(fn(*args))
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("primes,e", [((2, 3, 5, 7, 11, 13), 5), ((2, 3, 5), 4)])
+def test_construct_Fn_errors_match_series_descent(primes, e):
+    # budgets too shallow for some weights or nodes: the weight descent
+    # raises exactly where the series descent (over construct_Gn) raises
+    budget = PrimeBudget.uniform(primes, e)
+    raised = 0
+    for T in (8, 12, 16):
+        for n in range(2, T + 1):
+            got = _outcome(construct_Fn, n, T, budget)
+            assert got == _outcome(_oracle_Fn, n, T, budget, construct_Gn), (n, T)
+            raised += got[0] is PrecisionError
+    assert raised
 
 
 def test_construct_Gn_shallow_budget_names_prime():
@@ -383,6 +441,75 @@ def test_tower_cross_checks_oracle(budget):
         gp = to_profinite(G, budget)
         want = all(s_oracle(G, p, budget.exponent(p), T) for p in budget.primes)
         assert tower_member(gp, 1, budget) == want, trial
+
+
+def _oracle_tower(G, n, budget):
+    """tower_member by the per-level loop: G's window must lie in the image
+    lattice of Phi^r mod (p^e, x^D) for every r from n to max(n, e) + 1,
+    each lattice spanned by Phi^r(x^k), k < D + r, computed with phi."""
+    if n < 1:
+        return True
+    D = G.trunc + 1
+    for p in budget.primes:
+        e = budget.exponent(p)
+        if isinstance(G.ring, ProfiniteRing):
+            e = min(e, min(c.prec[p] for c in G.coeffs))
+        if e < 1:
+            raise PrecisionError(f"no digits left at p={p}")
+        q = p**e
+        target = [
+            c.residue_mod(p, e) if isinstance(c, ProfiniteApprox) else int(c) % q
+            for c in G.coeffs
+        ]
+        for r in range(n, max(n, e) + 2):
+            rows = []
+            for k in range(1, D + r):
+                image = TruncSeries.monomial(Z, D + r - 1, k)
+                for _ in range(r):
+                    image = phi(image)
+                rows.append([int(c) % q for c in image.coeffs[:D]])
+            if not in_row_span(ModMatrix(q, rows, cols=D), target)[0]:
+                return False
+    return True
+
+
+def _random_tower_case(rng):
+    primes = rng.choice([(2,), (2, 3), (3, 5), (2, 3, 5, 7)])
+    budget = PrimeBudget.uniform(primes, rng.randint(1, 6))
+    n = rng.randint(0, 7)
+    ring = ProfiniteRing(budget)
+    kind = rng.choice(["monomial", "Z", "Zhat"])
+    if kind == "monomial":
+        j = rng.randint(1, 6)
+        d = dn(j).value * rng.choice([1, 2, 3, -1]) // rng.choice([1, 1, 2, 3])
+        return TruncSeries(ring, j, [ring.zero()] * j + [prof(budget, d)]), n, budget
+    T = rng.randint(1, 6)
+    if kind == "Z":
+        return TruncSeries(Z, T, [rng.randint(-20, 20) for _ in range(T + 1)]), n, budget
+    coeffs = []
+    for _ in range(T + 1):
+        c = prof(budget, rng.randrange(10**6))
+        if rng.random() < 0.3:  # lose digits at the divisor's primes
+            m = rng.choice([2, 3, 5, 6])
+            c = (c * m).divide_exact(m)
+        coeffs.append(c)
+    return TruncSeries(ring, T, coeffs), n, budget
+
+
+def test_tower_member_single_lattice_matches_per_level_oracle():
+    rng = random.Random(8)
+    verdicts = []
+    for trial in range(300):
+        G, n, budget = _random_tower_case(rng)
+        try:
+            want = _oracle_tower(G, n, budget)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                tower_member(G, n, budget)
+            continue
+        assert tower_member(G, n, budget) == want, (trial, n, budget, G)
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
 
 
 # -- multiplicative layer ----------------------------------------------------------------
