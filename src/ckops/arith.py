@@ -248,11 +248,6 @@ class ProfiniteApprox:
             )
         return self.residue[p] % p**k
 
-    def lift(self) -> int:
-        """Least nonnegative integer matching every stored residue."""
-        pairs = [(self.residue[p], p ** self.prec[p]) for p in self.budget.primes]
-        return crt_lift(pairs)[0]
-
     def lift_symmetric(self) -> int:
         """Integer of least absolute value matching every stored residue."""
         x, m = crt_lift(
@@ -305,7 +300,7 @@ class ProfiniteApprox:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers: use unit_inverse")
+            raise ValueError("negative powers are not supported")
         out = ProfiniteApprox.from_int(self.budget, 1)
         for _ in range(n):
             out = out * self
@@ -338,18 +333,6 @@ class ProfiniteApprox:
             res[p] = ((r // p**v) * modinv(unit, p**k) * sign) % p**k if k else 0
             prec[p] = k
         return ProfiniteApprox(self.budget, res, prec)
-
-    def unit_inverse(self) -> "ProfiniteApprox":
-        """Inverse of a unit-within-budget element."""
-        res = {}
-        for p in self.budget.primes:
-            k = self.prec[p]
-            if k == 0:
-                raise PrecisionError(f"no digits at p={p}")
-            if self.residue[p] % p == 0:
-                raise ZeroDivisionError(f"not a unit at p={p}")
-            res[p] = modinv(self.residue[p], p**k)
-        return ProfiniteApprox(self.budget, res, dict(self.prec))
 
     # -- predicates -----------------------------------------------------
 

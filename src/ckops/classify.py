@@ -33,6 +33,8 @@ from .series import (
     ProfiniteRing,
     RationalRing,
     TruncSeries,
+    chain_sum,
+    chain_weights,
     lg_series,
     phi,
     valuation,
@@ -44,31 +46,34 @@ class NotInGroup(ValueError):
     """The series fails a stated membership precondition."""
 
 
-def _is_integral_coeff(ring, c) -> bool:
-    if isinstance(ring, RationalRing):
-        return Fraction(c).denominator == 1
-    return True  # Z exact; profinite residues are integral by construction
+def _partial_n(G: TruncSeries, n: int):
+    """partial^(n-1) G for n >= 1; the input must lie in x K[[x]]."""
+    if not G.ring.is_zero(G.coeffs[0]):
+        raise NotInGroup("membership for n >= 1 needs a zero constant term")
+    return iter_partial(G, n - 1)
 
 
 def in_Qn(G: TruncSeries, n: int) -> bool:
     """True iff partial^(n-1) G has integral coefficients up to the
     truncation's total degree.  For n >= 1 the input must lie in x K[[x]]."""
     if n < 1:
-        return all(_is_integral_coeff(G.ring, c) for c in G.coeffs)
-    if not G.ring.is_zero(G.coeffs[0]):
-        raise NotInGroup("membership for n >= 1 needs a zero constant term")
-    D = iter_partial(G, n - 1)
-    return integer_coefficients(D)
+        return integer_coefficients(G)
+    return integer_coefficients(_partial_n(G, n))
 
 
 def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
-    """Membership plus the valuation condition v(partial^(n-1) G) >= m."""
+    """Membership plus the valuation condition v(partial^(n-1) G) >= m.
+
+    The derivative route, straight from the definition: it serves as the
+    oracle for the Phi route in_Opnm_phi, which answers the same question
+    without multivariate series (cross-checked in the tests and in the
+    ``ifandonlyif`` suite)."""
     if n < 1:
         v = valuation(G)
         return in_Qn(G, n) and (v is None or v >= max(0, m))
-    if not in_Qn(G, n):
+    D = _partial_n(G, n)
+    if not integer_coefficients(D):
         return False
-    D = iter_partial(G, n - 1)
     v = D.total_valuation()
     return v is None or v >= m
 
@@ -76,8 +81,10 @@ def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
 def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
     """The Phi-route test: Phi^n(G) integral with valuation >= m - n.
 
-    Agrees with in_Qnm on the same inputs (the two routes are the module's
-    dual-route equivalence and are cross-checked in the tests)."""
+    The production route for Q^{n,m} membership: univariate, and valid
+    over profinite coefficients.  Its oracle is the derivative route
+    in_Qnm; the two agree on the same inputs (cross-checked in the tests
+    and in the ``ifandonlyif`` suite)."""
     if n < 1:
         raise ValueError("the Phi route applies to n >= 1")
     if G.trunc < n:
@@ -85,7 +92,7 @@ def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
     H = G
     for _ in range(n):
         H = phi(H)
-    if not all(_is_integral_coeff(H.ring, c) for c in H.coeffs):
+    if not integer_coefficients(H):
         return False
     v = valuation(H)
     return v is None or v >= m - n
@@ -110,18 +117,21 @@ class Component:
         }
 
 
-def _component_window(T: int, r: int) -> int:
-    """Degrees available for extracting component r (Phi^(r-1) costs r-1)."""
-    return T - (r - 1)
+def _component_step(cur: TruncSeries, r: int) -> tuple[int, dict]:
+    """The lg_1 congruence data of component r of cur: Phi^(r-1) costs r-1
+    degrees, leaving the window T-r+1, and the component c satisfies
+    c = b_i (mod i) with b_i = -i [x^i] Phi^(r-1)(cur) for i in the window.
+    Returns (window, {i: b_i})."""
+    window = cur.trunc - (r - 1)
+    if window < 1:
+        raise PrecisionError(f"truncation {cur.trunc} too small for component {r}")
+    H = cur
+    for _ in range(r - 1):
+        H = phi(H)
+    return window, {i: -(H.coeffs[i] * i) for i in range(1, window + 1)}
 
 
-def _extract_b_family(H: TruncSeries, budget: PrimeBudget, window: int):
-    """Family {i: -b_i} with b_i = i * [x^i]H, as ProfiniteApprox."""
-    ring = ProfiniteRing(budget)
-    return {i: ring.coerce(-(H.coeffs[i] * i)) for i in range(1, window + 1)}
-
-
-def _component_from_family(fam, budget: PrimeBudget, window: int, r: int):
+def _component_from_family(fam, budget: PrimeBudget, window: int):
     """Residues of the component modulo the maximal prime powers <= window."""
     # validates congruence compatibility; lifts over the budget primes only
     t = compatible_lift(fam, window, primes=budget.primes)
@@ -154,16 +164,12 @@ def decompose_Qn_hat(G: TruncSeries, n: int, budget: PrimeBudget | None = None):
     rational = isinstance(G.ring, RationalRing)
     cur = G
     components = []
+    ring = ProfiniteRing(budget)
     for r in range(n - 1, 0, -1):
-        window = _component_window(G.trunc, r)
-        if window < 1:
-            raise PrecisionError(f"truncation {G.trunc} too small for component {r}")
-        H = cur
-        for _ in range(r - 1):
-            H = phi(H)
+        window, bvals = _component_step(cur, r)
         try:
-            fam = _extract_b_family(H, budget, window)
-            residues, modulus, t = _component_from_family(fam, budget, window, r)
+            fam = {i: ring.coerce(b) for i, b in bvals.items()}
+            residues, modulus, t = _component_from_family(fam, budget, window)
         except (IncompatibleCongruences, ValueError) as exc:
             raise NotInGroup(f"component {r}: {exc}") from None
         cand = Fraction(t)
@@ -239,11 +245,7 @@ def rho_n(G: TruncSeries, n: int, budget: PrimeBudget) -> list[ComponentClass]:
     out = []
     cur = G
     for r in range(n - 1, 0, -1):
-        window = _component_window(G.trunc, r)
-        H = cur
-        for _ in range(r - 1):
-            H = phi(H)
-        bvals = {i: -(H.coeffs[i] * i) for i in range(1, window + 1)}
+        window, bvals = _component_step(cur, r)
         # residues where the rational b allows them; obstructions elsewhere
         residues = {}
         obstructions = {}
@@ -357,12 +359,9 @@ def classical_approx(G: TruncSeries, n: int, d: int) -> TruncSeries:
     if d >= G.trunc:
         raise ValueError("need d < truncation")
     cur = G
-    for r in range(n - 1, 0, -1):
-        window = _component_window(G.trunc, r)
-        H = cur
-        for _ in range(r - 1):
-            H = phi(H)
-        bvals = {i: -(H.coeffs[i] * i) for i in range(1, window + 1)}
+    # lg_r vanishes mod x^(T+1) for r > T: those components change nothing
+    for r in range(min(n - 1, G.trunc), 0, -1):
+        window, bvals = _component_step(cur, r)
         lg = lg_series(r, G.trunc)
         # representative must match the component modulo every denominator
         # appearing in lg_r's coefficients up to degree d
@@ -419,18 +418,7 @@ def _residue_of(x: ProfiniteApprox, m: int) -> int:
 def _gk_coeff(c: ProfiniteApprox, cs: list[int], k: int, m: int) -> ProfiniteApprox:
     """[x^m] of G_k = (c - c~) lg_k up to the sign convention of the
     weighted series, assembled from the chain weights with a single exact
-    division per coefficient (minimal precision loss).  Only c_1..c_(m-k+1)
-    enter, which the construction has already fixed."""
-    from .series import chain_weights
-
-    w = chain_weights(k, m)[m]
-    den = 1
-    for i in range(1, m + 1):
-        if w[i] != 0:
-            den = den * w[i].denominator // math.gcd(den, w[i].denominator)
-    acc = ProfiniteApprox.from_int(c.budget, 0)
-    for i in range(1, m - k + 2):
-        if w[i] == 0:
-            continue
-        acc = acc + (c - ProfiniteApprox.from_int(c.budget, cs[i - 1])) * int(w[i] * den)
-    return acc.divide_exact(den) * ((-1) ** k)
+    division (minimal precision loss).  Only c_1..c_(m-k+1) enter, which
+    the construction has already fixed."""
+    vals = [c - ci for ci in cs[: m - k + 1]]
+    return chain_sum(vals, chain_weights(k, m)[m]) * ((-1) ** k)

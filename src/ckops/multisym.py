@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
-from .series import Q, RationalRing, TruncSeries
+from .series import Q, RationalRing, TruncSeries, lg_series
 
 MULT = "mult"
 ADD = "add"
@@ -123,12 +123,6 @@ class MultiSeries:
             del acc[key]
         return out
 
-    def pow(self, n: int):
-        out = MultiSeries(self.ring, self.nvars, self.trunc, {(0,) * self.nvars: 1})
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
@@ -207,7 +201,7 @@ class SymSeries:
         out = MultiSeries(self.ring, self.nvars, self.trunc)
         for key, val in self.coeffs.items():
             seen = set()
-            for perm in _permutations_of(key):
+            for perm in permutations(key):
                 if perm not in seen:
                     seen.add(perm)
                     out.coeffs[perm] = val
@@ -235,23 +229,19 @@ class SymSeries:
         return cls(ring, data["nvars"], data["trunc"], coeffs, data["fgl"])
 
 
-def _permutations_of(key):
-    from itertools import permutations
-
-    return permutations(key)
-
-
-def _as_multi(G, fgl=MULT) -> tuple[MultiSeries, str]:
+def _as_multi(G, fgl: str | None = None) -> tuple[MultiSeries, str]:
+    """G as a plain container, with its law: an explicit fgl wins, then a
+    SymSeries' own law, then the multiplicative law."""
     if isinstance(G, TruncSeries):
         M = MultiSeries(G.ring, 1, G.trunc)
         for i, c in enumerate(G.coeffs):
             if not G.ring.is_zero(c):
                 M.coeffs[(i,)] = c
-        return M, fgl
+        return M, fgl or MULT
     if isinstance(G, SymSeries):
-        return G.to_multi(), G.fgl
+        return G.to_multi(), fgl or G.fgl
     if isinstance(G, MultiSeries):
-        return G, fgl
+        return G, fgl or MULT
     raise TypeError(f"cannot interpret {type(G).__name__} as a multivariate series")
 
 
@@ -324,33 +314,18 @@ def subst_first(
 
 def partial_derivative(G, fgl: str | None = None) -> MultiSeries:
     """The formal-group-law partial derivative in the first variable:
-    G(x1*x2, x3, ...) - G(x1, x3, ...) - G(x2, x3, ...) + G(0, x3, ...).
+    G(x1*x2, x3, ...) - G(x1, x3, ...) - G(x2, x3, ...) + G(0, x3, ...),
+    which is iter_partial(G, 1, fgl), the m = 1 subset sum.
 
     Returns a plain container; wrap with SymSeries.from_multi after an
     explicit symmetry check if symmetric storage is wanted.
     """
-    M, law = _as_multi(G, fgl or MULT)
-    if fgl is not None:
-        law = fgl
-    n = M.nvars
-    out_n = n + 1
-    T = M.trunc
-    tail = list(range(2, out_n))
-    star12 = star_sum([0, 1], law, out_n, T, M.ring)
-    x0 = star_sum([0], law, out_n, T, M.ring)
-    x1 = star_sum([1], law, out_n, T, M.ring)
-    zero = MultiSeries(M.ring, out_n, T)
-    return (
-        subst_first(M, star12, out_n, tail)
-        - subst_first(M, x0, out_n, tail)
-        - subst_first(M, x1, out_n, tail)
-        + subst_first(M, zero, out_n, tail)
-    )
+    return iter_partial(G, 1, fgl)
 
 
 def partial0(G, fgl: str | None = None) -> MultiSeries:
     """partial^0: G - G(0, x_2, ..., x_n), same arity."""
-    M, law = _as_multi(G, fgl or MULT)
+    M, _ = _as_multi(G, fgl)
     n = M.nvars
     tail = list(range(1, n))
     zero = MultiSeries(M.ring, n, M.trunc)
@@ -362,12 +337,12 @@ def iter_partial(G, m: int, fgl: str | None = None) -> MultiSeries:
     (partial^m G)(x_1..x_{m+n}) =
         sum_{I in [1, m+1]} (-1)^(m+1-|I|) G(x_I, x_{m+2}, ...).
 
-    For m = 0 this is the projection partial^0.  Must agree with m-fold
-    application of partial_derivative (cross-checked in the tests).
+    For m = 0 this is the projection partial^0, for m = 1 it is
+    partial_derivative.  This is the production route; its oracle is the
+    m-fold nested partial derivative, which must agree with it
+    (cross-checked in the tests).
     """
-    M, law = _as_multi(G, fgl or MULT)
-    if fgl is not None:
-        law = fgl
+    M, law = _as_multi(G, fgl)
     if m == 0:
         return partial0(M, law)
     n = M.nvars
@@ -386,9 +361,7 @@ def iter_partial(G, m: int, fgl: str | None = None) -> MultiSeries:
 
 def is_double_symmetric(G, fgl: str | None = None) -> bool:
     """True iff G and its partial derivative are both symmetric."""
-    M, law = _as_multi(G, fgl or MULT)
-    if fgl is not None:
-        law = fgl
+    M, law = _as_multi(G, fgl)
     if M.nvars == 1:
         return True
     if not is_symmetric(M):
@@ -406,35 +379,14 @@ def _exp_minus_coeffs(T: int) -> list[Fraction]:
 
 
 def _subst_var_univariate(M: MultiSeries, var: int, u: list[Fraction]) -> MultiSeries:
-    """Substitute variable ``var`` by the univariate series u (u_0 = 0)."""
-    T = M.trunc
-    ring = M.ring
-    slices: dict[int, MultiSeries] = {}
-    for key, val in M.coeffs.items():
-        k = key[var]
-        rest = list(key)
-        rest[var] = 0
-        sl = slices.setdefault(k, MultiSeries(ring, M.nvars, T))
-        cur = sl.coeffs.get(tuple(rest))
-        sl.coeffs[tuple(rest)] = val if cur is None else cur + val
-    useries = MultiSeries(ring, M.nvars, T)
-    for i, c in enumerate(u[: T + 1]):
-        if c:
-            key = [0] * M.nvars
-            key[var] = i
-            useries.coeffs[tuple(key)] = ring.coerce(c)
-    out = MultiSeries(ring, M.nvars, T)
-    if not slices:
-        return out
-    power = MultiSeries(ring, M.nvars, T, {(0,) * M.nvars: 1})
-    for k in range(max(slices) + 1):
-        if k > 0:
-            power = power * useries
-            if power.is_zero():
-                break
-        if k in slices:
-            out = out + power * slices[k]
-    return out
+    """Substitute variable ``var`` by the univariate series u (u_0 = 0):
+    subst_first on the keys rotated to put ``var`` first."""
+    n, T = M.nvars, M.trunc
+    rotated = MultiSeries(M.ring, n, T)
+    rotated.coeffs = {(k[var],) + k[:var] + k[var + 1:]: v for k, v in M.coeffs.items()}
+    P = MultiSeries(M.ring, n, T, {tuple(i if j == var else 0 for j in range(n)): c
+                                   for i, c in enumerate(u)})
+    return subst_first(rotated, P, n, [j for j in range(n) if j != var])
 
 
 def _additive_iter_partial_univ(coeffs: dict[int, Fraction], n: int, T: int) -> MultiSeries:
@@ -499,8 +451,7 @@ def integrate_symmetric(G, n: int | None = None) -> TruncSeries:
     if _additive_iter_partial_univ(c, n, T) != Gy:
         raise NotIntegrable("coefficients inconsistent: not double-symmetric within truncation")
     Ly = TruncSeries(Q, T, [c.get(m, Fraction(0)) for m in range(T + 1)])
-    lg1 = TruncSeries(Q, T, [Fraction(0)] + [Fraction(-1, i) for i in range(1, T + 1)])
-    return Ly.substitute(lg1)
+    return Ly.substitute(lg_series(1, T))
 
 
 def aformula_check(G: TruncSeries, n: int, T: int | None = None) -> bool:
@@ -532,10 +483,12 @@ def aformula_check(G: TruncSeries, n: int, T: int | None = None) -> bool:
     return lhs == rhs
 
 
-def integer_coefficients(M: MultiSeries) -> bool:
-    """All coefficients integral: exact denominators over Q, trivially true
-    over Z; profinite residues are integer-consistent by CRT construction,
-    so the profinite answer is True (documented finite-precision surrogate)."""
-    if isinstance(M.ring, RationalRing):
-        return all(Fraction(v).denominator == 1 for v in M.coeffs.values())
-    return True
+def integer_coefficients(S) -> bool:
+    """All coefficients of a TruncSeries or MultiSeries integral: exact
+    denominators over Q, trivially true over Z; profinite residues are
+    integer-consistent by CRT construction, so the profinite answer is True
+    (documented finite-precision surrogate)."""
+    if not isinstance(S.ring, RationalRing):
+        return True
+    vals = S.coeffs.values() if isinstance(S, MultiSeries) else S.coeffs
+    return all(Fraction(v).denominator == 1 for v in vals)

@@ -331,9 +331,6 @@ class SeqWindow:
             raise IndexError(f"index {i} outside window [{self.start}, {self.stop})")
         return self.values[i - self.start]
 
-    def indices(self) -> range:
-        return range(self.start, self.stop)
-
     def to_json(self):
         return {"start": self.start, "values": list(self.values)}
 
@@ -345,10 +342,19 @@ class SeqWindow:
 def valuation(G: TruncSeries) -> int | None:
     """Smallest degree with a nonzero coefficient (within precision for
     profinite coefficients); None means "beyond truncation" (v = infinity
-    as far as this window can tell)."""
+    as far as this window can tell).
+
+    A profinite coefficient with zero residues but no digits at some budget
+    prime is unknown, not zero: PrecisionError names the prime."""
     for i, c in enumerate(G.coeffs):
         if not G.ring.is_zero(c):
             return i
+        if isinstance(c, ProfiniteApprox):
+            blind = [p for p in c.budget.primes if c.prec[p] == 0]
+            if blind:
+                raise PrecisionError(
+                    f"coefficient {i} has no digits at p={blind[0]}: zero or not is unknown"
+                )
     return None
 
 
@@ -431,15 +437,25 @@ def chain_weights(r: int, T: int) -> tuple:
     return tuple(tuple(row) for row in w)
 
 
+def chain_sum(vals, row) -> ProfiniteApprox:
+    """sum_i vals[i-1] row[i] for profinite vals and a row of chain_weights:
+    one exact integer combination over the lcm of the row's denominators,
+    divided once, so precision is consumed only there (PrecisionError when
+    the claimed divisibility fails, which is the non-integrality witness)."""
+    den = math.lcm(*(w.denominator for w in row))
+    acc = ProfiniteApprox.from_int(vals[0].budget, 0)
+    for i, w in enumerate(row):
+        if w:
+            acc = acc + vals[i - 1] * int(w * den)
+    return acc.divide_exact(den)
+
+
 def weighted_lg(a, r: int, T: int) -> TruncSeries:
     """Sequence-weighted logarithm series
     (-1)^r sum_{0<i_1<...<i_r<=T} a_{i_1} x^{i_r} / (i_1 ... i_r).
 
     Integer weights give an exact rational series.  Profinite weights give
-    a profinite series: each coefficient is assembled as an exact integer
-    combination and divided once by the common denominator, consuming
-    precision only there (and raising PrecisionError when the claimed
-    divisibility fails, which is precisely the non-integrality witness).
+    a profinite series whose coefficients come from chain_sum.
     """
     if r < 1:
         raise ValueError("weight depth r must be >= 1")
@@ -449,17 +465,7 @@ def weighted_lg(a, r: int, T: int) -> TruncSeries:
     first = vals[0]
     if isinstance(first, ProfiniteApprox):
         ring = ProfiniteRing(first.budget)
-        out = [ring.zero()]
-        for m in range(1, T + 1):
-            den = 1
-            for i in range(1, m + 1):
-                den = den * w[m][i].denominator // math.gcd(den, w[m][i].denominator)
-            acc = ring.zero()
-            for i in range(1, m + 1):
-                if w[m][i] == 0:
-                    continue
-                acc = acc + vals[i - 1] * int(w[m][i] * den)
-            out.append(acc.divide_exact(den) * sign)
+        out = [ring.zero()] + [chain_sum(vals, w[m]) * sign for m in range(1, T + 1)]
         return TruncSeries(ring, T, out)
     out = [Fraction(0)]
     for m in range(1, T + 1):
@@ -563,9 +569,9 @@ def b_map(G: TruncSeries, N: int) -> SeqWindow:
     """Sequence image of G under the lg-basis isomorphism, computed by the
     division-free Stirling transform b(G)_n = sum_k (-1)^k k! S(n,k) c_k.
 
-    Valid over every coefficient ring; over Q it agrees with lg_decompose
-    (the two routes are cross-checked in the tests).  Entries beyond the
-    truncation describe the truncated polynomial.
+    The production route, valid over every coefficient ring.  Its oracle
+    is lg_decompose, which it must agree with over Q (cross-checked in the
+    tests).  Entries beyond the truncation describe the truncated polynomial.
     """
     vals = []
     for n in range(N + 1):
@@ -581,7 +587,10 @@ def b_map(G: TruncSeries, N: int) -> SeqWindow:
 
 def lg_decompose(G: TruncSeries, T: int | None = None) -> SeqWindow:
     """Coefficients a_0..a_T with G = sum a_i lg_i (mod x^(T+1)), by back
-    substitution against the triangular lg basis.  Exact rationals only."""
+    substitution against the triangular lg basis.  Exact rationals only.
+
+    The oracle for the production route b_map (cross-checked in the tests).
+    """
     if not isinstance(G.ring, RationalRing):
         raise TypeError("lg_decompose needs exact rational coefficients")
     if T is None:

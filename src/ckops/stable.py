@@ -134,6 +134,9 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
 
     Instances whose modulus exceeds a profinite coefficient's precision are
     reported in ``skipped``, never silently passed.
+
+    This is the production route for stable membership; s_oracle is its
+    oracle (cross-checked in the tests and in the ``s-dual-route`` suite).
     """
     T = G.trunc
     if primes is None:
@@ -179,6 +182,9 @@ def s_oracle(
     on Z/p^n[x]/(x^m); G must lie in the row span (Howell form) of the
     matrix of Phi^r for every r, detected by stabilization of the
     decreasing lattice chain before r_max.
+
+    The oracle for the production route s_criterion, which it must agree
+    with (cross-checked in the tests and in the ``s-dual-route`` suite).
     """
     if T is None:
         T = G.trunc

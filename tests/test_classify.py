@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ckops import classify
 from ckops import (
     N33_sequence,
     NotInGroup,
@@ -19,6 +20,7 @@ from ckops import (
     in_Opnm_phi,
     in_Qn,
     in_Qnm,
+    iter_partial,
     lg_series,
     rho_n,
     weighted_lg,
@@ -97,7 +99,20 @@ def test_in_Opnm_detects_phi_inverted_bomb():
     assert not in_Qnm(B, 2, 2)
 
 
+def test_in_Qnm_computes_the_derivative_once(monkeypatch):
+    calls = []
+
+    def counting(G, m, fgl=None):
+        calls.append(m)
+        return iter_partial(G, m, fgl)
+
+    monkeypatch.setattr(classify, "iter_partial", counting)
+    assert in_Qnm(TruncSeries.monomial(Q, 8, 4), 3, 4)
+    assert calls == [2]
+
+
 def test_route_equivalence_sweep():
+    # production route in_Opnm_phi against its oracle, the derivative route in_Qnm
     rng = random.Random(4)
     for trial in range(25):
         n = rng.randint(1, 4)
@@ -213,6 +228,18 @@ def test_rho_nonintegral_profinite_class(wide_budget):
     classes = rho_n(W, 2, wide_budget)
     assert not classes[0].is_zero
     assert classes[0].witness is not None
+
+
+def test_rho_beyond_truncation_raises_like_decompose(budget):
+    G = TruncSeries(Q, 4, [0, 1, 2])
+    for n in (6, 7):  # components T+1 and T+2 have an empty window
+        with pytest.raises(PrecisionError) as rho_exc:
+            rho_n(G, n, budget)
+        with pytest.raises(PrecisionError) as dec_exc:
+            decompose_Qn_hat(G, n, budget)
+        assert str(rho_exc.value) == str(dec_exc.value)
+    # classical_approx skips them instead: lg_r vanishes mod x^(T+1) for r > T
+    assert classical_approx(G, 6, 2) == classical_approx(G, 5, 2)
 
 
 # -- N33 ---------------------------------------------------------------------------

@@ -61,6 +61,17 @@ def test_check_truncation_too_small_is_error(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+def test_check_coefficient_without_digits_is_error(tmp_path, capsys):
+    f = tmp_path / "blind.json"
+    zero = {"primes": [[2, 1, 0]]}
+    f.write_text(json.dumps({"ring": {"profinite": [[2, 1]]}, "trunc": 3,
+                             "coeffs": [zero, {"primes": [[2, 0, 0]]}, zero, zero]}))
+    code, out = run(capsys, "check", "--input", str(f), "--test", "opnm", "--n", "1", "--m", "3")
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "p=2" in json.loads(out)["error"]
+
+
 def test_check_malformed_json(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text("{not json")

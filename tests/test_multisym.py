@@ -27,7 +27,7 @@ from ckops import (
     star_sum,
     valuation,
 )
-from ckops.multisym import integer_coefficients, partial0
+from ckops.multisym import integer_coefficients, partial0, subst_first
 
 
 def univ_in_var(ts, var, nvars):
@@ -85,10 +85,52 @@ def test_partial0_convention():
     assert G0.coeffs == {(1,): Fraction(1), (2,): Fraction(2)}
 
 
+def _partial_by_definition(M, law):
+    """Oracle for partial_derivative: the four substitutions
+    G(x1*x2, x3, ...) - G(x1, x3, ...) - G(x2, x3, ...) + G(0, x3, ...)."""
+    n = M.nvars + 1
+    tail = list(range(2, n))
+
+    def at(positions):
+        return subst_first(M, star_sum(positions, law, n, M.trunc, M.ring), n, tail)
+
+    return at([0, 1]) - at([0]) - at([1]) + at([])
+
+
+def _exact(M):
+    """Coefficients with profinite values as residues and precisions, so that
+    equality is exact rather than within precision."""
+    return {k: v.to_json() if isinstance(v, ProfiniteApprox) else v for k, v in M.coeffs.items()}
+
+
+def test_partial_derivative_matches_definition():
+    rng = random.Random(10)
+    budget = PrimeBudget.uniform([2, 3], 4)
+    for trial in range(30):
+        ring = rng.choice([Q, Z, ProfiniteRing(budget)])
+        nvars = rng.randint(1, 3)
+        T = rng.randint(3, 6)
+        coeffs = {}
+        for _ in range(rng.randint(1, 5)):
+            key = tuple(rng.randint(0, 3) for _ in range(nvars))
+            if ring == Q:
+                coeffs[key] = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
+            elif ring == Z:
+                coeffs[key] = rng.randint(-5, 5)
+            else:
+                coeffs[key] = ProfiniteApprox(budget, {2: rng.randrange(16), 3: rng.randrange(81)})
+        M = MultiSeries(ring, nvars, T, coeffs)
+        for law in ("mult", "add"):
+            got = _exact(partial_derivative(M, law))
+            assert got == _exact(_partial_by_definition(M, law)), (trial, law)
+
+
 # -- iterated partials -------------------------------------------------------------
 
 
 def test_iter_partial_equals_folded():
+    # production route iter_partial (one subset sum) against its oracle,
+    # the m-fold nested partial_derivative
     rng = random.Random(0)
     for _ in range(4):
         G = rand_series(rng, 7)

@@ -51,6 +51,21 @@ def test_valuation_examples():
     assert valuation(lg_series(2, 6)) == 2
 
 
+def test_valuation_of_coefficient_without_digits_is_unknown():
+    budget = PrimeBudget.uniform([2], 1)
+    ring = ProfiniteRing(budget)
+    blind = ProfiniteApprox.from_int(budget, 2).divide_exact(2)  # no digits left
+    assert blind.is_zero()
+    with pytest.raises(PrecisionError, match="p=2"):
+        valuation(TruncSeries(ring, 3, [0, blind, 1]))
+    # a zero known to one digit is zero within precision
+    assert valuation(TruncSeries(ring, 3, [0, 0, 1])) == 2
+    # a nonzero residue at another prime decides, whatever p = 2 holds
+    wide = PrimeBudget.uniform([2, 3], 2)
+    c = ProfiniteApprox(wide, {2: 0, 3: 1}, {2: 0, 3: 2})
+    assert valuation(TruncSeries(ProfiniteRing(wide), 3, [0, c])) == 1
+
+
 # -- phi ---------------------------------------------------------------------
 
 
@@ -377,6 +392,7 @@ def test_lg_decompose_adams_powers():
 
 
 def test_b_map_agrees_with_lg_decompose():
+    # production route b_map against its oracle, the back substitution lg_decompose
     rng = random.Random(13)
     for _ in range(8):
         T = rng.randint(4, 10)

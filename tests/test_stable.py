@@ -158,6 +158,7 @@ def test_criterion_Fn(budget):
 
 
 def test_oracle_agrees_with_criterion_random():
+    # production route s_criterion against its oracle, the lattice test s_oracle
     rng = random.Random(3)
     for trial in range(30):
         p = rng.choice([2, 3, 5])
