@@ -18,7 +18,7 @@ from .arith import (
     vp,
     vp_factorial,
 )
-from .linalg import ModMatrix, howell_form, in_row_span, solve_vandermonde
+from .linalg import ModMatrix, howell_form, in_howell_span, in_row_span, solve_vandermonde
 from .series import (
     Composer,
     ProfiniteRing,

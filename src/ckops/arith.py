@@ -83,22 +83,10 @@ def gbinom(r: int, k: int) -> int:
 
 def modinv(a: int, m: int) -> int:
     """Inverse of a modulo m (a must be a unit mod m)."""
-    g, x, _ = _xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return x % m
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible modulo {m}") from None
 
 
 def crt_lift(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -453,6 +441,40 @@ def set_primes_upto(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(range(i * i, n + 1, i))
     return [i for i in range(2, n + 1) if sieve[i]]
+
+
+# Miller-Rabin with the primes up to 37 as bases decides every n below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality for n below 3.18e23 (deterministic Miller-Rabin);
+    larger n raise ValueError rather than get a probable answer."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is not decided above {_MR_BOUND}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def rational_to_str(q: Fraction | int) -> str:

@@ -1,8 +1,10 @@
 """Command-line front end: d_n tables, membership checks with certificates,
 basis construction, and the identity suites.
 
-Exit codes for ``check``: 0 member, 1 non-member, 2 precision/parse error.
-All output is deterministic for fixed inputs, seed, and budget.
+Exit codes: 0 member (``check``) or suite passed (``verify``), 1 non-member
+or suite failed, 2 any error, reported as one JSON line ``{"error": ...}``;
+argparse usage errors exit 2 with argparse's own message.  All output is
+deterministic for fixed inputs, seed, and budget.
 """
 
 from __future__ import annotations
@@ -11,16 +13,36 @@ import argparse
 import json
 import sys
 
-from .arith import IncompatibleCongruences, PrecisionError, PrimeBudget
-from .classify import NotInGroup, in_Qn, in_Qnm, in_Opnm_phi
-from .series import ProfiniteRing, TruncSeries, TruncationExhausted
+from .arith import PrimeBudget, is_prime
+from .classify import in_Qn, in_Qnm, in_Opnm_phi
+from .series import ProfiniteRing, TruncSeries
 from .stable import construct_Fn, dn, s_criterion, tower_member
 from .suites import SUITES
 
 
 def _budget_from_args(args) -> PrimeBudget:
-    primes = tuple(int(p) for p in args.primes.split(","))
+    primes = []
+    for entry in args.primes.split(","):
+        try:
+            p = int(entry)
+        except ValueError:
+            raise ValueError(f"--primes entry {entry!r} is not an integer") from None
+        if not is_prime(p):
+            raise ValueError(f"--primes entry {p} is not a prime")
+        if p in primes:
+            raise ValueError(f"--primes entry {p} is repeated")
+        primes.append(p)
+    if args.prec < 1:
+        raise ValueError(f"--prec must be >= 1, got {args.prec}")
     return PrimeBudget.uniform(primes, args.prec)
+
+
+def _check_counts(args) -> None:
+    """--n, --m, --trunc and --max count degrees or rows: none is negative."""
+    for flag in ("n", "m", "trunc", "max"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{flag} must be >= 0, got {value}")
 
 
 def _require_primes(G: TruncSeries, budget: PrimeBudget) -> None:
@@ -66,43 +88,35 @@ def cmd_check(args) -> int:
         _emit({"error": f"cannot read series: {exc}"}, "json")
         return 2
     budget = _budget_from_args(args)
-    try:
-        verdict: dict = {"test": args.test}
-        if args.test == "qn":
-            member = in_Qn(G, args.n)
-        elif args.test == "qnm":
-            member = in_Qnm(G, args.n, args.m)
-        elif args.test == "opnm":
-            member = in_Opnm_phi(G, args.n, args.m)
-        elif args.test == "s":
-            _require_primes(G, budget)
-            rep = s_criterion(G, primes=budget.primes)
-            member = rep.ok
-            if rep.witness:
-                verdict["witness"] = list(rep.witness)
-            if rep.skipped:
-                verdict["skipped"] = [list(s) for s in rep.skipped]
-        elif args.test == "tower":
-            _require_primes(G, budget)
-            member = tower_member(G, args.n, budget)
-        else:
-            _emit({"error": f"unknown test {args.test}"}, "json")
-            return 2
-        verdict["member"] = member
-        _emit(verdict, "json")
-        return 0 if member else 1
-    except (PrecisionError, TruncationExhausted, NotInGroup, IncompatibleCongruences, ValueError) as exc:
-        _emit({"error": str(exc)}, "json")
+    verdict: dict = {"test": args.test}
+    if args.test == "qn":
+        member = in_Qn(G, args.n)
+    elif args.test == "qnm":
+        member = in_Qnm(G, args.n, args.m)
+    elif args.test == "opnm":
+        member = in_Opnm_phi(G, args.n, args.m)
+    elif args.test == "s":
+        _require_primes(G, budget)
+        rep = s_criterion(G, primes=budget.primes)
+        member = rep.ok
+        if rep.witness:
+            verdict["witness"] = list(rep.witness)
+        if rep.skipped:
+            verdict["skipped"] = [list(s) for s in rep.skipped]
+    elif args.test == "tower":
+        _require_primes(G, budget)
+        member = tower_member(G, args.n, budget)
+    else:
+        _emit({"error": f"unknown test {args.test}"}, "json")
         return 2
+    verdict["member"] = member
+    _emit(verdict, "json")
+    return 0 if member else 1
 
 
 def cmd_basis(args) -> int:
     budget = _budget_from_args(args)
-    try:
-        F = construct_Fn(args.n, args.trunc, budget)
-    except PrecisionError as exc:
-        _emit({"error": str(exc)}, "json")
-        return 2
+    F = construct_Fn(args.n, args.trunc, budget)
     payload = F.to_json()
     payload["budget"] = budget.to_json()
     _emit(payload, "json")
@@ -156,7 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        _check_counts(args)
+        return args.fn(args)
+    except Exception as exc:  # the exit contract: every failure is exit 2
+        # domain errors (PrecisionError, NotInGroup, ...) carry named reasons
+        named = isinstance(exc, (ValueError, ArithmeticError))
+        _emit({"error": str(exc) if named else f"{type(exc).__name__}: {exc}"}, "json")
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,13 +6,14 @@ lattices, the canonical basis windows f^(n), and the window decomposition.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
 from functools import lru_cache
+from itertools import repeat
 
 from .arith import PrecisionError, PrimeBudget, crt_lift, gbinom
-from .linalg import ModMatrix, howell_form, in_row_span
+from .linalg import ModMatrix, howell_form, in_howell_span
 from .series import SeqWindow, TruncSeries
 from .stable import a_min, construct_Fn, dn_tilde
 
@@ -120,8 +121,7 @@ def interval_in_N(v, budget: PrimeBudget, unit_count: int | None = None) -> bool
             count *= 2
             if count > 4 * q:
                 break
-        ok, _ = in_row_span(H, target)
-        if not ok:
+        if not in_howell_span(H, target):
             return False
     return True
 
@@ -156,15 +156,21 @@ def fseq(
         raise PrecisionError(f"fseq needs truncation >= {stop + 1}")
     F = _fn_cached(n, T, budget)
     sign = (-1) ** n
+    # per prime: modulus, weight residues, node residues and their inverses
+    per_p = []
+    for p in budget.primes:
+        e = budget.exponent(p)
+        q = p**e
+        cofs = [cof.residue_mod(p, e) for cof, _ in F.combination]
+        bases = [node % q for _, node in F.combination]
+        inverses = [pow(b, -1, q) for b in bases] if start < 0 else None
+        per_p.append((q, cofs, bases, inverses))
     vals = []
     for i in range(start, stop):
         pairs = []
-        for p in budget.primes:
-            q = p ** budget.exponent(p)
-            acc = 0
-            for cof, node in F.combination:
-                base = node % q if i >= 0 else pow(node % q, -1, q)
-                acc = (acc + cof.residue_mod(p, budget.exponent(p)) * pow(base, abs(i), q)) % q
+        for q, cofs, bases, inverses in per_p:
+            powers = map(pow, bases if i >= 0 else inverses, repeat(abs(i)), repeat(q))
+            acc = sum(map(operator.mul, cofs, powers))
             pairs.append((sign * acc % q, q))
         x, M = crt_lift(pairs)
         vals.append(x - M if 2 * x > M else x)

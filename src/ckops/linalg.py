@@ -1,5 +1,6 @@
-"""Linear algebra over Z/M: Howell normal form, row-span membership with
-certificates, and exact Vandermonde-type solving.
+"""Linear algebra over Z/M: Howell normal form, row-span membership (with
+certificates, or certificate-free against a Howell form), and exact
+Vandermonde-type solving.
 
 Row spans over Z/p^e are not free modules, so reduced echelon forms do not
 decide membership; the Howell form does (equal row spans iff equal Howell
@@ -173,30 +174,46 @@ def howell_with_transform(A: ModMatrix) -> tuple[ModMatrix, list[list[int]]]:
     return ModMatrix(A.modulus, rows, cols=A.cols), comp
 
 
-def in_row_span(A: ModMatrix, v: Sequence[int]) -> tuple[bool, list[int] | None]:
-    """Is v a Z/modulus-combination of A's rows?  On success the second
-    component certifies it: coefficients c with sum c_i * A[i] = v."""
-    if len(v) != A.cols:
-        raise ValueError(f"vector length {len(v)} != {A.cols} columns")
-    n = A.modulus
-    H, comp = howell_with_transform(A)
+def _howell_reduce(H: ModMatrix, v: Sequence[int]) -> list[tuple[int, int]] | None:
+    """Reduce v against the rows of the Howell form H, pivot by pivot: the
+    steps (row index, multiple) that bring v to zero, or None when v is not
+    in H's row span."""
+    if len(v) != H.cols:
+        raise ValueError(f"vector length {len(v)} != {H.cols} columns")
+    n = H.modulus
     vec = [x % n for x in v]
-    cert = [0] * A.rows
+    steps = []
     for idx, row in enumerate(H.entries):
         c = next(i for i, x in enumerate(row) if x)
         if vec[c] == 0:
             continue
         g = row[c]  # canonical pivot, divides the modulus
         if vec[c] % g != 0:
-            return False, None
+            return None
         t = vec[c] // g
         vec = [(x - t * y) % n for x, y in zip(vec, row)]
+        steps.append((idx, t))
+    return None if any(vec) else steps
+
+
+def in_howell_span(H: ModMatrix, v: Sequence[int]) -> bool:
+    """Is v in the row span of H, which must already be in Howell form
+    (``howell_form``)?  in_row_span without the certificate."""
+    return _howell_reduce(H, v) is not None
+
+
+def in_row_span(A: ModMatrix, v: Sequence[int]) -> tuple[bool, list[int] | None]:
+    """Is v a Z/modulus-combination of A's rows?  On success the second
+    component certifies it: coefficients c with sum c_i * A[i] = v."""
+    n = A.modulus
+    H, comp = howell_with_transform(A)
+    steps = _howell_reduce(H, v)
+    if steps is None:
+        return False, None
+    cert = [0] * A.rows
+    for idx, t in steps:
         for k in range(A.rows):
             cert[k] = (cert[k] + t * comp[idx][k]) % n
-        if vec[c] != 0:
-            return False, None
-    if any(vec):
-        return False, None
     return True, cert
 
 

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .series import Q, RationalRing, TruncSeries, lg_series
+from .series import Q, RationalRing, TruncSeries, is_known_zero, lg_series
 
 MULT = "mult"
 ADD = "add"
@@ -231,11 +231,13 @@ class SymSeries:
 
 def _as_multi(G, fgl: str | None = None) -> tuple[MultiSeries, str]:
     """G as a plain container, with its law: an explicit fgl wins, then a
-    SymSeries' own law, then the multiplicative law."""
+    SymSeries' own law, then the multiplicative law.  A univariate G keeps
+    every coefficient not known to be zero; an unknown one raises
+    PrecisionError (``series.is_known_zero``)."""
     if isinstance(G, TruncSeries):
         M = MultiSeries(G.ring, 1, G.trunc)
         for i, c in enumerate(G.coeffs):
-            if not G.ring.is_zero(c):
+            if not is_known_zero(G.ring, c, i):
                 M.coeffs[(i,)] = c
         return M, fgl or MULT
     if isinstance(G, SymSeries):

@@ -347,15 +347,25 @@ def valuation(G: TruncSeries) -> int | None:
     A profinite coefficient with zero residues but no digits at some budget
     prime is unknown, not zero: PrecisionError names the prime."""
     for i, c in enumerate(G.coeffs):
-        if not G.ring.is_zero(c):
+        if not is_known_zero(G.ring, c, i):
             return i
-        if isinstance(c, ProfiniteApprox):
-            blind = [p for p in c.budget.primes if c.prec[p] == 0]
-            if blind:
-                raise PrecisionError(
-                    f"coefficient {i} has no digits at p={blind[0]}: zero or not is unknown"
-                )
     return None
+
+
+def is_known_zero(ring, c, degree: int) -> bool:
+    """Is the coefficient c (at ``degree``) zero?  Zero within precision
+    counts as zero, but a profinite c with zero residues and no digits at
+    some budget prime is unknown: PrecisionError names the degree and the
+    prime."""
+    if not ring.is_zero(c):
+        return False
+    if isinstance(c, ProfiniteApprox):
+        blind = [p for p in c.budget.primes if c.prec[p] == 0]
+        if blind:
+            raise PrecisionError(
+                f"coefficient {degree} has no digits at p={blind[0]}: zero or not is unknown"
+            )
+    return True
 
 
 def phi(G: TruncSeries) -> TruncSeries:

@@ -28,7 +28,7 @@ from .arith import (
     vp,
     vp_factorial,
 )
-from .linalg import ModMatrix, howell_form, in_row_span
+from .linalg import ModMatrix, howell_form, in_howell_span, in_row_span
 from .series import (
     ProfiniteRing,
     TruncSeries,
@@ -241,8 +241,9 @@ def tower_member(
     for every r >= n.  As Phi^(r+1)(x^k) = k Phi^r(x^k) - k Phi^r(x^(k-1))
     and Phi^r(x^(D+r)) vanishes below degree D, L_(r+1) lies in L_r; the
     chain is constant once r >= e, so one row-span test per prime, at
-    r = max(n, e) + 1, decides.  e is the budget exponent, lowered to the
-    least precision of a profinite G.
+    r = max(n, e) + 1, decides: a Howell form of the image rows and a
+    certificate-free membership test against it.  e is the budget
+    exponent, lowered to the least precision of a profinite G.
 
     Pinned by tests for j <= 4: d x^j (stored at truncation j) passes level
     j+1 when d_j divides d, and fails for d = 1 and d = d_j/2.  This is no
@@ -265,7 +266,7 @@ def tower_member(
         q = p**e
         target = [_coeff_residue(G.coeffs[i], p, e) for i in range(D)]
         rows = _phi_image_rows(D, max(n, e) + 1, q)
-        if not in_row_span(ModMatrix(q, rows, cols=D), target)[0]:
+        if not in_howell_span(howell_form(ModMatrix(q, rows, cols=D)), target):
             return False
     return True
 
@@ -298,34 +299,74 @@ def _glued_nodes(budget: PrimeBudget, count: int) -> list[int]:
     over the budget modulus (least nonnegative).  A_node then has exact
     integer coefficients while matching the prescribed unit at every
     budget prime.  The list is prefix-stable in ``count``: G_i uses the
-    first i+1 nodes, whose distinctness ``_lagrange_weights`` checks."""
+    first i+1 nodes, whose distinctness ``_NodeWeights`` checks."""
     mods = {p: p ** budget.exponent(p) for p in budget.primes}
     per_p = {p: a_min(p, count) for p in mods}
     return [crt_lift((per_p[p][i] % q, q) for p, q in mods.items())[0] for i in range(count)]
 
 
-def _lagrange_weights(n: int, nodes: list[int], budget: PrimeBudget) -> dict:
-    """Weights of G_n = sum_{j<=n} x_j A_(a_j) at the first n+1 nodes, as
-    residues mod p^e_p per budget prime: the last column of the inverse
-    binomial Vandermonde matrix, x_j = (-1)^n d_n n! / prod_{i != j}
-    (a_j - a_i).  A budget prime dividing a reduced denominator raises
-    PrecisionError naming it.
+class _NodeWeights:
+    """Weights of G_i = sum_{j<=i} x_ij A_(a_j) on the prefixes of one node
+    list, as residues mod p^e_p per budget prime: the last column of the
+    inverse binomial Vandermonde matrix, x_ij = top_i / prod_{l<=i, l != j}
+    (a_j - a_l) with top_i = (-1)^i d_i i!.
+
+    Each node denominator is kept per prime as its p-adic valuation and its
+    unit part mod p^e_p, extended by one factor per added node, so x_ij =
+    unit(top_i) unit_j^-1 p^(v(top_i) - v_j).  A denominator with v_j >
+    v(top_i), i.e. a budget prime dividing a reduced weight denominator,
+    raises PrecisionError naming it.  ``weights`` is called with i
+    nondecreasing.
     """
-    nodes = nodes[: n + 1]
-    if len(set(nodes)) != n + 1:
-        raise PrecisionError("budget too small to separate the Adams nodes")
-    top = (-1) ** n * dn(n).value * math.factorial(n)
-    weights = [Fraction(top, math.prod(a - b for b in nodes if b != a)) for a in nodes]
-    out = {}
-    for p in budget.primes:
-        if any(w.denominator % p == 0 for w in weights):
-            raise PrecisionError(
-                f"G_{n} weights have a denominator divisible by p={p}: "
-                f"budget precision {p}^{budget.exponent(p)} is too shallow"
-            )
-        q = p ** budget.exponent(p)
-        out[p] = [w.numerator * modinv(w.denominator, q) % q for w in weights]
-    return out
+
+    def __init__(self, nodes: list[int], budget: PrimeBudget):
+        self.nodes = nodes
+        self.budget = budget
+        self.mods = {p: p ** budget.exponent(p) for p in budget.primes}
+        self.val = {p: [] for p in self.mods}
+        self.unit = {p: [] for p in self.mods}
+        self.size = 0  # nodes multiplied in; stops before a repeated node
+
+    def _extend(self, i: int) -> None:
+        while self.size <= i:
+            a = self.nodes[self.size]
+            diffs = [b - a for b in self.nodes[: self.size]]
+            if 0 in diffs:
+                return
+            for p, q in self.mods.items():
+                val, unit = self.val[p], self.unit[p]
+                v_new, u_new = 0, (-1) ** self.size  # prod (a - b) = (-1)^size prod diffs
+                for j, d in enumerate(diffs):
+                    v = 0
+                    while d % p == 0:
+                        d //= p
+                        v += 1
+                    val[j] += v
+                    unit[j] = unit[j] * d % q
+                    v_new += v
+                    u_new = u_new * d % q
+                val.append(v_new)
+                unit.append(u_new % q)
+            self.size += 1
+
+    def weights(self, i: int, di: DnRecord) -> dict:
+        """x_ij for j <= i per prime; ``di`` is dn(i)."""
+        self._extend(i)
+        if self.size <= i:
+            raise PrecisionError("budget too small to separate the Adams nodes")
+        top = (-1) ** i * di.value * math.factorial(i)
+        out = {}
+        for p, q in self.mods.items():
+            vt = di.per_prime.get(p, 0) + vp_factorial(i, p)
+            val = self.val[p]
+            if max(val) > vt:
+                raise PrecisionError(
+                    f"G_{i} weights have a denominator divisible by p={p}: "
+                    f"budget precision {p}^{self.budget.exponent(p)} is too shallow"
+                )
+            t = top // p**vt % q
+            out[p] = [t * pow(u, -1, q) * pow(p, vt - v, q) % q for u, v in zip(self.unit[p], val)]
+        return out
 
 
 def _adams_table(nodes: list[int], T: int, budget: PrimeBudget) -> list[dict]:
@@ -360,11 +401,11 @@ def construct_Gn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     """Profinite combination of n+1 unit Adams series with leading term
     d_n x^n, in closed form at the glued integer nodes a_0..a_n:
     [x^k] G_n = (-1)^k sum_j x_j C(a_j, k) with the weights x_j of
-    ``_lagrange_weights``, summed per prime.  ``linalg.solve_vandermonde``
+    ``_NodeWeights``, summed per prime.  ``linalg.solve_vandermonde``
     is the test oracle for this route.
     """
     nodes = _glued_nodes(budget, n + 1)
-    weights = _lagrange_weights(n, nodes, budget)
+    weights = _NodeWeights(nodes, budget).weights(n, dn(n))
     G, comb = _weighted_adams(weights, nodes, _adams_table(nodes, T, budget), budget)
     return BasisSeries("G", n, G, combination=comb)
 
@@ -379,7 +420,8 @@ def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     per prime, starting at G_n's.  Step i > n reads
     [x^i]F = (-1)^i sum_j c_j C(a_j, i), lifts its correction multiplier
     b_i by CRT to an integer and subtracts b_i x_ij from c_j, so F_n keeps
-    the full budget precision.  ``combination`` holds the final weights of
+    the full budget precision; the x_ij come from one ``_NodeWeights``
+    table per call, extended node by node.  ``combination`` holds the final weights of
     the nodes used, sorted by node.
     """
     ring = ProfiniteRing(budget)
@@ -399,9 +441,11 @@ def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     e = dict(zip(budget.primes, budget.exponents))
     mods = {p: p**k for p, k in e.items()}
     nodes = _glued_nodes(budget, max(n, T) + 1)
-    c = _lagrange_weights(n, nodes, budget)
+    lagrange = _NodeWeights(nodes, budget)
+    dn_n = dn(n)
+    c = lagrange.weights(n, dn_n)
     table = _adams_table(nodes, T, budget)
-    ints = [0] * n + [dn(n).value] + [0] * (T - n)
+    ints = [0] * n + [dn_n.value] + [0] * (T - n)
     for i in range(n + 1, T + 1):
         s = _adams_coeff(c, table[i])
         di = dn(i)
@@ -424,7 +468,7 @@ def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
                 bpairs.append((diff // p ** v[p] * unit % q, q))
         b_int = crt_lift(bpairs)[0]
         if b_int:
-            x = _lagrange_weights(i, nodes, budget)
+            x = lagrange.weights(i, di)
             for p, m in mods.items():
                 cp = c[p] + [0] * (i + 1 - len(c[p]))
                 c[p] = [(cj - b_int * xj) % m for cj, xj in zip(cp, x[p])]

@@ -18,7 +18,7 @@ from ckops import (
     vp,
     vp_factorial,
 )
-from ckops.arith import rational_reconstruct
+from ckops.arith import is_prime, rational_reconstruct, set_primes_upto
 
 
 def test_vp_examples():
@@ -187,3 +187,17 @@ def test_rational_reconstruct_round_trip():
         assert rational_reconstruct(r, M) == q
     # a wide random residue has no small-height explanation
     assert rational_reconstruct(12345678901, M) is None
+
+
+def test_is_prime_matches_sieve_and_rejects_strong_pseudoprimes():
+    primes = set(set_primes_upto(20000))
+    assert [n for n in range(-3, 20001) if is_prime(n)] == sorted(primes)
+    # composites that pass Miller-Rabin to some of the bases, and Carmichael
+    # numbers with no factor among the bases (41*61*101, 41*73*137)
+    for n in (341, 561, 2047, 3215031751, 3825123056546413051, 10**18 + 1, 252601, 410041):
+        assert not is_prime(n), n
+    for n in (2**31 - 1, 10**9 + 7, 2**61 - 1, 10**18 + 9):
+        assert is_prime(n), n
+    # the least composite passing every base: beyond the decided range
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(318665857834031151167461)

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ckops import PrimeBudget, ProfiniteRing, TruncSeries, Z, adams_series
 from ckops.cli import main
+from ckops.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -70,6 +77,18 @@ def test_check_coefficient_without_digits_is_error(tmp_path, capsys):
     assert code == 2
     assert out.count("\n") == 1
     assert "p=2" in json.loads(out)["error"]
+
+
+def test_check_qnm_coefficient_without_digits_is_error(tmp_path, capsys):
+    # the derivative route reads the input's own x^1, which is unknown
+    f = tmp_path / "blind.json"
+    zero = {"primes": [[2, 1, 0]]}
+    f.write_text(json.dumps({"ring": {"profinite": [[2, 1]]}, "trunc": 3,
+                             "coeffs": [zero, {"primes": [[2, 0, 0]]}, zero, zero]}))
+    code, out = run(capsys, "check", "--input", str(f), "--test", "qnm", "--n", "1", "--m", "3")
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "coefficient 1 has no digits at p=2" in json.loads(out)["error"]
 
 
 def test_check_malformed_json(tmp_path, capsys):
@@ -148,3 +167,129 @@ def test_verify_suites(capsys):
 def test_verify_unknown_suite(capsys):
     code, out = run(capsys, "verify", "nosuch")
     assert code == 2
+
+
+# -- the exit contract: 0 member / passed, 1 non-member / failed, 2 error --------------
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["check", "--test", "s", "--prec", "0"], "--prec must be >= 1"),
+        (["check", "--test", "s", "--primes", "2,2"], "--primes entry 2 is repeated"),
+        (["check", "--test", "s", "--primes", "x"], "--primes entry 'x' is not an integer"),
+        (["check", "--test", "s", "--primes", "4"], "--primes entry 4 is not a prime"),
+        (["check", "--test", "s", "--primes", "2,341"], "--primes entry 341 is not a prime"),
+        (["check", "--test", "qnm", "--m", "-1"], "--m must be >= 0"),
+        (["basis", "--n", "-1"], "--n must be >= 0"),
+        (["basis", "--n", "2", "--trunc", "-2"], "--trunc must be >= 0"),
+        (["verify", "adams", "--trunc", "-1"], "--trunc must be >= 0"),
+        (["dn", "--max", "-1"], "--max must be >= 0"),
+    ],
+)
+def test_bad_argument_values_are_named_errors(tmp_path, capsys, argv, reason):
+    f = tmp_path / "a3.json"
+    f.write_text(json.dumps(adams_series(3, 10).to_json()))
+    if argv[0] == "check":
+        argv = argv + ["--input", str(f)]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert reason in json.loads(out)["error"]
+
+
+def _adams_file(T, r, e):
+    ring = ProfiniteRing(PrimeBudget.uniform([2, 3], e))
+    return adams_series(r, T).map_coeffs(ring.coerce, ring).to_json()
+
+
+def _series_files():
+    """Valid series of every ring, small enough for every test, plus
+    garbled and ill-typed files."""
+    blind = {"primes": [[2, 0, 0]]}
+    zero = {"primes": [[2, 1, 0]]}
+    rationals = st.sampled_from(["1/2", "-3/4", "0", "5", "1/0", "x", "2/3"])
+    return st.one_of(
+        st.builds(
+            lambda T, cs: {"ring": "Z", "trunc": T, "coeffs": cs[: T + 1]},
+            st.integers(0, 5), st.lists(st.integers(-12, 12), min_size=6, max_size=6),
+        ),
+        st.builds(
+            lambda T, cs: {"ring": "Q", "trunc": T, "coeffs": cs[: T + 1]},
+            st.integers(0, 5), st.lists(rationals, min_size=6, max_size=6),
+        ),
+        st.builds(
+            _adams_file, st.integers(0, 5), st.sampled_from([1, 5, 6, 7, -1]), st.integers(1, 4)
+        ),
+        st.just({"ring": {"profinite": [[2, 1]]}, "trunc": 3, "coeffs": [zero, blind, zero, zero]}),
+        st.just({"ring": "Z", "trunc": -4, "coeffs": [1]}),
+        st.just({"ring": "Z", "trunc": 3, "coeffs": [1, 2]}),
+        st.just({"ring": "R", "trunc": 1, "coeffs": [0, 1]}),
+        st.just([1, 2, 3]),
+        st.text(max_size=30),
+    )
+
+
+_FLAG_VALUES = {
+    "--primes": st.sampled_from(["2,3,5,7", "2", "2,3", "3,5", "4", "2,2", "x", "", "1", "-2"]),
+    "--prec": st.integers(-1, 5),
+    "--trunc": st.integers(-2, 8),
+    "--seed": st.integers(0, 3),
+    "--format": st.sampled_from(["json", "csv", "text"]),
+}
+_COMMAND_FLAGS = {
+    "dn": {"--max": st.integers(-2, 12)},
+    "check": {"--test": st.sampled_from(["qn", "qnm", "opnm", "s", "tower"]),
+              "--n": st.integers(-2, 3), "--m": st.integers(-2, 4)},
+    "basis": {"--n": st.integers(-2, 8)},
+    "verify": {},
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = dict(_FLAG_VALUES, **_COMMAND_FLAGS[command])
+    argv = [command]
+    if command == "verify":  # the suites' default truncation takes seconds
+        argv.append(draw(st.sampled_from(sorted(SUITES) + ["nosuch"])))
+        argv += ["--trunc", str(draw(st.integers(-2, 6)))]
+        del flags["--trunc"]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    required = {"check": "--test", "basis": "--n"}.get(command)
+    for flag in chosen + ([required] if required and required not in chosen else []):
+        argv += [flag, str(draw(flags[flag]))]
+    if draw(st.integers(0, 9)) == 9:  # an argparse usage error
+        argv.append(draw(st.sampled_from(["--bogus", "--n", "--prec=x", "extra"])))
+    return argv, draw(_series_files()) if command == "check" else None
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_calls())
+def test_cli_exit_contract_fuzz(call):
+    argv, data = call
+    with tempfile.TemporaryDirectory() as tmp:
+        if data is not None:
+            f = Path(tmp) / "input.json"
+            f.write_text(data if isinstance(data, str) else json.dumps(data))
+            argv = argv + ["--input", str(f)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage error: its own exit 2
+                assert exc.code == 2 and out.getvalue() == "", argv
+                return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err and "Traceback" not in out, argv
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if argv[0] == "dn" and code == 0 and fmt != "json":
+        return  # csv and text tables are several lines
+    assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
+    payload = json.loads(out)
+    if code == 1:
+        key = {"check": "member", "verify": "ok"}[argv[0]]
+        assert payload[key] is False, (argv, out)
+    if code == 2:
+        assert "error" in payload, (argv, out)

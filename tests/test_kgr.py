@@ -21,6 +21,7 @@ from ckops import (
     shift,
     to_e_basis,
 )
+from ckops.arith import crt_lift
 from ckops.kgr import _fn_cached, assemble_TZ
 from ckops.linalg import ModMatrix, span_enumerate
 
@@ -178,6 +179,41 @@ def test_fseq_intervals_in_lattice(kgr_budget):
     for ln in (1, 2, 3):
         for k in range(len(vals) - ln + 1):
             assert interval_in_N(vals[k : k + ln], bud), (ln, k)
+
+
+def _oracle_fseq(n, start, stop, T, budget):
+    """fseq for n >= 2 by the per-index loop: every (index, prime, node)
+    reads the budget exponent, the weight's residue and the node's power
+    (through its inverse for a negative index) afresh."""
+    F = _fn_cached(n, T, budget)
+    vals = []
+    for i in range(start, stop):
+        pairs = []
+        for p in budget.primes:
+            q = p ** budget.exponent(p)
+            acc = 0
+            for cof, node in F.combination:
+                base = node % q if i >= 0 else pow(node % q, -1, q)
+                acc = (acc + cof.residue_mod(p, budget.exponent(p)) * pow(base, abs(i), q)) % q
+            pairs.append(((-1) ** n * acc % q, q))
+        x, M = crt_lift(pairs)
+        vals.append(x - M if 2 * x > M else x)
+    return SeqWindow(start, vals)
+
+
+@pytest.mark.parametrize(
+    "primes,e", [((2, 3, 5, 7, 11, 13), 8), ((2, 3, 5, 7), 8), ((2, 3), 6)]
+)
+def test_fseq_matches_per_index_oracle(primes, e):
+    # production route: fseq with its per-prime residues hoisted out of the
+    # index loop; oracle: the per-index loop, on windows across index 0
+    budget = PrimeBudget.uniform(primes, e)
+    for T in (12, 18):
+        for n in range(2, 8):
+            for start, stop in ((-9, 10), (-5, -1), (-1, 1), (3, 11)):
+                got = fseq(n, start, stop, T, budget)
+                want = _oracle_fseq(n, start, stop, T, budget)
+                assert got == want, (n, start, stop, T)
 
 
 def test_fseq_needs_truncation(kgr_budget):

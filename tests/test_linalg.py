@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckops import ModMatrix, howell_form, in_row_span, solve_vandermonde
+from ckops import ModMatrix, howell_form, in_howell_span, in_row_span, solve_vandermonde
 from ckops.linalg import span_enumerate
 
 
@@ -69,6 +69,34 @@ def test_in_row_span_matches_enumeration():
             for c, row in zip(cert, A.entries):
                 acc = [(a + c * b) % mod for a, b in zip(acc, row)]
             assert acc == [x % mod for x in v]
+
+
+@st.composite
+def _matrix_and_vector(draw):
+    """A random matrix mod p^e and a vector that is a random combination of
+    its rows, perturbed in one entry about half the time."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    q = p ** draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols), max_size=5))
+    coefs = draw(st.lists(st.integers(0, q - 1), min_size=len(rows), max_size=len(rows)))
+    v = [sum(c * row[k] for c, row in zip(coefs, rows)) % q for k in range(cols)]
+    if draw(st.booleans()):
+        v[draw(st.integers(0, cols - 1))] += draw(st.integers(1, q - 1)) if q > 2 else 1
+    return ModMatrix(q, rows, cols=cols), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_and_vector())
+def test_in_howell_span_matches_in_row_span(case):
+    # production route for a known Howell form: the certificate-free test;
+    # oracles: in_row_span, which re-reduces A and builds the certificate,
+    # and, where the span is small, brute-force enumeration
+    A, v = case
+    member = in_howell_span(howell_form(A), v)
+    assert member == in_row_span(A, v)[0]
+    if A.modulus**A.cols <= 300:
+        assert member == (tuple(x % A.modulus for x in v) in span_enumerate(A))
 
 
 def test_row_span_invariant_under_unimodular():

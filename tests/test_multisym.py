@@ -6,6 +6,7 @@ import pytest
 from ckops import (
     MultiSeries,
     NotIntegrable,
+    PrecisionError,
     PrimeBudget,
     ProfiniteApprox,
     ProfiniteRing,
@@ -17,6 +18,7 @@ from ckops import (
     adams_series,
     in_Opnm_phi,
     in_Qn,
+    in_Qnm,
     integrate_symmetric,
     is_double_symmetric,
     is_symmetric,
@@ -126,6 +128,21 @@ def test_partial_derivative_matches_definition():
 
 
 # -- iterated partials -------------------------------------------------------------
+
+
+def test_coefficient_without_digits_is_unknown_not_dropped():
+    # x^1 carries no digit at p = 2: in_Qnm must not read it as zero
+    budget = PrimeBudget.uniform([2], 1)
+    ring = ProfiniteRing(budget)
+    zero = ProfiniteApprox(budget, {2: 0})
+    blind = ProfiniteApprox(budget, {2: 0}, {2: 0})
+    G = TruncSeries(ring, 3, [zero, blind, zero, zero])
+    with pytest.raises(PrecisionError, match="coefficient 1 has no digits at p=2"):
+        in_Qnm(G, 1, 3)
+    with pytest.raises(PrecisionError, match="coefficient 1 has no digits at p=2"):
+        iter_partial(G, 1)
+    # zeros known to one digit are still zeros
+    assert iter_partial(TruncSeries(ring, 3, [zero] * 4), 1).coeffs == {}
 
 
 def test_iter_partial_equals_folded():

@@ -299,6 +299,60 @@ def test_construct_Gn_closed_form_matches_vandermonde_oracle(primes, e):
             assert _digits(construct_Fn(n, T, budget)) == _digits(want), (n, T)
 
 
+def _oracle_lagrange_weights(n, nodes, budget):
+    """The weights of G_n at the first n+1 nodes by exact rationals: each
+    x_j = (-1)^n d_n n! / prod_{i != j} (a_j - a_i) as a Fraction, embedded
+    mod p^e_p through the inverse of its reduced denominator, raising
+    PrecisionError when a budget prime divides one."""
+    nodes = nodes[: n + 1]
+    if len(set(nodes)) != n + 1:
+        raise PrecisionError("budget too small to separate the Adams nodes")
+    top = (-1) ** n * dn(n).value * math.factorial(n)
+    weights = [Fraction(top, math.prod(a - b for b in nodes if b != a)) for a in nodes]
+    out = {}
+    for p in budget.primes:
+        if any(w.denominator % p == 0 for w in weights):
+            raise PrecisionError(
+                f"G_{n} weights have a denominator divisible by p={p}: "
+                f"budget precision {p}^{budget.exponent(p)} is too shallow"
+            )
+        q = p ** budget.exponent(p)
+        out[p] = [w.numerator * pow(w.denominator, -1, q) % q for w in weights]
+    return out
+
+
+@pytest.mark.parametrize(
+    "primes,e,shallow",
+    [
+        ((2, 3, 5, 7), 8, False),
+        ((2, 3, 5, 7), 12, False),
+        ((2, 3), 6, False),
+        ((2, 3, 5, 7, 11, 13), 5, True),
+        ((2, 3, 5), 4, True),
+    ],
+)
+def test_node_weight_table_matches_fraction_oracle(primes, e, shallow):
+    # production route: one incremental _NodeWeights table per node list,
+    # asked for G_0..G_T in turn as construct_Fn does; oracle: Fractions
+    budget = PrimeBudget.uniform(primes, e)
+    raised = 0
+    for T in (8, 12, 16):
+        nodes = stable._glued_nodes(budget, T + 1)
+        table = stable._NodeWeights(nodes, budget)
+        for n in range(T + 1):
+            got = _outcome_of(table.weights, n, dn(n))
+            assert got == _outcome_of(_oracle_lagrange_weights, n, nodes, budget), (T, n)
+            raised += isinstance(got, tuple)
+    assert bool(raised) == shallow
+
+
+def _outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionError as exc:
+        return type(exc), str(exc)
+
+
 def _outcome(fn, *args):
     try:
         return _digits(fn(*args))
