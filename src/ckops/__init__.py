@@ -42,7 +42,6 @@ from .multisym import (
     MULT,
     MultiSeries,
     NotIntegrable,
-    SymSeries,
     aformula_check,
     integrate_symmetric,
     is_double_symmetric,

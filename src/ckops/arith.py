@@ -286,14 +286,6 @@ class ProfiniteApprox:
     def __neg__(self):
         return self._zip(0, lambda a, b: -a)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        out = ProfiniteApprox.from_int(self.budget, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def divide_exact(self, n: int) -> "ProfiniteApprox":
         """Divide by a nonzero integer, consuming v_p(n) precision per prime.
 

@@ -108,14 +108,6 @@ class Component:
     modulus: int
     candidate: Fraction  # representative used for the subtraction
 
-    def to_json(self):
-        return {
-            "index": self.index,
-            "residues": {str(p): [k, r] for p, (k, r) in sorted(self.residues.items())},
-            "modulus": self.modulus,
-            "candidate": str(self.candidate),
-        }
-
 
 def _component_step(cur: TruncSeries, r: int) -> tuple[int, dict]:
     """The lg_1 congruence data of component r of cur: Phi^(r-1) costs r-1
@@ -222,14 +214,6 @@ class ComponentClass:
     value: Fraction | None
     witness: tuple | None
     residues: dict
-
-    def to_json(self):
-        return {
-            "index": self.index,
-            "zero": self.is_zero,
-            "value": None if self.value is None else str(self.value),
-            "witness": self.witness,
-        }
 
 
 def rho_n(G: TruncSeries, n: int, budget: PrimeBudget) -> list[ComponentClass]:

@@ -56,11 +56,8 @@ def _require_primes(G: TruncSeries, budget: PrimeBudget) -> None:
             )
 
 
-def _emit(data, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        raise ValueError(f"unsupported format {fmt}")
+def _emit(data) -> None:
+    sys.stdout.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def cmd_dn(args) -> int:
@@ -70,10 +67,7 @@ def cmd_dn(args) -> int:
         for n, rec in rows:
             sys.stdout.write(f"{n},{rec.value},{rec.factorization()}\n")
     elif args.format == "json":
-        _emit(
-            [{"n": n, "d_n": rec.value, "factorization": rec.factorization()} for n, rec in rows],
-            "json",
-        )
+        _emit([{"n": n, "d_n": rec.value, "factorization": rec.factorization()} for n, rec in rows])
     else:
         for n, rec in rows:
             sys.stdout.write(f"{n}\t{rec.value}\t{rec.factorization()}\n")
@@ -85,7 +79,7 @@ def cmd_check(args) -> int:
         with open(args.input) as fh:
             G = TruncSeries.from_json(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        _emit({"error": f"cannot read series: {exc}"}, "json")
+        _emit({"error": f"cannot read series: {exc}"})
         return 2
     budget = _budget_from_args(args)
     verdict: dict = {"test": args.test}
@@ -103,14 +97,11 @@ def cmd_check(args) -> int:
             verdict["witness"] = list(rep.witness)
         if rep.skipped:
             verdict["skipped"] = [list(s) for s in rep.skipped]
-    elif args.test == "tower":
+    else:  # tower
         _require_primes(G, budget)
         member = tower_member(G, args.n, budget)
-    else:
-        _emit({"error": f"unknown test {args.test}"}, "json")
-        return 2
     verdict["member"] = member
-    _emit(verdict, "json")
+    _emit(verdict)
     return 0 if member else 1
 
 
@@ -119,17 +110,17 @@ def cmd_basis(args) -> int:
     F = construct_Fn(args.n, args.trunc, budget)
     payload = F.to_json()
     payload["budget"] = budget.to_json()
-    _emit(payload, "json")
+    _emit(payload)
     return 0
 
 
 def cmd_verify(args) -> int:
     fn = SUITES.get(args.suite)
     if fn is None:
-        _emit({"error": f"unknown suite {args.suite}", "known": sorted(SUITES)}, "json")
+        _emit({"error": f"unknown suite {args.suite}", "known": sorted(SUITES)})
         return 2
     ok, report = fn(T=args.trunc, seed=args.seed)
-    _emit({"suite": args.suite, "ok": ok, "report": report}, "json")
+    _emit({"suite": args.suite, "ok": ok, "report": report})
     return 0 if ok else 1
 
 
@@ -140,30 +131,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--primes", default="2,3,5,7", help="budget primes, comma separated")
-    common.add_argument("--prec", type=int, default=8, help="per-prime precision exponent")
-    common.add_argument("--trunc", type=int, default=12, help="series truncation degree")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", default="json", choices=["json", "csv", "text"])
+    def budget_flags(p):
+        p.add_argument("--primes", default="2,3,5,7", help="budget primes, comma separated")
+        p.add_argument("--prec", type=int, default=8, help="per-prime precision exponent")
 
-    p_dn = sub.add_parser("dn", parents=[common], help="table of the integers d_n")
+    p_dn = sub.add_parser("dn", help="table of the integers d_n")
     p_dn.add_argument("--max", type=int, default=7)
+    p_dn.add_argument("--format", default="json", choices=["json", "csv", "text"])
     p_dn.set_defaults(fn=cmd_dn)
 
-    p_check = sub.add_parser("check", parents=[common], help="membership tests")
+    p_check = sub.add_parser("check", help="membership tests")
     p_check.add_argument("--input", required=True, help="series JSON file")
     p_check.add_argument("--test", required=True, choices=["qn", "qnm", "opnm", "s", "tower"])
     p_check.add_argument("--n", type=int, default=1)
     p_check.add_argument("--m", type=int, default=1)
+    budget_flags(p_check)
     p_check.set_defaults(fn=cmd_check)
 
-    p_basis = sub.add_parser("basis", parents=[common], help="emit the basis series F_n")
+    p_basis = sub.add_parser("basis", help="emit the basis series F_n")
     p_basis.add_argument("--n", type=int, required=True)
+    p_basis.add_argument("--trunc", type=int, default=12, help="series truncation degree")
+    budget_flags(p_basis)
     p_basis.set_defaults(fn=cmd_basis)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run an identity suite")
+    p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("suite")
+    p_verify.add_argument("--trunc", type=int, default=12, help="series truncation degree")
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(fn=cmd_verify)
     return ap
 
@@ -176,7 +170,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # the exit contract: every failure is exit 2
         # domain errors (PrecisionError, NotInGroup, ...) carry named reasons
         named = isinstance(exc, (ValueError, ArithmeticError))
-        _emit({"error": str(exc) if named else f"{type(exc).__name__}: {exc}"}, "json")
+        _emit({"error": str(exc) if named else f"{type(exc).__name__}: {exc}"})
         return 2
 
 

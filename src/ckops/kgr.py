@@ -96,26 +96,25 @@ def reflect(a: SeqWindow) -> SeqWindow:
     return SeqWindow(-(a.stop - 1), tuple(reversed(a.values)))
 
 
-def interval_in_N(v, budget: PrimeBudget, unit_count: int | None = None) -> bool:
+def interval_in_N(v, budget: PrimeBudget) -> bool:
     """Membership of the tuple v in the lattice generated by the unit power
     rows (1, r, ..., r^(len-1)), per budget prime.
 
-    With unit_count None the generating set grows until the Howell form
-    stabilizes, so the answer is the full unit lattice's.
+    The generating set grows until the Howell form stabilizes, so the
+    answer is the full unit lattice's.
     """
     n = len(v)
     for p in budget.primes:
         e = budget.exponent(p)
         q = p**e
         target = [x % q for x in v]
-        count = unit_count or max(2 * n, 8)
+        count = max(2 * n, 8)
         H = None
         while True:
             units = a_min(p, count)
             rows = [[pow(r, j, q) for j in range(n)] for r in units]
             newH = howell_form(ModMatrix(q, rows, cols=n))
-            if unit_count is not None or (H is not None and newH == H):
-                H = newH
+            if newH == H:
                 break
             H = newH
             count *= 2

@@ -1,6 +1,6 @@
 """Linear algebra over Z/M: Howell normal form, row-span membership (with
-certificates, or certificate-free against a Howell form), and exact
-Vandermonde-type solving.
+certificates read off the reduction of [A | I], or certificate-free against
+a Howell form), and exact Vandermonde-type solving.
 
 Row spans over Z/p^e are not free modules, so reduced echelon forms do not
 decide membership; the Howell form does (equal row spans iff equal Howell
@@ -85,23 +85,14 @@ def _unit_multiplier(a: int, n: int) -> int:
     return w
 
 
-def _howell_rows(
-    modulus: int, rows: list[list[int]], track: list[list[int]] | None
-) -> tuple[list[list[int]], list[list[int]] | None]:
-    """Core Howell reduction; `track` carries combination coefficients."""
+def _howell_rows(modulus: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Core Howell reduction: the nonzero rows of the Howell form, pivot
+    columns increasing."""
     n = modulus
     cols = len(rows[0]) if rows else 0
     work = [list(r) for r in rows]
-    comp = [list(t) for t in track] if track is not None else None
-
-    def addrow(vec, cvec):
-        work.append(vec)
-        if comp is not None:
-            comp.append(cvec)
-
     pivots: list[tuple[int, int]] = []  # (column, row-index in result)
     result: list[list[int]] = []
-    res_comp: list[list[int]] = []
     c = 0
     while c < cols:
         # eliminate column c across all remaining work rows
@@ -112,30 +103,20 @@ def _howell_rows(
             g, s, t, u, v = _gcdex(a, b, n)
             ri = [(s * x + t * y) % n for x, y in zip(work[i], work[j])]
             rj = [(u * x + v * y) % n for x, y in zip(work[i], work[j])]
-            if comp is not None:
-                ci = [(s * x + t * y) % n for x, y in zip(comp[i], comp[j])]
-                cj = [(u * x + v * y) % n for x, y in zip(comp[i], comp[j])]
-                comp[i], comp[j] = ci, cj
             work[i], work[j] = ri, rj
             live = [i for i in live if work[i][c] % n != 0]
         if live:
-            i = live[0]
-            row = work.pop(i)
-            crow = comp.pop(i) if comp is not None else None
+            row = work.pop(live[0])
             w = _unit_multiplier(row[c], n)
             row = [(w * x) % n for x in row]
-            if crow is not None:
-                crow = [(w * x) % n for x in crow]
             g = row[c]  # now the canonical generator gcd(old, n)
             # Howell closure: the annihilator multiple spans deeper columns
             u = n // math.gcd(g, n)
             if u % n != 0:
                 ann = [(u * x) % n for x in row]
                 if any(ann):
-                    addrow(ann, [(u * x) % n for x in crow] if crow is not None else None)
+                    work.append(ann)
             result.append(row)
-            if comp is not None:
-                res_comp.append(crow)
             pivots.append((c, len(result) - 1))
         c += 1
 
@@ -148,30 +129,12 @@ def _howell_rows(
             q = result[k][c] // g
             if q:
                 result[k] = [(x - q * y) % n for x, y in zip(result[k], result[idx])]
-                if comp is not None:
-                    res_comp[k] = [
-                        (x - q * y) % n for x, y in zip(res_comp[k], res_comp[idx])
-                    ]
-    return result, (res_comp if comp is not None else None)
+    return result
 
 
 def howell_form(A: ModMatrix) -> ModMatrix:
     """Howell normal form of A; equal row spans iff equal Howell forms."""
-    rows, _ = _howell_rows(A.modulus, [list(r) for r in A.entries], None)
-    rows = [r for r in rows if any(r)]
-    return ModMatrix(A.modulus, rows, cols=A.cols)
-
-
-def howell_with_transform(A: ModMatrix) -> tuple[ModMatrix, list[list[int]]]:
-    """Howell form plus, per result row, its coefficients over A's rows."""
-    ident = [[1 if i == j else 0 for j in range(A.rows)] for i in range(A.rows)]
-    rows, comp = _howell_rows(A.modulus, [list(r) for r in A.entries], ident)
-    keep = [(r, c) for r, c in zip(rows, comp) if any(r)]
-    if keep:
-        rows, comp = [list(r) for r, _ in keep], [list(c) for _, c in keep]
-    else:
-        rows, comp = [], []
-    return ModMatrix(A.modulus, rows, cols=A.cols), comp
+    return ModMatrix(A.modulus, _howell_rows(A.modulus, A.entries), cols=A.cols)
 
 
 def _howell_reduce(H: ModMatrix, v: Sequence[int]) -> list[tuple[int, int]] | None:
@@ -204,16 +167,22 @@ def in_howell_span(H: ModMatrix, v: Sequence[int]) -> bool:
 
 def in_row_span(A: ModMatrix, v: Sequence[int]) -> tuple[bool, list[int] | None]:
     """Is v a Z/modulus-combination of A's rows?  On success the second
-    component certifies it: coefficients c with sum c_i * A[i] = v."""
-    n = A.modulus
-    H, comp = howell_with_transform(A)
-    steps = _howell_reduce(H, v)
+    component certifies it: coefficients c with sum c_i * A[i] = v.
+
+    The augmented rows [A_i | e_i] go through the Howell reduction: the
+    rows with a nonzero A-part are howell_form(A), and each one's e-part
+    gives its coefficients over A's rows."""
+    n, cols = A.modulus, A.cols
+    augmented = [
+        list(row) + [1 if k == i else 0 for k in range(A.rows)] for i, row in enumerate(A.entries)
+    ]
+    reduced = [r for r in _howell_rows(n, augmented) if any(r[:cols])]
+    steps = _howell_reduce(ModMatrix(n, [r[:cols] for r in reduced], cols=cols), v)
     if steps is None:
         return False, None
     cert = [0] * A.rows
     for idx, t in steps:
-        for k in range(A.rows):
-            cert[k] = (cert[k] + t * comp[idx][k]) % n
+        cert = [(c + t * x) % n for c, x in zip(cert, reduced[idx][cols:])]
     return True, cert
 
 

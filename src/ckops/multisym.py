@@ -5,16 +5,16 @@ The derivative here is the second difference with respect to a formal
 group law (additive x+y or multiplicative x+y-xy), not a calculus
 derivative.  Total-degree truncation throughout.
 
-Storage discipline: symmetric series may be held in SymSeries (sorted
-exponent keys); anything whose symmetry is *being tested* travels as a
-plain MultiSeries so the data structure cannot assume the answer.
+Storage discipline: every multivariate series is a plain MultiSeries keyed
+by full exponent tuples, so a symmetry test reads every coefficient and the
+data structure cannot assume the answer.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .series import Q, RationalRing, TruncSeries, is_known_zero, lg_series
 
@@ -160,88 +160,17 @@ def is_symmetric(M: MultiSeries) -> bool:
     return True
 
 
-class SymSeries:
-    """Symmetric series stored by sorted exponent key.
-
-    Construction from a plain container verifies symmetry first; the
-    symmetric storage is never allowed to *assume* what a test needs.
-    """
-
-    __slots__ = ("ring", "nvars", "trunc", "coeffs", "fgl")
-
-    def __init__(self, ring, nvars, trunc, coeffs=None, fgl=MULT):
-        if fgl not in (MULT, ADD):
-            raise ValueError("fgl must be 'mult' or 'add'")
-        self.ring = ring
-        self.nvars = nvars
-        self.trunc = trunc
-        self.fgl = fgl
-        self.coeffs = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                key = tuple(key)
-                if list(key) != sorted(key):
-                    raise ValueError(f"key {key} is not sorted")
-                if sum(key) > trunc:
-                    continue
-                v = ring.coerce(val)
-                if not ring.is_zero(v):
-                    self.coeffs[key] = v
-
-    @classmethod
-    def from_multi(cls, M: MultiSeries, fgl=MULT) -> "SymSeries":
-        if not is_symmetric(M):
-            raise ValueError("series is not symmetric")
-        coeffs = {}
-        for key, val in M.coeffs.items():
-            coeffs[tuple(sorted(key))] = val
-        return cls(M.ring, M.nvars, M.trunc, coeffs, fgl)
-
-    def to_multi(self) -> MultiSeries:
-        out = MultiSeries(self.ring, self.nvars, self.trunc)
-        for key, val in self.coeffs.items():
-            seen = set()
-            for perm in permutations(key):
-                if perm not in seen:
-                    seen.add(perm)
-                    out.coeffs[perm] = val
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, SymSeries):
-            return self.to_multi() == other.to_multi()
-        return NotImplemented
-
-    def __repr__(self):
-        return f"SymSeries({self.nvars} vars, T={self.trunc}, {self.fgl}, {len(self.coeffs)} keys)"
-
-    def to_json(self):
-        return {
-            "nvars": self.nvars,
-            "trunc": self.trunc,
-            "fgl": self.fgl,
-            "coeffs": [[list(k), self.ring.coeff_to_json(v)] for k, v in sorted(self.coeffs.items())],
-        }
-
-    @classmethod
-    def from_json(cls, data, ring=Q) -> "SymSeries":
-        coeffs = {tuple(k): ring.coeff_from_json(v) for k, v in data["coeffs"]}
-        return cls(ring, data["nvars"], data["trunc"], coeffs, data["fgl"])
-
-
 def _as_multi(G, fgl: str | None = None) -> tuple[MultiSeries, str]:
-    """G as a plain container, with its law: an explicit fgl wins, then a
-    SymSeries' own law, then the multiplicative law.  A univariate G keeps
-    every coefficient not known to be zero; an unknown one raises
-    PrecisionError (``series.is_known_zero``)."""
+    """G as a plain container, with its law: an explicit fgl, else the
+    multiplicative law.  A univariate G keeps every coefficient not known
+    to be zero; an unknown one raises PrecisionError
+    (``series.is_known_zero``)."""
     if isinstance(G, TruncSeries):
         M = MultiSeries(G.ring, 1, G.trunc)
         for i, c in enumerate(G.coeffs):
             if not is_known_zero(G.ring, c, i):
                 M.coeffs[(i,)] = c
         return M, fgl or MULT
-    if isinstance(G, SymSeries):
-        return G.to_multi(), fgl or G.fgl
     if isinstance(G, MultiSeries):
         return G, fgl or MULT
     raise TypeError(f"cannot interpret {type(G).__name__} as a multivariate series")
@@ -318,9 +247,6 @@ def partial_derivative(G, fgl: str | None = None) -> MultiSeries:
     """The formal-group-law partial derivative in the first variable:
     G(x1*x2, x3, ...) - G(x1, x3, ...) - G(x2, x3, ...) + G(0, x3, ...),
     which is iter_partial(G, 1, fgl), the m = 1 subset sum.
-
-    Returns a plain container; wrap with SymSeries.from_multi after an
-    explicit symmetry check if symmetric storage is wanted.
     """
     return iter_partial(G, 1, fgl)
 

@@ -28,9 +28,10 @@ from .arith import (
     vp,
     vp_factorial,
 )
-from .linalg import ModMatrix, howell_form, in_howell_span, in_row_span
+from .linalg import ModMatrix, howell_form, in_howell_span
 from .series import (
     ProfiniteRing,
+    TruncationExhausted,
     TruncSeries,
     adams_series,
     phi,
@@ -212,8 +213,7 @@ def s_oracle(
             raise ArithmeticError(
                 f"image lattices did not stabilize by r_max={r_max}; increase r_max"
             )
-        member, _ = in_row_span(stab, vec)
-        if not member:
+        if not in_howell_span(stab, vec):
             return False
     return True
 
@@ -397,6 +397,15 @@ def _weighted_adams(weights: dict, nodes: list[int], table: list[dict], budget: 
     return TruncSeries(ProfiniteRing(budget), len(table) - 1, coeffs), comb
 
 
+def _require_leading_term(kind: str, n: int, T: int) -> None:
+    """G_n and F_n are pinned by their leading term d_n x^n, which a
+    truncation below n cannot hold."""
+    if n > T:
+        raise TruncationExhausted(
+            f"{kind}_{n} needs truncation >= {n} for its leading term d_{n} x^{n}, got T={T}"
+        )
+
+
 def construct_Gn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     """Profinite combination of n+1 unit Adams series with leading term
     d_n x^n, in closed form at the glued integer nodes a_0..a_n:
@@ -404,6 +413,7 @@ def construct_Gn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     ``_NodeWeights``, summed per prime.  ``linalg.solve_vandermonde``
     is the test oracle for this route.
     """
+    _require_leading_term("G", n, T)
     nodes = _glued_nodes(budget, n + 1)
     weights = _NodeWeights(nodes, budget).weights(n, dn(n))
     G, comb = _weighted_adams(weights, nodes, _adams_table(nodes, T, budget), budget)
@@ -424,6 +434,7 @@ def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     table per call, extended node by node.  ``combination`` holds the final weights of
     the nodes used, sorted by node.
     """
+    _require_leading_term("F", n, T)
     ring = ProfiniteRing(budget)
     one = ProfiniteApprox.from_int(budget, 1)
     if n == 0:

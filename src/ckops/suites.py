@@ -13,20 +13,20 @@ from .kgr import NumericalPoly, pair, to_e_basis
 from .multisym import aformula_check, integrate_symmetric, iter_partial
 from .series import (
     Composer,
+    ProfiniteRing,
     Q,
     TruncSeries,
     adams_series,
     b_map,
     lg_series,
 )
-from .stable import construct_Fn, s_criterion, s_oracle
+from .stable import construct_Fn, dn, s_criterion, s_oracle
 
 
-def _default_budget(primes=(2, 3, 5, 7), prec=8) -> PrimeBudget:
-    return PrimeBudget.uniform(primes, prec)
+_BUDGET = PrimeBudget.uniform((2, 3, 5, 7), 8)
 
 
-def suite_idempotents(T: int = 12, seed: int = 0, **_) -> tuple[bool, dict]:
+def suite_idempotents(T: int, seed: int) -> tuple[bool, dict]:
     nmax = min(T, 8)
     lgs = [lg_series(r, T) for r in range(T + 1)]
     for n in range(nmax + 1):
@@ -44,7 +44,7 @@ def suite_idempotents(T: int = 12, seed: int = 0, **_) -> tuple[bool, dict]:
     return True, {"pairs": (nmax + 1) ** 2}
 
 
-def suite_adams(T: int = 12, seed: int = 0, **_) -> tuple[bool, dict]:
+def suite_adams(T: int, seed: int) -> tuple[bool, dict]:
     for k in range(-3, 8):
         comp = Composer(adams_series(k, T))
         for m in range(-3, 8):
@@ -57,9 +57,9 @@ def suite_adams(T: int = 12, seed: int = 0, **_) -> tuple[bool, dict]:
     return True, {"range": "-3..7"}
 
 
-def suite_aformula(T: int = 8, seed: int = 7, count: int = 10, **_) -> tuple[bool, dict]:
+def suite_aformula(T: int, seed: int) -> tuple[bool, dict]:
     rng = random.Random(seed)
-    for trial in range(count):
+    for trial in range(10):
         n = rng.randint(1, 3)
         G = TruncSeries(
             Q,
@@ -68,12 +68,12 @@ def suite_aformula(T: int = 8, seed: int = 7, count: int = 10, **_) -> tuple[boo
         )
         if not aformula_check(G, n):
             return False, {"counterexample": {"trial": trial, "n": n, "G": G.to_json()}}
-    return True, {"count": count}
+    return True, {"count": 10}
 
 
-def suite_integration(T: int = 8, seed: int = 3, count: int = 6, **_) -> tuple[bool, dict]:
+def suite_integration(T: int, seed: int) -> tuple[bool, dict]:
     rng = random.Random(seed)
-    for trial in range(count):
+    for trial in range(6):
         n = rng.randint(2, 4)
         L = TruncSeries(
             Q, T, [0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(T)]
@@ -82,7 +82,7 @@ def suite_integration(T: int = 8, seed: int = 3, count: int = 6, **_) -> tuple[b
         L2 = integrate_symmetric(D, n)
         if iter_partial(L2, n - 1) != D:
             return False, {"counterexample": {"trial": trial, "n": n}}
-    return True, {"count": count}
+    return True, {"count": 6}
 
 
 def random_membership_witness(rng, T: int, n: int):
@@ -116,10 +116,9 @@ def phi_inverse(F: TruncSeries) -> TruncSeries:
     return TruncSeries(Q, T + 1, h)
 
 
-def suite_ifandonlyif(T: int = 12, seed: int = 5, count: int = 20, **_) -> tuple[bool, dict]:
+def suite_ifandonlyif(T: int, seed: int) -> tuple[bool, dict]:
     rng = random.Random(seed)
-    checked = 0
-    for trial in range(count):
+    for trial in range(20):
         n = rng.randint(1, 3)
         m = rng.randint(n, n + 2)
         G, _expect = random_membership_witness(rng, T, n)
@@ -127,17 +126,15 @@ def suite_ifandonlyif(T: int = 12, seed: int = 5, count: int = 20, **_) -> tuple
         b = in_Opnm_phi(G, n, m)
         if a != b:
             return False, {"counterexample": {"trial": trial, "n": n, "m": m, "G": G.to_json()}}
-        checked += 1
-    return True, {"count": checked}
+    return True, {"count": 20}
 
 
-def suite_s_dual_route(T: int = 10, seed: int = 11, count: int = 40, **_) -> tuple[bool, dict]:
+def suite_s_dual_route(T: int, seed: int) -> tuple[bool, dict]:
     rng = random.Random(seed)
-    budget = _default_budget()
-    for trial in range(count):
+    for trial in range(40):
         p = rng.choice([2, 3, 5])
         e = rng.randint(1, 3)
-        G = _random_unit_adams_combo(rng, T, budget)
+        G = _random_unit_adams_combo(rng, T, _BUDGET)
         if rng.random() < 0.5:
             k = rng.randint(0, T)
             bump = [0] * (T + 1)
@@ -150,7 +147,7 @@ def suite_s_dual_route(T: int = 10, seed: int = 11, count: int = 40, **_) -> tup
             return False, {
                 "counterexample": {"trial": trial, "p": p, "e": e, "series": G.to_json()}
             }
-    return True, {"count": count}
+    return True, {"count": 40}
 
 
 def _criterion_capped(report, e: int) -> bool:
@@ -161,8 +158,6 @@ def _criterion_capped(report, e: int) -> bool:
 
 
 def _random_unit_adams_combo(rng, T, budget: PrimeBudget) -> TruncSeries:
-    from .series import ProfiniteRing
-
     ring = ProfiniteRing(budget)
     out = TruncSeries.zero(ring, T)
     M = budget.modulus
@@ -177,30 +172,28 @@ def _random_unit_adams_combo(rng, T, budget: PrimeBudget) -> TruncSeries:
     return out
 
 
-def suite_kgr_duality(T: int = 12, seed: int = 2, count: int = 30, **_) -> tuple[bool, dict]:
+def suite_kgr_duality(T: int, seed: int) -> tuple[bool, dict]:
     rng = random.Random(seed)
     if to_e_basis([Fraction(1, 2)]) is not None:
         return False, {"counterexample": "s/2 accepted as numerical"}
-    for trial in range(count):
+    for trial in range(30):
         deg = rng.randint(0, 8)
         f = NumericalPoly(tuple(rng.randint(-5, 5) for _ in range(deg + 1)))
         m = rng.randint(-10, 10)
         if pair(f, adams_series(m, T)) != f(m):
             return False, {"counterexample": {"trial": trial, "m": m, "f": f.e_coeffs}}
-    return True, {"count": count}
+    return True, {"count": 30}
 
 
-def suite_basis(T: int = 12, seed: int = 0, **_) -> tuple[bool, dict]:
-    budget = _default_budget()
-    for n in range(4):
-        F = construct_Fn(n, T, budget)
-        from .stable import dn
-
+def suite_basis(T: int, seed: int) -> tuple[bool, dict]:
+    top = min(3, T)  # F_n needs its leading term d_n x^n inside the truncation
+    for n in range(top + 1):
+        F = construct_Fn(n, T, _BUDGET)
         if F.int_coeffs[n] != dn(n).value or any(F.int_coeffs[i] for i in range(n)):
             return False, {"counterexample": f"F_{n} leading term"}
         if not s_criterion(F.series).ok:
             return False, {"counterexample": f"F_{n} fails the criterion"}
-    return True, {"range": "0..3"}
+    return True, {"range": f"0..{top}"}
 
 
 SUITES = {

@@ -162,11 +162,54 @@ def test_verify_suites(capsys):
     assert code == 0 and json.loads(out)["ok"] is True
     code, out = run(capsys, "verify", "s-dual-route", "--trunc", "10", "--seed", "7")
     assert code == 0 and json.loads(out)["ok"] is True
+    # the basis suite checks F_0..F_min(3, T), whose leading terms fit the truncation
+    code, out = run(capsys, "verify", "basis", "--trunc", "2")
+    assert code == 0 and json.loads(out)["report"] == {"range": "0..2"}
 
 
 def test_verify_unknown_suite(capsys):
     code, out = run(capsys, "verify", "nosuch")
     assert code == 2
+
+
+# -- each subcommand accepts only the flags it reads ------------------------------------
+
+
+_BASE_CALLS = {
+    "dn": ["dn"],
+    "check": ["check", "--test", "s"],
+    "basis": ["basis", "--n", "1"],
+    "verify": ["verify", "adams"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("dn", "--primes", "2"),
+        ("dn", "--prec", "1"),
+        ("dn", "--trunc", "3"),
+        ("dn", "--seed", "1"),
+        ("check", "--trunc", "3"),
+        ("check", "--seed", "1"),
+        ("check", "--format", "csv"),
+        ("basis", "--seed", "1"),
+        ("basis", "--format", "text"),
+        ("verify", "--primes", "2"),
+        ("verify", "--prec", "1"),
+        ("verify", "--format", "text"),
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, capsys, command, flag, value):
+    f = tmp_path / "a3.json"
+    f.write_text(json.dumps(adams_series(3, 10).to_json()))
+    argv = _BASE_CALLS[command] + (["--input", str(f)] if command == "check" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
 # -- the exit contract: 0 member / passed, 1 non-member / failed, 2 error --------------
@@ -185,6 +228,7 @@ def test_verify_unknown_suite(capsys):
         (["basis", "--n", "2", "--trunc", "-2"], "--trunc must be >= 0"),
         (["verify", "adams", "--trunc", "-1"], "--trunc must be >= 0"),
         (["dn", "--max", "-1"], "--max must be >= 0"),
+        (["basis", "--n", "5", "--trunc", "2"], "F_5 needs truncation >= 5 for its leading term"),
     ],
 )
 def test_bad_argument_values_are_named_errors(tmp_path, capsys, argv, reason):
@@ -230,31 +274,27 @@ def _series_files():
     )
 
 
-_FLAG_VALUES = {
+_BUDGET_FLAGS = {
     "--primes": st.sampled_from(["2,3,5,7", "2", "2,3", "3,5", "4", "2,2", "x", "", "1", "-2"]),
     "--prec": st.integers(-1, 5),
-    "--trunc": st.integers(-2, 8),
-    "--seed": st.integers(0, 3),
-    "--format": st.sampled_from(["json", "csv", "text"]),
 }
 _COMMAND_FLAGS = {
-    "dn": {"--max": st.integers(-2, 12)},
+    "dn": {"--max": st.integers(-2, 12), "--format": st.sampled_from(["json", "csv", "text"])},
     "check": {"--test": st.sampled_from(["qn", "qnm", "opnm", "s", "tower"]),
-              "--n": st.integers(-2, 3), "--m": st.integers(-2, 4)},
-    "basis": {"--n": st.integers(-2, 8)},
-    "verify": {},
+              "--n": st.integers(-2, 3), "--m": st.integers(-2, 4), **_BUDGET_FLAGS},
+    "basis": {"--n": st.integers(-2, 8), "--trunc": st.integers(-2, 8), **_BUDGET_FLAGS},
+    "verify": {"--seed": st.integers(0, 3)},
 }
 
 
 @st.composite
 def _cli_calls(draw):
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
-    flags = dict(_FLAG_VALUES, **_COMMAND_FLAGS[command])
+    flags = _COMMAND_FLAGS[command]
     argv = [command]
     if command == "verify":  # the suites' default truncation takes seconds
         argv.append(draw(st.sampled_from(sorted(SUITES) + ["nosuch"])))
         argv += ["--trunc", str(draw(st.integers(-2, 6)))]
-        del flags["--trunc"]
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
     required = {"check": "--test", "basis": "--n"}.get(command)
     for flag in chosen + ([required] if required and required not in chosen else []):

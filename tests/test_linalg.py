@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckops import ModMatrix, howell_form, in_howell_span, in_row_span, solve_vandermonde
-from ckops.linalg import span_enumerate
+from ckops.linalg import _howell_rows, span_enumerate
 
 
 def test_howell_identity():
@@ -93,10 +93,19 @@ def test_in_howell_span_matches_in_row_span(case):
     # oracles: in_row_span, which re-reduces A and builds the certificate,
     # and, where the span is small, brute-force enumeration
     A, v = case
+    q = A.modulus
     member = in_howell_span(howell_form(A), v)
-    assert member == in_row_span(A, v)[0]
-    if A.modulus**A.cols <= 300:
-        assert member == (tuple(x % A.modulus for x in v) in span_enumerate(A))
+    ok, cert = in_row_span(A, v)
+    assert member == ok
+    if ok:  # the certificate recombines A's rows to v
+        acc = [sum(c * row[k] for c, row in zip(cert, A.entries)) % q for k in range(A.cols)]
+        assert acc == [x % q for x in v]
+    # in_row_span reduces [A | I]; the rows with a nonzero A-part are howell_form(A)
+    augmented = [list(r) + [int(k == i) for k in range(A.rows)] for i, r in enumerate(A.entries)]
+    a_part = [r[: A.cols] for r in _howell_rows(q, augmented) if any(r[: A.cols])]
+    assert ModMatrix(q, a_part, cols=A.cols) == howell_form(A)
+    if q**A.cols <= 300:
+        assert member == (tuple(x % q for x in v) in span_enumerate(A))
 
 
 def test_row_span_invariant_under_unimodular():

@@ -11,7 +11,6 @@ from ckops import (
     ProfiniteApprox,
     ProfiniteRing,
     Q,
-    SymSeries,
     TruncSeries,
     Z,
     aformula_check,
@@ -211,8 +210,6 @@ def test_symmetry_checker_on_missing_orbit():
     assert not is_symmetric(M)
     M2 = MultiSeries(Q, 2, 5, {(2, 1): 1, (1, 2): 1})
     assert is_symmetric(M2)
-    with pytest.raises(ValueError):
-        SymSeries.from_multi(M)
 
 
 # -- integration -----------------------------------------------------------------

@@ -12,6 +12,7 @@ from ckops import (
     ProfiniteRing,
     Q,
     TruncSeries,
+    TruncationExhausted,
     Z,
     a_min,
     adams_series,
@@ -388,6 +389,15 @@ def test_construct_Fn_canonical_low_indices(budget):
     assert F0.int_coeffs == [1, -1, 0, 0, 0, 0, 0, 0, 0]
     F1 = construct_Fn(1, 8, budget)
     assert F1.int_coeffs == [0, 2, 1, 1, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("construct", [construct_Fn, construct_Gn])
+@pytest.mark.parametrize("n,T", [(1, 0), (5, 2), (4, 3)])
+def test_construct_basis_leading_term_beyond_truncation_raises(budget, construct, n, T):
+    # d_n x^n does not fit below x^(T+1): no all-zero series stands in for it
+    with pytest.raises(TruncationExhausted, match=f"_{n} needs truncation >= {n}.*T={T}"):
+        construct(n, T, budget)
+    assert construct(T, T, budget).n == T
 
 
 def test_construct_Fn_integer_consistent_and_stable(budget):
