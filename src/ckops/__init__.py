@@ -74,7 +74,6 @@ from .stable import (
     stable_mult_check,
     tower_member,
     twisted_adams,
-    vdm_value,
 )
 from .kgr import (
     BiSeqWindow,

@@ -183,7 +183,16 @@ class PrimeBudget:
 
     @classmethod
     def from_json(cls, data) -> "PrimeBudget":
+        data = _int_rows(data, "budget")
         return cls(tuple(p for p, _ in data), tuple(e for _, e in data))
+
+
+def _int_rows(rows, what: str):
+    """JSON rows of integers, such as [[p, e], ...]; a non-integer is a ValueError."""
+    for row in rows:
+        if not all(isinstance(x, int) for x in row):
+            raise ValueError(f"{what} entry {row} holds a non-integer")
+    return rows
 
 
 class ProfiniteApprox:
@@ -348,8 +357,9 @@ class ProfiniteApprox:
 
     @classmethod
     def from_json(cls, budget: PrimeBudget, data) -> "ProfiniteApprox":
-        res = {p: r for p, _, r in data["primes"]}
-        prec = {p: k for p, k, _ in data["primes"]}
+        rows = _int_rows(data["primes"], "profinite coefficient")
+        res = {p: r for p, _, r in rows}
+        prec = {p: k for p, k, _ in rows}
         return cls(budget, res, prec)
 
 
@@ -378,9 +388,7 @@ def gen_binomial(r: ProfiniteApprox, k: int, p: int, e: int) -> int:
     return math.comb(x, k) % p**e
 
 
-def compatible_lift(
-    b: Mapping[int, ProfiniteApprox], m: int | None = None, primes=None
-) -> int:
+def compatible_lift(b: Mapping[int, ProfiniteApprox], m: int, primes=None) -> int:
     """Integer b with b = b_i (mod i) for i = 1..m, by CRT over the maximal
     prime powers q_k <= m.
 
@@ -390,8 +398,6 @@ def compatible_lift(
     others are outside the caller's budget); by default every prime <= m
     must lie inside the budget or a PrecisionError is raised.
     """
-    if m is None:
-        m = max(b) if b else 1
     if m < 1:
         raise ValueError("m must be >= 1")
     for i in range(1, m + 1):

@@ -46,23 +46,16 @@ class NotInGroup(ValueError):
     """The series fails a stated membership precondition."""
 
 
-def _partial_n(G: TruncSeries, n: int):
-    """partial^(n-1) G for n >= 1; the input must lie in x K[[x]]."""
-    if not G.ring.is_zero(G.coeffs[0]):
-        raise NotInGroup("membership for n >= 1 needs a zero constant term")
-    return iter_partial(G, n - 1)
-
-
 def in_Qn(G: TruncSeries, n: int) -> bool:
     """True iff partial^(n-1) G has integral coefficients up to the
-    truncation's total degree.  For n >= 1 the input must lie in x K[[x]]."""
-    if n < 1:
-        return integer_coefficients(G)
-    return integer_coefficients(_partial_n(G, n))
+    truncation's total degree: in_Qnm with m = 0.  For n >= 1 the input
+    must lie in x K[[x]]."""
+    return in_Qnm(G, n, 0)
 
 
 def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
-    """Membership plus the valuation condition v(partial^(n-1) G) >= m.
+    """Membership plus the valuation condition v(partial^(n-1) G) >= m;
+    for n < 1, G itself is integral with v(G) >= m.
 
     The derivative route, straight from the definition: it serves as the
     oracle for the Phi route in_Opnm_phi, which answers the same question
@@ -70,8 +63,10 @@ def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
     ``ifandonlyif`` suite)."""
     if n < 1:
         v = valuation(G)
-        return in_Qn(G, n) and (v is None or v >= max(0, m))
-    D = _partial_n(G, n)
+        return integer_coefficients(G) and (v is None or v >= m)
+    if not G.ring.is_zero(G.coeffs[0]):
+        raise NotInGroup("membership for n >= 1 needs a zero constant term")
+    D = iter_partial(G, n - 1)
     if not integer_coefficients(D):
         return False
     v = D.total_valuation()

@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dn = sub.add_parser("dn", help="table of the integers d_n")
     p_dn.add_argument("--max", type=int, default=7)
     p_dn.add_argument("--format", default="json", choices=["json", "csv", "text"])
-    p_dn.set_defaults(fn=cmd_dn)
+    p_dn.set_defaults(fn=cmd_dn, parser=p_dn)
 
     p_check = sub.add_parser("check", help="membership tests")
     p_check.add_argument("--input", required=True, help="series JSON file")
@@ -146,24 +146,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--n", type=int, default=1)
     p_check.add_argument("--m", type=int, default=1)
     budget_flags(p_check)
-    p_check.set_defaults(fn=cmd_check)
+    p_check.set_defaults(fn=cmd_check, parser=p_check)
 
     p_basis = sub.add_parser("basis", help="emit the basis series F_n")
     p_basis.add_argument("--n", type=int, required=True)
     p_basis.add_argument("--trunc", type=int, default=12, help="series truncation degree")
     budget_flags(p_basis)
-    p_basis.set_defaults(fn=cmd_basis)
+    p_basis.set_defaults(fn=cmd_basis, parser=p_basis)
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("suite")
     p_verify.add_argument("--trunc", type=int, default=12, help="series truncation degree")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(fn=cmd_verify)
+    p_verify.set_defaults(fn=cmd_verify, parser=p_verify)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # a flag the subcommand does not take: its usage, not the root's
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         _check_counts(args)
         return args.fn(args)

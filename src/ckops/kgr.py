@@ -14,7 +14,7 @@ from itertools import repeat
 
 from .arith import PrecisionError, PrimeBudget, crt_lift, gbinom
 from .linalg import ModMatrix, howell_form, in_howell_span
-from .series import SeqWindow, TruncSeries
+from .series import SeqWindow, TruncSeries, exact_int
 from .stable import a_min, construct_Fn, dn_tilde
 
 
@@ -29,12 +29,13 @@ BiSeqWindow = SeqWindow
 @dataclass(frozen=True)
 class NumericalPoly:
     """Integer-valued polynomial in the basis e_n = (-1)^n C(s, n); the
-    integrality of the basis coefficients *is* the numerical property."""
+    integrality of the basis coefficients *is* the numerical property, so a
+    non-integer coefficient raises ValueError (``exact_int``)."""
 
     e_coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "e_coeffs", tuple(int(c) for c in self.e_coeffs))
+        object.__setattr__(self, "e_coeffs", tuple(exact_int(c, n) for n, c in enumerate(self.e_coeffs)))
 
     @property
     def degree(self) -> int:
@@ -187,34 +188,21 @@ def decompose_TZ(a: BiSeqWindow, m: int, T: int, budget: PrimeBudget) -> list[in
     if a.start > -m or a.stop < m + 2:
         raise ValueError(f"window must cover [{-m}, {m + 1}]")
     lo, hi = -m, m + 1
-    residual = {i: a[i] for i in range(lo, hi + 1)}
-    gens = []
-    for i in range(m + 1):
-        f2i = fseq(2 * i, i - hi, i - lo + 1, T, budget)
-        g_even = {j: f2i[i - j] for j in range(lo, hi + 1)}
-        f2i1 = fseq(2 * i + 1, lo + i, hi + i + 1, T, budget)
-        g_odd = {j: f2i1[j + i] for j in range(lo, hi + 1)}
-        gens.append((g_even, g_odd))
+    residual = {j: a[j] for j in range(lo, hi + 1)}
     out = []
-    for i in range(m + 1):
-        g_even, g_odd = gens[i]
-        d_even = dn_tilde(2 * i)
-        if residual[-i] % d_even:
-            raise ValueError(
-                f"entry at {-i} = {residual[-i]} not divisible by {d_even}"
-            )
-        b_even = residual[-i] // d_even
+    for n in range(2 * m + 2):
+        i, odd = n // 2, n % 2
+        if odd:
+            f, pivot = fseq(n, lo + i, hi + i + 1, T, budget), i + 1
+        else:
+            f, pivot = fseq(n, i - hi, i - lo + 1, T, budget), -i
+        d = dn_tilde(n)
+        if residual[pivot] % d:
+            raise ValueError(f"entry at {pivot} = {residual[pivot]} not divisible by {d}")
+        b = residual[pivot] // d
         for j in residual:
-            residual[j] -= b_even * g_even[j]
-        d_odd = dn_tilde(2 * i + 1)
-        if residual[i + 1] % d_odd:
-            raise ValueError(
-                f"entry at {i + 1} = {residual[i + 1]} not divisible by {d_odd}"
-            )
-        b_odd = residual[i + 1] // d_odd
-        for j in residual:
-            residual[j] -= b_odd * g_odd[j]
-        out.extend([b_even, b_odd])
+            residual[j] -= b * f[j + i if odd else i - j]
+        out.append(b)
     bad = [j for j in range(lo, hi + 1) if residual[j]]
     if bad:
         raise ValueError(f"nonzero residual at indices {bad}: not in the span")

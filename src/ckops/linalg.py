@@ -237,16 +237,3 @@ def solve_vandermonde(
             ) from None
     return out
 
-
-def span_enumerate(A: ModMatrix) -> set[tuple[int, ...]]:
-    """Brute-force row span; exponential, for small test oracles only."""
-    n = A.modulus
-    vecs = {tuple([0] * A.cols)}
-    for row in A.entries:
-        new = set()
-        for c in range(n):
-            scaled = tuple((c * x) % n for x in row)
-            for v in vecs:
-                new.add(tuple((a + b) % n for a, b in zip(v, scaled)))
-        vecs = new
-    return vecs

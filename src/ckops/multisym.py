@@ -54,10 +54,6 @@ class MultiSeries:
                 if not ring.is_zero(v):
                     self.coeffs[tuple(key)] = v
 
-    @classmethod
-    def zero(cls, ring, nvars, trunc):
-        return cls(ring, nvars, trunc, {})
-
     def get(self, key):
         return self.coeffs.get(tuple(key), self.ring.zero())
 
@@ -341,8 +337,9 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def integrate_symmetric(G, n: int | None = None) -> TruncSeries:
-    """Univariate L with partial^(n-1) L = G (multiplicative law, over Q).
+def integrate_symmetric(G) -> TruncSeries:
+    """Univariate L with partial^(n-1) L = G for the n-variable G
+    (multiplicative law, over Q).
 
     Strategy: move to additive coordinates y_i = log(1 - x_i), where the
     derivative acts on y^m with an explicitly invertible diagonal action,
@@ -353,16 +350,10 @@ def integrate_symmetric(G, n: int | None = None) -> TruncSeries:
     Raises NotIntegrable when the coefficients are inconsistent, i.e. the
     input was not double-symmetric within truncation.
     """
-    M, law = _as_multi(G)
-    if law != MULT:
-        raise ValueError("integration is implemented for the multiplicative law")
+    M, _ = _as_multi(G)
     if not isinstance(M.ring, RationalRing):
         raise TypeError("symmetric integration needs rational coefficients")
-    if n is None:
-        n = M.nvars
-    if n != M.nvars:
-        raise ValueError("n must match the variable count")
-    T = M.trunc
+    n, T = M.nvars, M.trunc
     if any(0 in key for key in M.coeffs):
         raise NotIntegrable("input is not divisible by x_1 ... x_n")
     # to additive coordinates
@@ -382,14 +373,12 @@ def integrate_symmetric(G, n: int | None = None) -> TruncSeries:
     return Ly.substitute(lg_series(1, T))
 
 
-def aformula_check(G: TruncSeries, n: int, T: int | None = None) -> bool:
+def aformula_check(G: TruncSeries, n: int) -> bool:
     """Verify the derivative-reduction formula
     (partial^n G)(x_1..x_{n+1}) = sum_{k>=1} (1/k!)
         partial^(n-1)((1-x)^k d^k G/dx^k)(x_1..x_n) * x_{n+1}^k
-    up to total degree T (multiplicative law, over Q)."""
-    if T is None:
-        T = G.trunc
-    G = G.truncate(T)
+    up to G's truncation T in total degree (multiplicative law, over Q)."""
+    T = G.trunc
     lhs = iter_partial(G, n)
     rhs = MultiSeries(G.ring, n + 1, T)
     dk = G

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arith import (
     PrecisionError,
@@ -36,8 +36,6 @@ class TruncationExhausted(ArithmeticError):
 
 
 class RationalRing:
-    name = "Q"
-
     @staticmethod
     def coerce(x):
         if isinstance(x, (int, Fraction)):
@@ -59,7 +57,7 @@ class RationalRing:
 
     @staticmethod
     def coeff_from_json(s):
-        return rational_from_str(s) if isinstance(s, str) else Fraction(s)
+        return rational_from_str(s) if isinstance(s, str) else RationalRing.coerce(s)
 
     def to_json(self):
         return "Q"
@@ -75,8 +73,6 @@ class RationalRing:
 
 
 class IntegerRing:
-    name = "Z"
-
     @staticmethod
     def coerce(x):
         if isinstance(x, int):
@@ -98,9 +94,7 @@ class IntegerRing:
     def coeff_to_json(x):
         return x
 
-    @staticmethod
-    def coeff_from_json(s):
-        return int(s)
+    coeff_from_json = coerce  # a JSON integer; a float or string is a TypeError
 
     def to_json(self):
         return "Z"
@@ -116,8 +110,6 @@ class IntegerRing:
 
 
 class ProfiniteRing:
-    name = "profinite"
-
     def __init__(self, budget: PrimeBudget):
         self.budget = budget
 
@@ -168,6 +160,15 @@ class ProfiniteRing:
 
 Q = RationalRing()
 Z = IntegerRing()
+
+
+def exact_int(c, degree: int) -> int:
+    """An exact coefficient as an int (``Z.coerce``): a non-integer raises
+    ValueError naming its degree instead of being truncated."""
+    try:
+        return Z.coerce(c)
+    except TypeError:
+        raise ValueError(f"coefficient {degree} = {c} is not an integer") from None
 
 
 def ring_from_json(data) -> RationalRing | IntegerRing | ProfiniteRing:
@@ -307,6 +308,8 @@ class TruncSeries:
     def from_json(cls, data) -> "TruncSeries":
         ring = ring_from_json(data["ring"])
         coeffs = [ring.coeff_from_json(c) for c in data["coeffs"]]
+        if not isinstance(data["trunc"], int):
+            raise ValueError(f"truncation {data['trunc']!r} is not an integer")
         return cls(ring, data["trunc"], coeffs)
 
 
@@ -330,9 +333,6 @@ class SeqWindow:
         if not self.start <= i < self.stop:
             raise IndexError(f"index {i} outside window [{self.start}, {self.stop})")
         return self.values[i - self.start]
-
-    def to_json(self):
-        return {"start": self.start, "values": list(self.values)}
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +469,9 @@ def weighted_lg(a, r: int, T: int) -> TruncSeries:
     """
     if r < 1:
         raise ValueError("weight depth r must be >= 1")
-    vals = _window_values(a, 1, T)
+    vals = list(a)[:T]
+    if len(vals) < T:
+        raise ValueError("sequence too short for the requested window")
     w = chain_weights(r, T)
     sign = (-1) ** r
     first = vals[0]
@@ -481,18 +483,6 @@ def weighted_lg(a, r: int, T: int) -> TruncSeries:
     for m in range(1, T + 1):
         out.append(sign * sum((Fraction(vals[i - 1]) * w[m][i] for i in range(1, m + 1)), Fraction(0)))
     return TruncSeries(Q, T, out)
-
-
-def _window_values(a, start: int, stop: int) -> list:
-    """Values a_start..a_stop from a SeqWindow, mapping, or sequence."""
-    if isinstance(a, SeqWindow):
-        return [a[i] for i in range(start, stop + 1)]
-    if isinstance(a, dict):
-        return [a[i] for i in range(start, stop + 1)]
-    seq = list(a)
-    if len(seq) < stop - start + 1:
-        raise ValueError("sequence too short for the requested window")
-    return seq[: stop - start + 1]
 
 
 def adams_coordinates(H: TruncSeries) -> list:
@@ -595,7 +585,7 @@ def b_map(G: TruncSeries, N: int) -> SeqWindow:
     return SeqWindow(0, vals)
 
 
-def lg_decompose(G: TruncSeries, T: int | None = None) -> SeqWindow:
+def lg_decompose(G: TruncSeries) -> SeqWindow:
     """Coefficients a_0..a_T with G = sum a_i lg_i (mod x^(T+1)), by back
     substitution against the triangular lg basis.  Exact rationals only.
 
@@ -603,9 +593,7 @@ def lg_decompose(G: TruncSeries, T: int | None = None) -> SeqWindow:
     """
     if not isinstance(G.ring, RationalRing):
         raise TypeError("lg_decompose needs exact rational coefficients")
-    if T is None:
-        T = G.trunc
-    G = G.truncate(T)
+    T = G.trunc
     basis = [_lg_coeffs(r, T) for r in range(T + 1)]
     rem = list(G.coeffs)
     out = []
@@ -618,11 +606,3 @@ def lg_decompose(G: TruncSeries, T: int | None = None) -> SeqWindow:
                 rem[j] -= a * basis[d][j]
     return SeqWindow(0, out)
 
-
-def assemble_lg(coeffs: Sequence[Fraction | int], T: int) -> TruncSeries:
-    """sum_i coeffs[i] * lg_i truncated at T."""
-    out = TruncSeries.zero(Q, T)
-    for i, c in enumerate(coeffs):
-        if c:
-            out = out + lg_series(i, T).scale(Fraction(c))
-    return out

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .arith import (
     PrecisionError,
@@ -34,6 +33,7 @@ from .series import (
     TruncationExhausted,
     TruncSeries,
     adams_series,
+    exact_int,
     phi,
 )
 
@@ -87,26 +87,6 @@ def a_min(p: int, n: int) -> list[int]:
     return out
 
 
-def vdm_value(nodes) -> int:
-    """Determinant of the binomial-column matrix (C(a_i, k))_{k,i}:
-    prod_{s>t} (a_s - a_t) / prod_{k<n} k!.  Always an integer."""
-    nodes = list(nodes)
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("repeated entries")
-    n = len(nodes)
-    num = 1
-    for s in range(n):
-        for t in range(s):
-            num *= nodes[s] - nodes[t]
-    den = 1
-    for k in range(1, n):
-        den *= math.factorial(k)
-    q = Fraction(num, den)
-    if q.denominator != 1:
-        raise AssertionError("binomial Vandermonde determinant must be integral")
-    return int(q)
-
-
 # ---------------------------------------------------------------------------
 # membership: criterion route and lattice-oracle route
 
@@ -121,10 +101,12 @@ class CriterionReport:
         return self.ok
 
 
-def _coeff_residue(c, p: int, k: int) -> int:
+def _coeff_residue(G: TruncSeries, i: int, p: int, k: int) -> int:
+    """[x^i] G mod p^k; a Q or Z coefficient must be an integer (``exact_int``)."""
+    c = G.coeffs[i]
     if isinstance(c, ProfiniteApprox):
         return c.residue_mod(p, k)
-    return int(c) % p**k
+    return exact_int(c, i) % p**k
 
 
 def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
@@ -155,7 +137,7 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
                     try:
                         s = 0
                         for i in range(j, m):
-                            s += math.comb(i, j) * _coeff_residue(G.coeffs[i], p, n)
+                            s += math.comb(i, j) * _coeff_residue(G, i, p, n)
                         if s % q:
                             return CriterionReport(False, (p, n, m, j), skipped)
                     except PrecisionError:
@@ -198,7 +180,7 @@ def s_oracle(
         if q > T + 1:
             break
         m = (T + 1) // q * q
-        vec = [_coeff_residue(G.coeffs[i], p, n) for i in range(m)]
+        vec = [_coeff_residue(G, i, p, n) for i in range(m)]
         rows = [[1 if i == k else 0 for i in range(m)] for k in range(m)]
         prev_h = None
         stab = None
@@ -264,7 +246,7 @@ def tower_member(
         if e < 1:
             raise PrecisionError(f"no digits left at p={p}")
         q = p**e
-        target = [_coeff_residue(G.coeffs[i], p, e) for i in range(D)]
+        target = [_coeff_residue(G, i, p, e) for i in range(D)]
         rows = _phi_image_rows(D, max(n, e) + 1, q)
         if not in_howell_span(howell_form(ModMatrix(q, rows, cols=D)), target):
             return False
@@ -487,25 +469,18 @@ def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     return BasisSeries("F", n, F, ints, combination=sorted(comb, key=lambda t: t[1]))
 
 
-def basis_family(T: int, budget: PrimeBudget, upto: int | None = None):
-    """F_0..F_upto at truncation T (upto defaults to T)."""
-    if upto is None:
-        upto = T
-    return [construct_Fn(n, T, budget) for n in range(upto + 1)]
-
-
 def decompose_S0(G: TruncSeries, budget: PrimeBudget, family=None) -> list[int]:
     """Integer coordinates of G against F_0..F_T by triangular peel-off of
     the leading terms d_n x^n; a nonintegral quotient means G is not an
-    integer combination within precision and raises with the degree."""
+    integer combination within precision and raises with the degree; so
+    does a Q or Z coefficient that is not an integer (``exact_int``)."""
     T = G.trunc
     if family is None:
-        family = basis_family(T, budget)
+        family = [construct_Fn(n, T, budget) for n in range(T + 1)]
     if isinstance(G.ring, ProfiniteRing):
-        coeffs = [c.lift_symmetric() for c in G.coeffs]
+        cur = [c.lift_symmetric() for c in G.coeffs]
     else:
-        coeffs = [int(c) for c in G.coeffs]
-    cur = list(coeffs)
+        cur = [exact_int(c, i) for i, c in enumerate(G.coeffs)]
     out = []
     for i in range(T + 1):
         d = dn(i).value

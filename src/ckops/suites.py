@@ -79,7 +79,7 @@ def suite_integration(T: int, seed: int) -> tuple[bool, dict]:
             Q, T, [0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(T)]
         )
         D = iter_partial(L, n - 1)
-        L2 = integrate_symmetric(D, n)
+        L2 = integrate_symmetric(D)
         if iter_partial(L2, n - 1) != D:
             return False, {"counterexample": {"trial": trial, "n": n}}
     return True, {"count": 6}

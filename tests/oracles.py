@@ -1,0 +1,53 @@
+"""Reference implementations that only the tests compare against: a
+brute-force row span, the binomial-Vandermonde determinant in closed form
+(the Vandermonde-ratio route to d_n), and the lg-basis reassembly."""
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from ckops import Q, TruncSeries, lg_series
+from ckops.linalg import ModMatrix
+
+
+def span_enumerate(A: ModMatrix) -> set[tuple[int, ...]]:
+    """Brute-force row span; exponential, for small test oracles only."""
+    n = A.modulus
+    vecs = {tuple([0] * A.cols)}
+    for row in A.entries:
+        new = set()
+        for c in range(n):
+            scaled = tuple((c * x) % n for x in row)
+            for v in vecs:
+                new.add(tuple((a + b) % n for a, b in zip(v, scaled)))
+        vecs = new
+    return vecs
+
+
+def vdm_value(nodes) -> int:
+    """Determinant of the binomial-column matrix (C(a_i, k))_{k,i}:
+    prod_{s>t} (a_s - a_t) / prod_{k<n} k!.  Always an integer."""
+    nodes = list(nodes)
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("repeated entries")
+    n = len(nodes)
+    num = 1
+    for s in range(n):
+        for t in range(s):
+            num *= nodes[s] - nodes[t]
+    den = 1
+    for k in range(1, n):
+        den *= math.factorial(k)
+    q = Fraction(num, den)
+    if q.denominator != 1:
+        raise AssertionError("binomial Vandermonde determinant must be integral")
+    return int(q)
+
+
+def assemble_lg(coeffs: Sequence[Fraction | int], T: int) -> TruncSeries:
+    """sum_i coeffs[i] * lg_i truncated at T."""
+    out = TruncSeries.zero(Q, T)
+    for i, c in enumerate(coeffs):
+        if c:
+            out = out + lg_series(i, T).scale(Fraction(c))
+    return out

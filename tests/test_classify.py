@@ -8,12 +8,10 @@ from ckops import (
     N33_sequence,
     NotInGroup,
     PrecisionError,
-    PrimeBudget,
     ProfiniteApprox,
     ProfiniteRing,
     Q,
     TruncSeries,
-    Z,
     adams_series,
     classical_approx,
     decompose_Qn_hat,

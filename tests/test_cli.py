@@ -210,6 +210,7 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, capsys, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert f"usage: ckops {command}" in captured.err
 
 
 # -- the exit contract: 0 member / passed, 1 non-member / failed, 2 error --------------
@@ -237,6 +238,40 @@ def test_bad_argument_values_are_named_errors(tmp_path, capsys, argv, reason):
     if argv[0] == "check":
         argv = argv + ["--input", str(f)]
     code, out = run(capsys, *argv)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert reason in json.loads(out)["error"]
+
+
+def _profinite_file(budget, entry):
+    coeffs = [{"primes": [[2, 4, 0]]}, {"primes": [entry]}]
+    return {"ring": {"profinite": budget}, "trunc": 2, "coeffs": coeffs}
+
+
+_HALF = {"ring": "Q", "trunc": 3, "coeffs": ["1/2", "0", "0", "0"]}
+_BLIND = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
+          "coeffs": [{"primes": [[2, 1, 0]]}, {"primes": [[2, 0, 0]]}, {"primes": [[2, 1, 0]]}]}
+
+
+@pytest.mark.parametrize(
+    "series,test,reason",
+    [
+        (_HALF, ["s"], "coefficient 0 = 1/2 is not an integer"),
+        (_HALF, ["tower", "--n", "1"], "coefficient 0 = 1/2 is not an integer"),
+        ({"ring": "Z", "trunc": 1, "coeffs": [0, 1.7]}, ["s"], "cannot coerce 1.7 into Z"),
+        ({"ring": "Q", "trunc": 1, "coeffs": [0, 0.1]}, ["qn"], "cannot coerce 0.1 into Q"),
+        ({"ring": "Z", "trunc": 2.5, "coeffs": [0, 2, 0]}, ["qn"], "truncation 2.5 is not an integer"),
+        (_profinite_file([[2, 4]], [2, 4, 2.5]), ["opnm"], "entry [2, 4, 2.5] holds a non-integer"),
+        (_profinite_file([[2, 4]], [2, 3.9, 1]), ["opnm"], "entry [2, 3.9, 1] holds a non-integer"),
+        (_profinite_file([[2, 4.5]], [2, 4, 2]), ["opnm"], "budget entry [2, 4.5] holds a non-integer"),
+        (_BLIND, ["qn", "--n", "0"], "coefficient 1 has no digits at p=2"),
+    ],
+)
+def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):
+    # an input value the checks would otherwise truncate or read as zero
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(series))
+    code, out = run(capsys, "check", "--input", str(f), "--test", *test)
     assert code == 2
     assert out.count("\n") == 1
     assert reason in json.loads(out)["error"]

@@ -23,7 +23,8 @@ from ckops import (
 )
 from ckops.arith import crt_lift
 from ckops.kgr import _fn_cached, assemble_TZ
-from ckops.linalg import ModMatrix, span_enumerate
+from ckops.linalg import ModMatrix
+from oracles import span_enumerate
 
 
 # -- pairing -----------------------------------------------------------------------
@@ -250,3 +251,8 @@ def test_decompose_TZ_rejects_outside_lattice(kgr_budget):
     win = SeqWindow(0, (1, 2))
     with pytest.raises(ValueError, match="not divisible"):
         decompose_TZ(win, 0, 16, kgr_budget)
+
+
+def test_numerical_poly_rejects_a_non_integer_coefficient():
+    with pytest.raises(ValueError, match="coefficient 0 = 1/2 is not an integer"):
+        NumericalPoly((Fraction(1, 2), 3))

@@ -26,7 +26,6 @@ from ckops import (
     partial_derivative,
     phi,
     star_sum,
-    valuation,
 )
 from ckops.multisym import integer_coefficients, partial0, subst_first
 
@@ -224,13 +223,13 @@ def test_integration_round_trips():
             Q, T, [0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(T)]
         )
         D = iter_partial(L, n - 1)
-        L2 = integrate_symmetric(D, n)
+        L2 = integrate_symmetric(D)
         assert iter_partial(L2, n - 1) == D, (trial, n)
 
 
 def test_integration_lg_product():
     P3 = iter_partial(lg_series(3, 8), 2)
-    L = integrate_symmetric(P3, 3)
+    L = integrate_symmetric(P3)
     assert iter_partial(L, 2) == P3
     # the normalized integral in additive coordinates is lg_3 itself
     assert L == lg_series(3, 8)
@@ -238,7 +237,7 @@ def test_integration_lg_product():
 
 def test_integration_minus_x1x2():
     G = MultiSeries(Q, 2, 8, {(1, 1): Fraction(-1)})
-    L = integrate_symmetric(G, 2)
+    L = integrate_symmetric(G)
     D = partial_derivative(L)
     assert D == G
 
@@ -246,13 +245,13 @@ def test_integration_minus_x1x2():
 def test_integration_rejects_asymmetric():
     bad = MultiSeries(Q, 2, 6, {(1, 2): 1, (1, 1): 1})
     with pytest.raises(NotIntegrable):
-        integrate_symmetric(bad, 2)
+        integrate_symmetric(bad)
 
 
 def test_integration_requires_full_divisibility():
     bad = MultiSeries(Q, 2, 6, {(0, 2): 1, (2, 0): 1})
     with pytest.raises(NotIntegrable):
-        integrate_symmetric(bad, 2)
+        integrate_symmetric(bad)
 
 
 # -- the derivative reduction formula ----------------------------------------------

@@ -24,7 +24,8 @@ from ckops import (
     weighted_lg,
 )
 from ckops.multisym import iter_partial
-from ckops.series import Composer, adams_coordinates, assemble_lg, stirling2
+from ckops.series import Composer, adams_coordinates, stirling2
+from oracles import assemble_lg
 
 
 def prof(budget, n):

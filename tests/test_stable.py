@@ -22,7 +22,6 @@ from ckops import (
     decompose_S0,
     dn,
     dn_tilde,
-    is_unit,
     phi,
     s_criterion,
     s_oracle,
@@ -30,13 +29,13 @@ from ckops import (
     stable_mult_check,
     tower_member,
     twisted_adams,
-    vdm_value,
     vp,
     vp_factorial,
 )
 from ckops import stable
 from ckops.arith import crt_lift, gbinom
 from ckops.linalg import ModMatrix, in_row_span
+from oracles import vdm_value
 
 
 def prof(budget, n):
@@ -461,6 +460,12 @@ def test_decompose_S0_adams_difference(budget):
 def test_decompose_S0_rejects_nonmember(budget):
     G = TruncSeries(Z, 8, [0, 1])  # leading coefficient 1, d_1 = 2
     with pytest.raises(ValueError, match="degree 1"):
+        decompose_S0(G, budget)
+
+
+def test_decompose_S0_rejects_a_non_integer_coefficient(budget):
+    G = TruncSeries(Q, 3, [Fraction(1, 2)])  # int() would read 0
+    with pytest.raises(ValueError, match="coefficient 0 = 1/2 is not an integer"):
         decompose_S0(G, budget)
 
 
