@@ -10,7 +10,6 @@ the loss in the result.  All values are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -148,20 +147,52 @@ def rational_reconstruct(r: int, m: int) -> Fraction | None:
     return frac
 
 
-@dataclass(frozen=True)
-class PrimeBudget:
+class Struct:
+    """Base of the plain record classes: the ``__slots__`` are the fields, set
+    in order from the positional arguments, and equal class and fields make
+    equal values.  Unhashable unless a subclass defines ``__hash__``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __repr__(self):
+        return type(self).__name__ + repr(self._fields())
+
+
+class PrimeBudget(Struct):
     """Finite approximation window for Zhat: distinct primes with exponents."""
 
-    primes: tuple[int, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ("primes", "exponents")
 
-    def __post_init__(self):
-        if len(set(self.primes)) != len(self.primes):
+    def __init__(self, primes: tuple[int, ...], exponents: tuple[int, ...]):
+        if len(set(primes)) != len(primes):
             raise ValueError("budget primes must be distinct")
-        if any(e < 1 for e in self.exponents):
+        if any(e < 1 for e in exponents):
             raise ValueError("budget exponents must be >= 1")
-        if len(self.primes) != len(self.exponents):
+        if len(primes) != len(exponents):
             raise ValueError("primes and exponents must align")
+        super().__init__(primes, exponents)
+
+    def __eq__(self, other):  # hot: ProfiniteApprox and ProfiniteRing compare budgets
+        if self is other:
+            return True
+        if other.__class__ is not PrimeBudget:
+            return NotImplemented
+        return self.primes == other.primes and self.exponents == other.exponents
+
+    def __hash__(self):  # a key of kgr._fn_cached, so a budget is never mutated
+        return hash((self.primes, self.exponents))
 
     @classmethod
     def uniform(cls, primes: Iterable[int], prec: int) -> "PrimeBudget":
@@ -188,9 +219,10 @@ class PrimeBudget:
 
 
 def _int_rows(rows, what: str):
-    """JSON rows of integers, such as [[p, e], ...]; a non-integer is a ValueError."""
+    """JSON rows of integers, such as [[p, e], ...]; a non-integer, JSON
+    true and false included, is a ValueError."""
     for row in rows:
-        if not all(isinstance(x, int) for x in row):
+        if not all(type(x) is int for x in row):
             raise ValueError(f"{what} entry {row} holds a non-integer")
     return rows
 

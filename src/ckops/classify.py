@@ -11,7 +11,6 @@ supported as the union of those two pure forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -19,6 +18,7 @@ from .arith import (
     PrecisionError,
     PrimeBudget,
     ProfiniteApprox,
+    Struct,
     compatible_lift,
     crt_lift,
     largest_prime_power,
@@ -35,6 +35,7 @@ from .series import (
     TruncSeries,
     chain_sum,
     chain_weights,
+    is_known_zero,
     lg_series,
     phi,
     valuation,
@@ -84,6 +85,9 @@ def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
         raise ValueError("the Phi route applies to n >= 1")
     if G.trunc < n:
         raise PrecisionError(f"need truncation >= {n}, have {G.trunc}")
+    if isinstance(G.ring, ProfiniteRing):  # name an unknown input degree, not one of Phi^n(G)
+        for i, c in enumerate(G.coeffs):
+            is_known_zero(G.ring, c, i)
     H = G
     for _ in range(n):
         H = phi(H)
@@ -93,15 +97,13 @@ def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
     return v is None or v >= m - n
 
 
-@dataclass
-class Component:
+class Component(Struct):
     """One profinite component of a decomposition, known only modulo an
-    explicit determination modulus (a divisor of lcm(1..T) per prime)."""
+    explicit determination modulus (a divisor of lcm(1..T) per prime):
+    ``residues`` maps prime -> (exponent, residue), and ``candidate`` is the
+    representative used for the subtraction."""
 
-    index: int
-    residues: dict  # prime -> (exponent, residue)
-    modulus: int
-    candidate: Fraction  # representative used for the subtraction
+    __slots__ = ("index", "residues", "modulus", "candidate")
 
 
 def _component_step(cur: TruncSeries, r: int) -> tuple[int, dict]:
@@ -198,17 +200,12 @@ def _check_remainder_integral(rem: TruncSeries, budget: PrimeBudget):
                     )
 
 
-@dataclass
-class ComponentClass:
+class ComponentClass(Struct):
     """A component of rho_n reduced modulo Q: either the zero class (some
     small-height rational explains every residue) or a nonzero class with
     a (prime, exponent, residue) witness."""
 
-    index: int
-    is_zero: bool
-    value: Fraction | None
-    witness: tuple | None
-    residues: dict
+    __slots__ = ("index", "is_zero", "value", "witness", "residues")
 
 
 def rho_n(G: TruncSeries, n: int, budget: PrimeBudget) -> list[ComponentClass]:

@@ -5,6 +5,10 @@ Exit codes: 0 member (``check``) or suite passed (``verify``), 1 non-member
 or suite failed, 2 any error, reported as one JSON line ``{"error": ...}``;
 argparse usage errors exit 2 with argparse's own message.  All output is
 deterministic for fixed inputs, seed, and budget.
+
+Each command imports only the modules it calls: check --test qn|qnm|opnm
+loads arith, series, multisym and classify; s, tower, basis and dn load
+arith, linalg, series and stable; verify loads suites.
 """
 
 from __future__ import annotations
@@ -13,14 +17,9 @@ import argparse
 import json
 import sys
 
-from .arith import PrimeBudget, is_prime
-from .classify import in_Qn, in_Qnm, in_Opnm_phi
-from .series import ProfiniteRing, TruncSeries
-from .stable import construct_Fn, dn, s_criterion, tower_member
-from .suites import SUITES
 
-
-def _budget_from_args(args) -> PrimeBudget:
+def _budget_from_args(args):
+    from .arith import PrimeBudget, is_prime
     primes = []
     for entry in args.primes.split(","):
         try:
@@ -45,15 +44,14 @@ def _check_counts(args) -> None:
             raise ValueError(f"--{flag} must be >= 0, got {value}")
 
 
-def _require_primes(G: TruncSeries, budget: PrimeBudget) -> None:
+def _require_primes(G, budget) -> None:
     """A profinite input is unknown at primes outside its own budget, so it
     must carry every --primes prime that the s and tower tests read."""
+    from .series import ProfiniteRing
     if isinstance(G.ring, ProfiniteRing):
         missing = [p for p in budget.primes if p not in G.ring.budget.primes]
         if missing:
-            raise ValueError(
-                f"input budget {G.ring.budget.to_json()} lacks --primes {missing}"
-            )
+            raise ValueError(f"input budget {G.ring.budget.to_json()} lacks --primes {missing}")
 
 
 def _emit(data) -> None:
@@ -61,6 +59,7 @@ def _emit(data) -> None:
 
 
 def cmd_dn(args) -> int:
+    from .stable import dn
     rows = [(n, dn(n)) for n in range(args.max + 1)]
     if args.format == "csv":
         sys.stdout.write("n,d_n,factorization\n")
@@ -75,6 +74,7 @@ def cmd_dn(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .series import TruncSeries
     try:
         with open(args.input) as fh:
             G = TruncSeries.from_json(json.load(fh))
@@ -83,6 +83,11 @@ def cmd_check(args) -> int:
         return 2
     budget = _budget_from_args(args)
     verdict: dict = {"test": args.test}
+    if args.test in ("s", "tower"):
+        from .stable import s_criterion, tower_member
+        _require_primes(G, budget)
+    else:
+        from .classify import in_Opnm_phi, in_Qn, in_Qnm
     if args.test == "qn":
         member = in_Qn(G, args.n)
     elif args.test == "qnm":
@@ -90,7 +95,6 @@ def cmd_check(args) -> int:
     elif args.test == "opnm":
         member = in_Opnm_phi(G, args.n, args.m)
     elif args.test == "s":
-        _require_primes(G, budget)
         rep = s_criterion(G, primes=budget.primes)
         member = rep.ok
         if rep.witness:
@@ -98,7 +102,6 @@ def cmd_check(args) -> int:
         if rep.skipped:
             verdict["skipped"] = [list(s) for s in rep.skipped]
     else:  # tower
-        _require_primes(G, budget)
         member = tower_member(G, args.n, budget)
     verdict["member"] = member
     _emit(verdict)
@@ -106,6 +109,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    from .stable import construct_Fn
     budget = _budget_from_args(args)
     F = construct_Fn(args.n, args.trunc, budget)
     payload = F.to_json()
@@ -115,6 +119,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import SUITES
     fn = SUITES.get(args.suite)
     if fn is None:
         _emit({"error": f"unknown suite {args.suite}", "known": sorted(SUITES)})

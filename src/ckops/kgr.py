@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-from .arith import PrecisionError, PrimeBudget, crt_lift, gbinom
+from .arith import PrecisionError, PrimeBudget, Struct, crt_lift, gbinom
 from .linalg import ModMatrix, howell_form, in_howell_span
 from .series import SeqWindow, TruncSeries, exact_int
 from .stable import a_min, construct_Fn, dn_tilde
@@ -26,16 +25,18 @@ def _fn_cached(n: int, T: int, budget: PrimeBudget):
 BiSeqWindow = SeqWindow
 
 
-@dataclass(frozen=True)
-class NumericalPoly:
+class NumericalPoly(Struct):
     """Integer-valued polynomial in the basis e_n = (-1)^n C(s, n); the
     integrality of the basis coefficients *is* the numerical property, so a
     non-integer coefficient raises ValueError (``exact_int``)."""
 
-    e_coeffs: tuple
+    __slots__ = ("e_coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "e_coeffs", tuple(exact_int(c, n) for n, c in enumerate(self.e_coeffs)))
+    def __init__(self, e_coeffs):
+        self.e_coeffs = tuple(exact_int(c, n) for n, c in enumerate(e_coeffs))
+
+    def __hash__(self):
+        return hash(self.e_coeffs)
 
     @property
     def degree(self) -> int:

@@ -10,7 +10,6 @@ result records it; operations never return silently degraded answers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -19,6 +18,7 @@ from .arith import (
     PrecisionError,
     PrimeBudget,
     ProfiniteApprox,
+    Struct,
     gbinom,
     gen_binomial,
     rational_from_str,
@@ -307,23 +307,29 @@ class TruncSeries:
     @classmethod
     def from_json(cls, data) -> "TruncSeries":
         ring = ring_from_json(data["ring"])
+        # JSON true/false load as bool, an int subclass: rejected here, not in Z.coerce
+        for i, c in enumerate(data["coeffs"]):
+            if isinstance(c, bool):
+                raise ValueError(f"coefficient {i} is the boolean {c}, not a number")
         coeffs = [ring.coeff_from_json(c) for c in data["coeffs"]]
-        if not isinstance(data["trunc"], int):
+        if type(data["trunc"]) is not int:
             raise ValueError(f"truncation {data['trunc']!r} is not an integer")
         return cls(ring, data["trunc"], coeffs)
 
 
-@dataclass(frozen=True)
-class SeqWindow:
+class SeqWindow(Struct):
     """Contiguous window of a sequence; start may be negative."""
 
-    start: int
-    values: tuple
+    __slots__ = ("start", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, start: int, values):
+        self.start = start
+        self.values = tuple(values)
         if len(self.values) < 1:
             raise ValueError("window must hold at least one value")
+
+    def __hash__(self):
+        return hash((self.start, self.values))
 
     @property
     def stop(self) -> int:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 from .arith import (
     PrecisionError,
     PrimeBudget,
     ProfiniteApprox,
+    Struct,
     crt_lift,
     gen_binomial,
     is_unit,
@@ -38,13 +38,11 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class DnRecord:
-    """The leading-coefficient invariant at index n with its factorization."""
+class DnRecord(Struct):
+    """The leading-coefficient invariant d_n at index n with its
+    factorization ``per_prime``, {p: v_p(d_n)}."""
 
-    n: int
-    value: int
-    per_prime: dict
+    __slots__ = ("n", "value", "per_prime")
 
     def factorization(self) -> str:
         if not self.per_prime:
@@ -91,11 +89,11 @@ def a_min(p: int, n: int) -> list[int]:
 # membership: criterion route and lattice-oracle route
 
 
-@dataclass
-class CriterionReport:
-    ok: bool
-    witness: tuple | None = None  # (p, n, m, j)
-    skipped: list = field(default_factory=list)  # (p, n, m) beyond precision
+class CriterionReport(Struct):
+    """Verdict of s_criterion: the failing instance (p, n, m, j) as
+    ``witness``, and the instances (p, n, m) beyond precision in ``skipped``."""
+
+    __slots__ = ("ok", "witness", "skipped")
 
     def __bool__(self):
         return self.ok
@@ -122,6 +120,9 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
     oracle (cross-checked in the tests and in the ``s-dual-route`` suite).
     """
     T = G.trunc
+    if not isinstance(G.ring, ProfiniteRing):  # a non-integer is an error, never a witness
+        for i, c in enumerate(G.coeffs):
+            exact_int(c, i)
     if primes is None:
         if isinstance(G.ring, ProfiniteRing):
             primes = list(G.ring.budget.primes)
@@ -244,7 +245,8 @@ def tower_member(
         if isinstance(G.ring, ProfiniteRing):
             e = min(e, min(c.prec[p] for c in G.coeffs))
         if e < 1:
-            raise PrecisionError(f"no digits left at p={p}")
+            i = next(i for i, c in enumerate(G.coeffs) if c.prec[p] == 0)
+            raise PrecisionError(f"coefficient {i} has no digits at p={p}")
         q = p**e
         target = [_coeff_residue(G, i, p, e) for i in range(D)]
         rows = _phi_image_rows(D, max(n, e) + 1, q)
@@ -257,17 +259,17 @@ def tower_member(
 # basis construction
 
 
-@dataclass
-class BasisSeries:
+class BasisSeries(Struct):
     """A basis element: G_n (profinite combination of unit Adams series) or
     F_n (additionally integer-consistent, with its canonical integer
-    coefficient vector)."""
+    coefficient vector).  ``kind`` is "G" or "F"; ``combination`` lists
+    (coefficient, integer node) pairs."""
 
-    kind: str  # "G" or "F"
-    n: int
-    series: TruncSeries
-    int_coeffs: list[int] | None = None
-    combination: list | None = None  # [(coefficient, integer node), ...]
+    __slots__ = ("kind", "n", "series", "int_coeffs", "combination")
+
+    def __init__(self, kind: str, n: int, series: TruncSeries,
+                 int_coeffs: list[int] | None = None, combination: list | None = None):
+        super().__init__(kind, n, series, int_coeffs, combination)
 
     def to_json(self):
         out = {"kind": self.kind, "n": self.n, "series": self.series.to_json()}
@@ -502,14 +504,12 @@ def decompose_S0(G: TruncSeries, budget: PrimeBudget, family=None) -> list[int]:
 # multiplicative layer
 
 
-@dataclass
-class TwistedAdams:
-    """Coefficient data of a twisted Adams operation at t = 1."""
+class TwistedAdams(Struct):
+    """Coefficient data of a twisted Adams operation at t = 1: ``witness`` is
+    the (p, n) of a non-integral coefficient, ``rule_integral`` the
+    per-prime rule's verdict (b_p = 0 or c_p a unit)."""
 
-    series: TruncSeries | None
-    integral: bool
-    witness: tuple | None  # (p, n) with the non-integral coefficient
-    rule_integral: bool  # per-prime rule: b_p = 0 or c_p a unit
+    __slots__ = ("series", "integral", "witness", "rule_integral")
 
 
 def twisted_adams(b: ProfiniteApprox, c: ProfiniteApprox, T: int) -> TwistedAdams:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ckops import PrimeBudget, ProfiniteRing, TruncSeries, Z, adams_series
+from ckops import PrimeBudget, ProfiniteRing, Q, TruncSeries, Z, adams_series, lg_series
 from ckops.cli import main
 from ckops.suites import SUITES
 
@@ -265,6 +265,19 @@ _BLIND = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
         (_profinite_file([[2, 4]], [2, 3.9, 1]), ["opnm"], "entry [2, 3.9, 1] holds a non-integer"),
         (_profinite_file([[2, 4.5]], [2, 4, 2]), ["opnm"], "budget entry [2, 4.5] holds a non-integer"),
         (_BLIND, ["qn", "--n", "0"], "coefficient 1 has no digits at p=2"),
+        # the unknown coefficient is named by its input degree, not by one of Phi(G)
+        (_BLIND, ["opnm", "--n", "1", "--m", "3"], "coefficient 1 has no digits at p=2"),
+        (_BLIND, ["tower", "--n", "1", "--primes", "2", "--prec", "1"],
+         "coefficient 1 has no digits at p=2"),
+        # JSON true and false are no integers, though bool subclasses int
+        ({"ring": "Z", "trunc": True, "coeffs": [0, True]}, ["qn", "--n", "1"],
+         "coefficient 1 is the boolean True"),
+        ({"ring": "Z", "trunc": True, "coeffs": [0, 1]}, ["qn", "--n", "1"],
+         "truncation True is not an integer"),
+        ({"ring": "Q", "trunc": 1, "coeffs": [0, False]}, ["s"], "coefficient 1 is the boolean False"),
+        (_profinite_file([[2, 4]], [2, 4, True]), ["opnm"], "entry [2, 4, True] holds a non-integer"),
+        (_profinite_file([[2, 4]], [2, True, 1]), ["opnm"], "entry [2, True, 1] holds a non-integer"),
+        (_profinite_file([[2, True]], [2, 1, 1]), ["opnm"], "budget entry [2, True] holds a non-integer"),
     ],
 )
 def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):
@@ -275,6 +288,18 @@ def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):
     assert code == 2
     assert out.count("\n") == 1
     assert reason in json.loads(out)["error"]
+
+
+def test_s_and_tower_agree_on_a_non_integer(tmp_path, capsys):
+    # lg_2 + x + 2x^2 has 5/2 at x^2: no congruence witness, the same named error
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps((lg_series(2, 8) + TruncSeries(Q, 8, [0, 1, 2])).to_json()))
+    results = [run(capsys, "check", "--input", str(f), "--test", *test)
+               for test in (["s"], ["tower", "--n", "1"])]
+    assert results[0] == results[1]
+    code, out = results[0]
+    assert code == 2
+    assert json.loads(out) == {"error": "coefficient 2 = 5/2 is not an integer"}
 
 
 def _adams_file(T, r, e):
