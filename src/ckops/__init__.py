@@ -26,8 +26,7 @@ _EXPORTS = {
     " in_Qnm rho_n",
     "stable": "BasisSeries DnRecord a_min construct_Fn construct_Gn decompose_S0 dn dn_tilde"
     " s_criterion s_oracle stable_mult_check tower_member twisted_adams",
-    "kgr": "BiSeqWindow NumericalPoly decompose_TZ fseq interval_in_N pair reflect shift"
-    " to_e_basis",
+    "kgr": "NumericalPoly decompose_TZ fseq interval_in_N pair reflect shift to_e_basis",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = (*_EXPORTS, "suites", "cli")

@@ -215,6 +215,9 @@ class PrimeBudget(Struct):
     @classmethod
     def from_json(cls, data) -> "PrimeBudget":
         data = _int_rows(data, "budget")
+        for p, _ in data:
+            if not is_prime(p):
+                raise ValueError(f"budget prime {p} is not a prime")
         return cls(tuple(p for p, _ in data), tuple(e for _, e in data))
 
 
@@ -390,6 +393,16 @@ class ProfiniteApprox:
     @classmethod
     def from_json(cls, budget: PrimeBudget, data) -> "ProfiniteApprox":
         rows = _int_rows(data["primes"], "profinite coefficient")
+        primes = [row[0] for row in rows]
+        for p in primes:
+            if p not in budget.primes:
+                raise ValueError(
+                    f"profinite coefficient has prime {p} outside budget {budget.to_json()}")
+            if primes.count(p) > 1:
+                raise ValueError(f"profinite coefficient repeats prime {p}")
+        for p in budget.primes:
+            if p not in primes:
+                raise ValueError(f"profinite coefficient lacks budget prime {p}")
         res = {p: r for p, _, r in rows}
         prec = {p: k for p, k, _ in rows}
         return cls(budget, res, prec)

@@ -8,7 +8,8 @@ deterministic for fixed inputs, seed, and budget.
 
 Each command imports only the modules it calls: check --test qn|qnm|opnm
 loads arith, series, multisym and classify; s, tower, basis and dn load
-arith, linalg, series and stable; verify loads suites.
+arith, linalg, series and stable; verify loads suites and what the suite
+calls (adams: arith and series only).
 """
 
 from __future__ import annotations

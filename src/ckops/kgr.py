@@ -21,9 +21,6 @@ from .stable import a_min, construct_Fn, dn_tilde
 def _fn_cached(n: int, T: int, budget: PrimeBudget):
     return construct_Fn(n, T, budget)
 
-# a BiSeqWindow is a SeqWindow whose start may be negative; same type
-BiSeqWindow = SeqWindow
-
 
 class NumericalPoly(Struct):
     """Integer-valued polynomial in the basis e_n = (-1)^n C(s, n); the
@@ -137,7 +134,7 @@ def fseq(
     stop: int,
     T: int,
     budget: PrimeBudget,
-) -> BiSeqWindow:
+) -> SeqWindow:
     """Window [start, stop) of the canonical basis sequence f^(n), the
     two-sided b-image of (-1)^n F_n.
 
@@ -178,7 +175,7 @@ def fseq(
     return SeqWindow(start, vals)
 
 
-def decompose_TZ(a: BiSeqWindow, m: int, T: int, budget: PrimeBudget) -> list[int]:
+def decompose_TZ(a: SeqWindow, m: int, T: int, budget: PrimeBudget) -> list[int]:
     """Coordinates b_0..b_(2m+1) of an integer window against the basis
     shift^(-i) reflect f^(2i), shift^(i) f^(2i+1): peel the two endpoint
     entries of the interval [-i, i+1] per pair, then verify reassembly.
@@ -210,7 +207,7 @@ def decompose_TZ(a: BiSeqWindow, m: int, T: int, budget: PrimeBudget) -> list[in
     return out
 
 
-def assemble_TZ(bs: list[int], lo: int, hi: int, T: int, budget: PrimeBudget) -> BiSeqWindow:
+def assemble_TZ(bs: list[int], lo: int, hi: int, T: int, budget: PrimeBudget) -> SeqWindow:
     """Window [lo, hi] of sum_i b_2i shift^(-i) reflect f^(2i) +
     b_(2i+1) shift^i f^(2i+1)."""
     vals = {j: 0 for j in range(lo, hi + 1)}

@@ -13,10 +13,11 @@ data structure cannot assume the answer.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from .series import Q, RationalRing, TruncSeries, is_known_zero, lg_series
+from .series import Q, RationalRing, TruncSeries, b_map, is_known_zero, lg_series
 
 MULT = "mult"
 ADD = "add"
@@ -24,13 +25,6 @@ ADD = "add"
 
 class NotIntegrable(ArithmeticError):
     """The input was not double-symmetric within truncation."""
-
-
-def multinomial(total: int, parts) -> int:
-    out = math.factorial(total)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
 
 
 class MultiSeries:
@@ -144,10 +138,7 @@ def is_symmetric(M: MultiSeries) -> bool:
     for key, val in M.coeffs.items():
         groups.setdefault(tuple(sorted(key)), []).append((key, val))
     for skey, items in groups.items():
-        counts = {}
-        for e in skey:
-            counts[e] = counts.get(e, 0) + 1
-        nperms = multinomial(M.nvars, counts.values())
+        nperms = math.factorial(M.nvars) // math.prod(map(math.factorial, Counter(skey).values()))
         if len(items) != nperms:
             return False
         v0 = items[0][1]
@@ -297,58 +288,15 @@ def is_double_symmetric(G, fgl: str | None = None) -> bool:
 # symmetric integration (over Q, multiplicative law)
 
 
-def _exp_minus_coeffs(T: int) -> list[Fraction]:
-    """Series 1 - e^y = -(y + y^2/2! + ...), used for x = 1 - e^y."""
-    return [Fraction(0)] + [Fraction(-1, math.factorial(k)) for k in range(1, T + 1)]
-
-
-def _subst_var_univariate(M: MultiSeries, var: int, u: list[Fraction]) -> MultiSeries:
-    """Substitute variable ``var`` by the univariate series u (u_0 = 0):
-    subst_first on the keys rotated to put ``var`` first."""
-    n, T = M.nvars, M.trunc
-    rotated = MultiSeries(M.ring, n, T)
-    rotated.coeffs = {(k[var],) + k[:var] + k[var + 1:]: v for k, v in M.coeffs.items()}
-    P = MultiSeries(M.ring, n, T, {tuple(i if j == var else 0 for j in range(n)): c
-                                   for i, c in enumerate(u)})
-    return subst_first(rotated, P, n, [j for j in range(n) if j != var])
-
-
-def _additive_iter_partial_univ(coeffs: dict[int, Fraction], n: int, T: int) -> MultiSeries:
-    """partial_add^(n-1) of sum_m c_m y^m: every monomial with all parts
-    positive summing to m appears with its multinomial coefficient."""
-    out = MultiSeries(Q, n, T)
-    for m, c in coeffs.items():
-        if c == 0 or m > T:
-            continue
-        for key in _compositions(m, n):
-            out.coeffs[key] = out.coeffs.get(key, Fraction(0)) + c * multinomial(m, key)
-    out.coeffs = {k: v for k, v in out.coeffs.items() if v != 0}
-    return out
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` positive integers summing to ``total``."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def integrate_symmetric(G) -> TruncSeries:
     """Univariate L with partial^(n-1) L = G for the n-variable G
-    (multiplicative law, over Q).
+    (multiplicative law, over Q), normalised to have no lg_0..lg_{n-1} part.
 
-    Strategy: move to additive coordinates y_i = log(1 - x_i), where the
-    derivative acts on y^m with an explicitly invertible diagonal action,
-    read the coefficients off degree by degree, and transform back.  The
-    kernel ambiguity (span of lg_0..lg_{n-1}) is resolved by returning the
-    unique L whose additive-coordinate valuation is >= n.
-
-    Raises NotIntegrable when the coefficients are inconsistent, i.e. the
-    input was not double-symmetric within truncation.
+    partial^(n-1) lg_m is the sum of lg_{k_1}(x_1) ... lg_{k_n}(x_n) over the
+    compositions k of m into n positive parts.  So G's coordinates in that
+    product basis, read with b_map one variable at a time, must be a_{|k|}
+    at every composition k, and then L = sum_m a_m lg_m.  Otherwise G was
+    not double-symmetric within truncation: NotIntegrable.
     """
     M, _ = _as_multi(G)
     if not isinstance(M.ring, RationalRing):
@@ -356,21 +304,23 @@ def integrate_symmetric(G) -> TruncSeries:
     n, T = M.nvars, M.trunc
     if any(0 in key for key in M.coeffs):
         raise NotIntegrable("input is not divisible by x_1 ... x_n")
-    # to additive coordinates
-    u = _exp_minus_coeffs(T)
-    Gy = M
-    for v in range(n):
-        Gy = _subst_var_univariate(Gy, v, u)
-    # read off L~ degree by degree at the witness monomial (m-n+1, 1, ..., 1)
-    c: dict[int, Fraction] = {}
-    for m in range(n, T + 1):
-        key = (m - n + 1,) + (1,) * (n - 1)
-        c[m] = Fraction(Gy.get(key)) / multinomial(m, key)
-    # full consistency check: the diagonal action must reproduce G~ exactly
-    if _additive_iter_partial_univ(c, n, T) != Gy:
+    coords = {k: v for k, v in M.coeffs.items() if sum(k) <= T}
+    for var in range(n):
+        lines: dict[tuple, dict[int, Fraction]] = {}
+        for k, v in coords.items():
+            lines.setdefault(k[:var] + k[var + 1:], {})[k[var]] = v
+        coords = {}
+        for rest, line in lines.items():
+            N = T - sum(rest)
+            b = b_map(TruncSeries(Q, N, [line.get(i, 0) for i in range(N + 1)]), N)
+            coords.update({rest[:var] + (i,) + rest[var:]: c for i, c in enumerate(b.values) if c})
+    # a_m sits at the composition (m-n+1, 1, ..., 1); divisibility makes every
+    # stored k a composition, and m has C(m-1, n-1) of them
+    a = {m: coords.get((m - n + 1,) + (1,) * (n - 1), 0) for m in range(n, T + 1)}
+    orbits = sum(math.comb(m - 1, n - 1) for m, c in a.items() if c)
+    if len(coords) != orbits or any(v != a[sum(k)] for k, v in coords.items()):
         raise NotIntegrable("coefficients inconsistent: not double-symmetric within truncation")
-    Ly = TruncSeries(Q, T, [c.get(m, Fraction(0)) for m in range(T + 1)])
-    return Ly.substitute(lg_series(1, T))
+    return sum((lg_series(m, T).scale(c) for m, c in a.items() if c), TruncSeries.zero(Q, T))
 
 
 def aformula_check(G: TruncSeries, n: int) -> bool:

@@ -280,7 +280,8 @@ class TruncSeries:
         return TruncSeries(self.ring, T, self.coeffs[: T + 1])
 
     def substitute(self, u: "TruncSeries") -> "TruncSeries":
-        """Classical substitution self(u(x)) for u with zero constant term."""
+        """Classical substitution self(u(x)) for u with zero constant term.
+        A test oracle: no code in the package calls it."""
         if not self.ring.is_zero(u.coeffs[0]):
             raise ValueError("substitution needs a series with zero constant term")
         T = min(self.trunc, u.trunc)

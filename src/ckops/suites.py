@@ -1,6 +1,9 @@
 """Named identity suites runnable from the CLI: each returns (ok, report)
 with a minimized counterexample on failure and is deterministic under a
-fixed seed."""
+fixed seed.
+
+Each suite imports what it calls beyond arith and series, so a process
+that runs one suite loads only that suite's modules."""
 
 from __future__ import annotations
 
@@ -8,9 +11,6 @@ import random
 from fractions import Fraction
 
 from .arith import PrimeBudget, ProfiniteApprox
-from .classify import in_Opnm_phi, in_Qnm
-from .kgr import NumericalPoly, pair, to_e_basis
-from .multisym import aformula_check, integrate_symmetric, iter_partial
 from .series import (
     Composer,
     ProfiniteRing,
@@ -20,7 +20,6 @@ from .series import (
     b_map,
     lg_series,
 )
-from .stable import construct_Fn, dn, s_criterion, s_oracle
 
 
 _BUDGET = PrimeBudget.uniform((2, 3, 5, 7), 8)
@@ -58,6 +57,7 @@ def suite_adams(T: int, seed: int) -> tuple[bool, dict]:
 
 
 def suite_aformula(T: int, seed: int) -> tuple[bool, dict]:
+    from .multisym import aformula_check
     rng = random.Random(seed)
     for trial in range(10):
         n = rng.randint(1, 3)
@@ -72,6 +72,7 @@ def suite_aformula(T: int, seed: int) -> tuple[bool, dict]:
 
 
 def suite_integration(T: int, seed: int) -> tuple[bool, dict]:
+    from .multisym import integrate_symmetric, iter_partial
     rng = random.Random(seed)
     for trial in range(6):
         n = rng.randint(2, 4)
@@ -117,6 +118,7 @@ def phi_inverse(F: TruncSeries) -> TruncSeries:
 
 
 def suite_ifandonlyif(T: int, seed: int) -> tuple[bool, dict]:
+    from .classify import in_Opnm_phi, in_Qnm
     rng = random.Random(seed)
     for trial in range(20):
         n = rng.randint(1, 3)
@@ -130,6 +132,7 @@ def suite_ifandonlyif(T: int, seed: int) -> tuple[bool, dict]:
 
 
 def suite_s_dual_route(T: int, seed: int) -> tuple[bool, dict]:
+    from .stable import s_criterion, s_oracle
     rng = random.Random(seed)
     for trial in range(40):
         p = rng.choice([2, 3, 5])
@@ -173,6 +176,7 @@ def _random_unit_adams_combo(rng, T, budget: PrimeBudget) -> TruncSeries:
 
 
 def suite_kgr_duality(T: int, seed: int) -> tuple[bool, dict]:
+    from .kgr import NumericalPoly, pair, to_e_basis
     rng = random.Random(seed)
     if to_e_basis([Fraction(1, 2)]) is not None:
         return False, {"counterexample": "s/2 accepted as numerical"}
@@ -186,6 +190,7 @@ def suite_kgr_duality(T: int, seed: int) -> tuple[bool, dict]:
 
 
 def suite_basis(T: int, seed: int) -> tuple[bool, dict]:
+    from .stable import construct_Fn, dn, s_criterion
     top = min(3, T)  # F_n needs its leading term d_n x^n inside the truncation
     for n in range(top + 1):
         F = construct_Fn(n, T, _BUDGET)

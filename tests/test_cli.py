@@ -243,8 +243,8 @@ def test_bad_argument_values_are_named_errors(tmp_path, capsys, argv, reason):
     assert reason in json.loads(out)["error"]
 
 
-def _profinite_file(budget, entry):
-    coeffs = [{"primes": [[2, 4, 0]]}, {"primes": [entry]}]
+def _profinite_file(budget, *entries):
+    coeffs = [{"primes": [[p, e, 0] for p, e in budget]}, {"primes": list(entries)}]
     return {"ring": {"profinite": budget}, "trunc": 2, "coeffs": coeffs}
 
 
@@ -278,6 +278,15 @@ _BLIND = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
         (_profinite_file([[2, 4]], [2, 4, True]), ["opnm"], "entry [2, 4, True] holds a non-integer"),
         (_profinite_file([[2, 4]], [2, True, 1]), ["opnm"], "entry [2, True, 1] holds a non-integer"),
         (_profinite_file([[2, True]], [2, 1, 1]), ["opnm"], "budget entry [2, True] holds a non-integer"),
+        # a budget names primes, each once, and a coefficient carries each budget prime once
+        (_profinite_file([[4, 2]], [4, 2, 1]), ["opnm"], "budget prime 4 is not a prime"),
+        (_profinite_file([[4, 2]], [4, 2, 1]), ["qnm"], "budget prime 4 is not a prime"),
+        (_profinite_file([[2, 2]], [2, 2, 1], [3, 1, 1]), ["opnm"],
+         "profinite coefficient has prime 3 outside budget [[2, 2]]"),
+        (_profinite_file([[2, 2]], [2, 2, 1], [2, 2, 3]), ["opnm"],
+         "profinite coefficient repeats prime 2"),
+        (_profinite_file([[2, 2], [3, 1]], [2, 2, 1]), ["opnm"],
+         "profinite coefficient lacks budget prime 3"),
     ],
 )
 def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):

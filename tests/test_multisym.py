@@ -15,6 +15,7 @@ from ckops import (
     Z,
     aformula_check,
     adams_series,
+    b_map,
     in_Opnm_phi,
     in_Qn,
     in_Qnm,
@@ -216,22 +217,26 @@ def test_symmetry_checker_on_missing_orbit():
 
 def test_integration_round_trips():
     rng = random.Random(5)
-    for trial in range(8):
-        n = rng.randint(2, 4)
-        T = rng.choice([8, 9, 10])
+    for trial in range(12):
+        n = 1 + trial % 4
+        T = rng.randint(n, 12)
         L = TruncSeries(
-            Q, T, [0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(T)]
+            Q, T, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(T + 1)]
         )
         D = iter_partial(L, n - 1)
         L2 = integrate_symmetric(D)
         assert iter_partial(L2, n - 1) == D, (trial, n)
+        # normalised: no lg_0..lg_{n-1} part, and L's lg coordinates from n on
+        b, b2 = b_map(L, T), b_map(L2, T)
+        assert all(b2[i] == 0 for i in range(n)), (trial, n)
+        assert all(b2[i] == b[i] for i in range(n, T + 1)), (trial, n)
 
 
 def test_integration_lg_product():
     P3 = iter_partial(lg_series(3, 8), 2)
     L = integrate_symmetric(P3)
     assert iter_partial(L, 2) == P3
-    # the normalized integral in additive coordinates is lg_3 itself
+    # the normalised integral has no lg_0..lg_2 part, so it is lg_3 itself
     assert L == lg_series(3, 8)
 
 
@@ -246,6 +251,22 @@ def test_integration_rejects_asymmetric():
     bad = MultiSeries(Q, 2, 6, {(1, 2): 1, (1, 1): 1})
     with pytest.raises(NotIntegrable):
         integrate_symmetric(bad)
+    # one coefficient off an integrable series, at a key that is not its own
+    # permutation orbit, so no symmetric series makes up the difference
+    rng = random.Random(7)
+    for trial in range(9):
+        n = 2 + trial % 3
+        T = rng.randint(n + 1, 10)
+        L = TruncSeries(
+            Q, T, [0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(T)]
+        )
+        D = iter_partial(L, n - 1)
+        key = (1,) * n
+        while len(set(key)) == 1 or sum(key) > T:
+            key = tuple(rng.randint(1, 3) for _ in range(n))
+        D.coeffs[key] = D.get(key) + Fraction(rng.choice([1, -1]), rng.randint(1, 3))
+        with pytest.raises(NotIntegrable, match="not double-symmetric"):
+            integrate_symmetric(D)
 
 
 def test_integration_requires_full_divisibility():

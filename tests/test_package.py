@@ -94,6 +94,9 @@ _STABLE_PATH = {"ckops", "ckops.cli", "ckops.arith", "ckops.linalg", "ckops.seri
         (["dn", "--max", "4"], _STABLE_PATH),
         (["check", "--test", "qn"],
          {"ckops", "ckops.cli", "ckops.arith", "ckops.series", "ckops.multisym", "ckops.classify"}),
+        (["verify", "adams", "--trunc", "4"],
+         {"ckops", "ckops.cli", "ckops.arith", "ckops.series", "ckops.suites"}),
+        (["verify", "basis", "--trunc", "4"], _STABLE_PATH | {"ckops.suites"}),
     ],
 )
 def test_command_loads_only_the_modules_it_calls(tmp_path, argv, loaded):
