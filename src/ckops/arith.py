@@ -214,17 +214,20 @@ class PrimeBudget(Struct):
 
     @classmethod
     def from_json(cls, data) -> "PrimeBudget":
-        data = _int_rows(data, "budget")
+        data = _int_rows(data, "budget", ("prime", "exponent"))
         for p, _ in data:
             if not is_prime(p):
                 raise ValueError(f"budget prime {p} is not a prime")
         return cls(tuple(p for p, _ in data), tuple(e for _, e in data))
 
 
-def _int_rows(rows, what: str):
-    """JSON rows of integers, such as [[p, e], ...]; a non-integer, JSON
-    true and false included, is a ValueError."""
+def _int_rows(rows, what: str, fields: tuple[str, ...]):
+    """JSON rows of integers, such as [[p, e], ...], one per named field; a
+    row of another length or a non-integer, JSON true and false included,
+    is a ValueError naming the row."""
     for row in rows:
+        if not isinstance(row, list) or len(row) != len(fields):
+            raise ValueError(f"{what} entry {row} is not [{', '.join(fields)}]")
         if not all(type(x) is int for x in row):
             raise ValueError(f"{what} entry {row} holds a non-integer")
     return rows
@@ -392,7 +395,7 @@ class ProfiniteApprox:
 
     @classmethod
     def from_json(cls, budget: PrimeBudget, data) -> "ProfiniteApprox":
-        rows = _int_rows(data["primes"], "profinite coefficient")
+        rows = _int_rows(data["primes"], "profinite coefficient", ("prime", "precision", "residue"))
         primes = [row[0] for row in rows]
         for p in primes:
             if p not in budget.primes:

@@ -397,4 +397,4 @@ def _gk_coeff(c: ProfiniteApprox, cs: list[int], k: int, m: int) -> ProfiniteApp
     division (minimal precision loss).  Only c_1..c_(m-k+1) enter, which
     the construction has already fixed."""
     vals = [c - ci for ci in cs[: m - k + 1]]
-    return chain_sum(vals, chain_weights(k, m)[m]) * ((-1) ** k)
+    return chain_sum(ProfiniteRing(c.budget), vals, chain_weights(k, m)[m]) * ((-1) ** k)

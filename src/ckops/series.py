@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable
 
 from .arith import (
@@ -52,6 +53,12 @@ class RationalRing:
     is_exact_zero = is_zero
 
     @staticmethod
+    def combine(values, rows):
+        L = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (L // v.denominator) for v in values]
+        return [Fraction(sum(map(mul, row, nums)), L) for row in rows]
+
+    @staticmethod
     def coeff_to_json(x):
         return rational_to_str(x)
 
@@ -89,6 +96,10 @@ class IntegerRing:
         return x == 0
 
     is_exact_zero = is_zero
+
+    @staticmethod
+    def combine(values, rows):
+        return [sum(map(mul, row, values)) for row in rows]
 
     @staticmethod
     def coeff_to_json(x):
@@ -137,6 +148,23 @@ class ProfiniteRing:
     # a profinite zero is zero only to its precision, which every product
     # with it keeps: no term is ever skipped
     is_exact_zero = staticmethod(lambda x: False)
+
+    def combine(self, values, rows):
+        """[sum_k row[k] * values[k] for row in rows], rows of plain integers:
+        every integer combination of coefficients goes through this kernel
+        (Q's sums numerators over one common denominator, Z's plain ints).
+        Precision: at each prime an output has the least precision of the
+        values with a nonzero weight, the budget exponent if none has one.
+        Only a zero weight skips a value, never a value that tests as zero."""
+        out = [({}, {}) for _ in rows]
+        live = [[j for j, w in enumerate(row) if w] for row in rows]
+        for p, e in zip(self.budget.primes, self.budget.exponents):
+            res = [v.residue[p] for v in values]
+            prec = [v.prec[p] for v in values]
+            for (r, k), row, js in zip(out, rows, live):
+                r[p] = sum(map(mul, row, res))
+                k[p] = min(map(prec.__getitem__, js), default=e)
+        return [ProfiniteApprox(self.budget, r, k) for r, k in out]
 
     @staticmethod
     def coeff_to_json(x):
@@ -454,25 +482,22 @@ def chain_weights(r: int, T: int) -> tuple:
     return tuple(tuple(row) for row in w)
 
 
-def chain_sum(vals, row) -> ProfiniteApprox:
-    """sum_i vals[i-1] row[i] for profinite vals and a row of chain_weights:
-    one exact integer combination over the lcm of the row's denominators,
-    divided once, so precision is consumed only there (PrecisionError when
-    the claimed divisibility fails, which is the non-integrality witness)."""
+def chain_sum(ring, vals, row):
+    """sum_i vals[i-1] row[i] for a row of chain_weights: ring.combine of
+    the integer row row*den, den the lcm of its denominators, then one
+    division by den, the only place a profinite value loses precision
+    (PrecisionError when the claimed divisibility fails: non-integrality)."""
     den = math.lcm(*(w.denominator for w in row))
-    acc = ProfiniteApprox.from_int(vals[0].budget, 0)
-    for i, w in enumerate(row):
-        if w:
-            acc = acc + vals[i - 1] * int(w * den)
-    return acc.divide_exact(den)
+    [acc] = ring.combine(vals, [[int(w * den) for w in row[1:]]])
+    return acc / den if ring == Q else acc.divide_exact(den)
 
 
 def weighted_lg(a, r: int, T: int) -> TruncSeries:
     """Sequence-weighted logarithm series
     (-1)^r sum_{0<i_1<...<i_r<=T} a_{i_1} x^{i_r} / (i_1 ... i_r).
 
-    Integer weights give an exact rational series.  Profinite weights give
-    a profinite series whose coefficients come from chain_sum.
+    Integer weights give an exact rational series, profinite weights a
+    profinite series; each coefficient is one chain_sum.
     """
     if r < 1:
         raise ValueError("weight depth r must be >= 1")
@@ -481,29 +506,18 @@ def weighted_lg(a, r: int, T: int) -> TruncSeries:
         raise ValueError("sequence too short for the requested window")
     w = chain_weights(r, T)
     sign = (-1) ** r
-    first = vals[0]
-    if isinstance(first, ProfiniteApprox):
-        ring = ProfiniteRing(first.budget)
-        out = [ring.zero()] + [chain_sum(vals, w[m]) * sign for m in range(1, T + 1)]
-        return TruncSeries(ring, T, out)
-    out = [Fraction(0)]
-    for m in range(1, T + 1):
-        out.append(sign * sum((Fraction(vals[i - 1]) * w[m][i] for i in range(1, m + 1)), Fraction(0)))
-    return TruncSeries(Q, T, out)
+    ring = ProfiniteRing(vals[0].budget) if isinstance(vals[0], ProfiniteApprox) else Q
+    out = [ring.zero()] + [chain_sum(ring, vals, w[m]) * sign for m in range(1, T + 1)]
+    return TruncSeries(ring, T, out)
 
 
 def adams_coordinates(H: TruncSeries) -> list:
     """b_0..b_T with H = sum_k b_k (1-x)^k as polynomials of degree T:
-    b_k = (-1)^k sum_{m>=k} C(m,k) a_m.  Integer combinations only, so any
-    ring works; a profinite b_k has the least precision of a_k..a_T."""
-    a, T = H.coeffs, H.trunc
-    out = []
-    for k in range(T + 1):
-        acc = H.ring.zero()
-        for m in range(k, T + 1):
-            acc = acc + a[m] * ((-1) ** k * math.comb(m, k))
-        out.append(acc)
-    return out
+    b_k = (-1)^k sum_{m>=k} C(m,k) a_m.  One ring.combine, so any ring
+    works and a profinite b_k has the least precision of a_k..a_T."""
+    T = H.trunc
+    rows = [[(-1) ** k * math.comb(m, k) for m in range(T + 1)] for k in range(T + 1)]
+    return H.ring.combine(H.coeffs, rows)
 
 
 class Composer:
@@ -514,20 +528,19 @@ class Composer:
     times the diagonal (partial^{i-1} H)(x,...,x).  In Adams coordinates
     H = sum_k b_k (1-x)^k (adams_coordinates), substituting [j](x) maps k
     to jk and the sum over j closes to U_0 = H(0), U_i = sum_{k>=1} b_k
-    [k](x)^i: O(T^3) ring multiply-adds by integers, no substitution,
-    division-free, hence valid over Z and profinite coefficients.
-
-    Precision: [x^d] U_i has the least precision of the b_k whose integer
-    multiplier [x^d] [k](x)^i is nonzero.  A term is skipped only for a
-    zero integer multiplier, never for a coefficient that tests as zero.
+    [k](x)^i: one ring.combine of the b_k with the integer tensor
+    [x^d] [k](x)^i, so O(T^3) integer operations and O(T^2) ring values,
+    no substitution, division-free, hence valid over Z and profinite
+    coefficients.  Precision is ring.combine's: [x^d] U_i has the least
+    precision of the b_k whose integer multiplier is nonzero.
     """
 
     def __init__(self, H: TruncSeries):
         self.H = H
         self.ring = H.ring
         T = H.trunc
-        b = adams_coordinates(H)
-        U = [[self.ring.zero() for _ in range(T + 1)] for _ in range(T + 1)]
+        # rows[(i-1)(T+1) + d][k] = [x^d] [k](x)^i for i >= 1
+        rows = [[0] * (T + 1) for _ in range(T * (T + 1))]
         for k in range(1, T + 1):
             arg = [0] + [(-1) ** (d + 1) * math.comb(k, d) for d in range(1, T + 1)]
             power = [1] + [0] * T
@@ -536,10 +549,10 @@ class Composer:
                 power = [sum(power[e] * arg[d - e] for e in range(max(i - 1, d - k), d))
                          for d in range(T + 1)]
                 for d in range(i, T + 1):
-                    if power[d]:
-                        U[i][d] = U[i][d] + b[k] * power[d]
-        U[0][0] = H.coeffs[0]
-        self.U = [TruncSeries(self.ring, T, row) for row in U]
+                    rows[(i - 1) * (T + 1) + d][k] = power[d]
+        U = self.ring.combine(adams_coordinates(H), rows)
+        self.U = [TruncSeries(self.ring, T, [H.coeffs[0]])] + [
+            TruncSeries(self.ring, T, U[j:j + T + 1]) for j in range(0, len(U), T + 1)]
 
     def compose(self, H2: TruncSeries) -> TruncSeries:
         T = min(self.H.trunc, H2.trunc)
@@ -578,18 +591,12 @@ def b_map(G: TruncSeries, N: int) -> SeqWindow:
 
     The production route, valid over every coefficient ring.  Its oracle
     is lg_decompose, which it must agree with over Q (cross-checked in the
-    tests).  Entries beyond the truncation describe the truncated polynomial.
+    tests).  One ring.combine, whose precision rule applies.  Entries
+    beyond the truncation describe the truncated polynomial.
     """
-    vals = []
-    for n in range(N + 1):
-        acc = G.ring.zero()
-        for k in range(min(n, G.trunc) + 1):
-            s = stirling2(n, k)
-            if s == 0:
-                continue
-            acc = acc + G.coeffs[k] * ((-1) ** k * math.factorial(k) * s)
-        vals.append(acc)
-    return SeqWindow(0, vals)
+    rows = [[(-1) ** k * math.factorial(k) * stirling2(n, k) for k in range(min(n, G.trunc) + 1)]
+            for n in range(N + 1)]
+    return SeqWindow(0, G.ring.combine(G.coeffs, rows))
 
 
 def lg_decompose(G: TruncSeries) -> SeqWindow:

@@ -1,6 +1,7 @@
 """Reference implementations that only the tests compare against: a
 brute-force row span, the binomial-Vandermonde determinant in closed form
-(the Vandermonde-ratio route to d_n), and the lg-basis reassembly."""
+(the Vandermonde-ratio route to d_n), the lg-basis reassembly, and the
+term-by-term integer combination."""
 
 import math
 from fractions import Fraction
@@ -50,4 +51,17 @@ def assemble_lg(coeffs: Sequence[Fraction | int], T: int) -> TruncSeries:
     for i, c in enumerate(coeffs):
         if c:
             out = out + lg_series(i, T).scale(Fraction(c))
+    return out
+
+
+def combine_by_terms(ring, values, rows) -> list:
+    """ring.combine one ring operation per term: acc = acc + v * w from
+    ring.zero(), skipping only a zero integer weight."""
+    out = []
+    for row in rows:
+        acc = ring.zero()
+        for v, w in zip(values, row):
+            if w:
+                acc = acc + v * w
+        out.append(acc)
     return out

@@ -287,6 +287,11 @@ _BLIND = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
          "profinite coefficient repeats prime 2"),
         (_profinite_file([[2, 2], [3, 1]], [2, 2, 1]), ["opnm"],
          "profinite coefficient lacks budget prime 3"),
+        # a short row names itself and the fields it should hold
+        ({"ring": {"profinite": [[2]]}, "trunc": 1, "coeffs": [{"primes": [[2, 1, 0]]}]},
+         ["opnm"], "budget entry [2] is not [prime, exponent]"),
+        (_profinite_file([[2, 4]], [2, 4]), ["opnm"],
+         "profinite coefficient entry [2, 4] is not [prime, precision, residue]"),
     ],
 )
 def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,8 +25,8 @@ from ckops import (
     weighted_lg,
 )
 from ckops.multisym import iter_partial
-from ckops.series import Composer, adams_coordinates, stirling2
-from oracles import assemble_lg
+from ckops.series import Composer, adams_coordinates, chain_sum, chain_weights, stirling2
+from oracles import assemble_lg, combine_by_terms
 
 
 def prof(budget, n):
@@ -354,6 +355,123 @@ def test_profinite_product_keeps_precision_of_zero_factor():
     H = TruncSeries(ring, 2, [prof(budget, 0), prof(budget, 1), prof(budget, 1)])
     C = Composer(H).compose(F)
     assert all(c.prec == {2: 1, 3: 4} for c in C.coeffs)
+
+
+# ring.combine against the term-by-term loop it replaced, directly and
+# through each caller, compared by the JSON of every value (so precision
+# counts).  Profinite values have precision 0..e per prime.
+
+_BUDGET = PrimeBudget((2, 3, 5), (4, 2, 3))
+
+
+def _values(rng, ring, n):
+    if ring == Q:
+        return [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n)]
+    if ring == Z:
+        return [rng.randint(-50, 50) for _ in range(n)]
+    out = []
+    for _ in range(n):
+        prec = {p: rng.choice([0, e, e, rng.randint(0, e)])
+                for p, e in zip(_BUDGET.primes, _BUDGET.exponents)}
+        res = {p: rng.choice([0, rng.randrange(p**5)]) for p in _BUDGET.primes}
+        out.append(ProfiniteApprox(_BUDGET, res, prec))
+    return out
+
+
+def _json(ring, vals):
+    return json.dumps([ring.coeff_to_json(v) for v in vals])
+
+
+def _outcome(ring, fn):
+    try:
+        return _json(ring, fn())
+    except PrecisionError as exc:
+        return f"PrecisionError: {exc}"
+
+
+_RINGS = [Q, Z, ProfiniteRing(_BUDGET)]
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=["Q", "Z", "Zhat"])
+def test_combine_matches_per_term_loop(ring):
+    rng = random.Random(str(ring))
+    # precision 0 at one prime, full precision, zero that only tests as zero
+    cases = [([], []), ([], [[], []])]
+    if isinstance(ring, ProfiniteRing):
+        cases.append(([ProfiniteApprox(_BUDGET, {2: 5, 3: 0, 5: 7}, {2: 4, 3: 0, 5: 3}),
+                       ProfiniteApprox.from_int(_BUDGET, 6),
+                       ProfiniteApprox(_BUDGET, {2: 0, 3: 0, 5: 0}, {2: 1, 3: 2, 5: 3})],
+                      [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, -3, 5], [0, 0, 0]]))
+    for _ in range(60):
+        n = rng.randint(0, 8)
+        rows = [[rng.choice([0, 0, rng.randint(-40, 40)]) for _ in range(n)]
+                for _ in range(rng.randint(0, 5))] + [[0] * n]
+        cases.append((_values(rng, ring, n), rows))
+    for values, rows in cases:
+        assert _json(ring, ring.combine(values, rows)) == _json(
+            ring, combine_by_terms(ring, values, rows))
+
+
+def adams_coordinates_by_terms(H):
+    a, T = H.coeffs, H.trunc
+    return [combine_by_terms(H.ring, a[k:], [[(-1) ** k * math.comb(m, k) for m in range(k, T + 1)]])[0]
+            for k in range(T + 1)]
+
+
+def b_map_by_terms(G, N):
+    # (-1)^k k! S(n, k) from the explicit formula for k! S(n, k)
+    def weight(n, k):
+        return (-1) ** k * sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return [combine_by_terms(G.ring, G.coeffs, [[weight(n, k) for k in range(min(n, G.trunc) + 1)]])[0]
+            for n in range(N + 1)]
+
+
+def chain_sum_by_terms(ring, vals, row):
+    if ring == Q:
+        return sum((Fraction(vals[i - 1]) * w for i, w in enumerate(row) if w), Fraction(0))
+    den = math.lcm(*(w.denominator for w in row))
+    acc = ring.zero()
+    for i, w in enumerate(row):
+        if w:
+            acc = acc + vals[i - 1] * int(w * den)
+    return acc.divide_exact(den)
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=["Q", "Z", "Zhat"])
+def test_integer_combinations_match_per_term_forms(ring):
+    rng = random.Random(str(ring) + "forms")
+    for trial in range(40):
+        T = trial % 10  # T = 0 included
+        H = TruncSeries(ring, T, _values(rng, ring, T + 1))
+        assert _json(ring, adams_coordinates(H)) == _json(ring, adams_coordinates_by_terms(H))
+        N = rng.randint(0, 12)
+        assert _json(ring, b_map(H, N).values) == _json(ring, b_map_by_terms(H, N))
+        if ring == Z:  # chain_sum divides, so it serves Q and Zhat
+            continue
+        r = rng.randint(1, 4)
+        vals = list(H.coeffs[1:])
+        if isinstance(ring, ProfiniteRing) and trial % 2:
+            vals = [v * 720720 for v in vals]  # divisible, so the division succeeds
+        row = chain_weights(r, T)[T]
+        assert _outcome(ring, lambda: [chain_sum(ring, vals, row)]) == _outcome(
+            ring, lambda: [chain_sum_by_terms(ring, vals, row)])
+
+
+def test_composer_makes_quadratically_many_ring_values(monkeypatch):
+    # the table is one combine of T+1 Adams coordinates: (T+1)(T+2) profinite
+    # values at most, where one ring operation per term made thousands
+    T = 12
+    H = adams_series(prof(PrimeBudget.uniform([2, 3, 5, 7], 12), 11), T)
+    made = []
+    init = ProfiniteApprox.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProfiniteApprox, "__init__", counting_init)
+    Composer(H)
+    assert len(made) <= (T + 1) * (T + 2)
 
 
 def test_stirling2_iterative_and_explicit_formula():
