@@ -20,7 +20,7 @@ _EXPORTS = {
     "linalg": "ModMatrix howell_form in_howell_span in_row_span solve_vandermonde",
     "series": "Composer ProfiniteRing Q SeqWindow TruncSeries TruncationExhausted Z adams_series"
     " b_map compose_op desuspend lg_decompose lg_series phi valuation weighted_lg",
-    "multisym": "ADD MULT MultiSeries NotIntegrable aformula_check integrate_symmetric"
+    "multisym": "MultiSeries NotIntegrable aformula_check integrate_symmetric"
     " is_double_symmetric is_symmetric iter_partial partial_derivative star_sum",
     "classify": "N33_sequence NotInGroup classical_approx decompose_Qn_hat in_Opnm_phi in_Qn"
     " in_Qnm rho_n",

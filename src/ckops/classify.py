@@ -56,7 +56,10 @@ def in_Qn(G: TruncSeries, n: int) -> bool:
 
 def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
     """Membership plus the valuation condition v(partial^(n-1) G) >= m;
-    for n < 1, G itself is integral with v(G) >= m.
+    for n < 1, G itself is integral with v(G) >= m.  For n >= 1 at a
+    truncation below n, partial^(n-1) G has no monomial within the
+    truncation, so nothing could be checked: PrecisionError, as in
+    in_Opnm_phi.
 
     The derivative route, straight from the definition: it serves as the
     oracle for the Phi route in_Opnm_phi, which answers the same question
@@ -67,6 +70,8 @@ def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
         return integer_coefficients(G) and (v is None or v >= m)
     if not G.ring.is_zero(G.coeffs[0]):
         raise NotInGroup("membership for n >= 1 needs a zero constant term")
+    if G.trunc < n:
+        raise PrecisionError(f"need truncation >= {n}, have {G.trunc}")
     D = iter_partial(G, n - 1)
     if not integer_coefficients(D):
         return False

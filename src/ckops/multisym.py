@@ -1,9 +1,9 @@
 """Multivariate truncated series, the formal-group-law partial derivative
 and its iterates, double-symmetry detection, and symmetric integration.
 
-The derivative here is the second difference with respect to a formal
-group law (additive x+y or multiplicative x+y-xy), not a calculus
-derivative.  Total-degree truncation throughout.
+The derivative here is the second difference with respect to the
+multiplicative formal group law x+y-xy of connective K-theory, not a
+calculus derivative.  Total-degree truncation throughout.
 
 Storage discipline: every multivariate series is a plain MultiSeries keyed
 by full exponent tuples, so a symmetry test reads every coefficient and the
@@ -18,9 +18,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .series import Q, RationalRing, TruncSeries, b_map, is_known_zero, lg_series
-
-MULT = "mult"
-ADD = "add"
 
 
 class NotIntegrable(ArithmeticError):
@@ -147,19 +144,18 @@ def is_symmetric(M: MultiSeries) -> bool:
     return True
 
 
-def _as_multi(G, fgl: str | None = None) -> tuple[MultiSeries, str]:
-    """G as a plain container, with its law: an explicit fgl, else the
-    multiplicative law.  A univariate G keeps every coefficient not known
-    to be zero; an unknown one raises PrecisionError
+def _as_multi(G) -> MultiSeries:
+    """G as a plain container.  A univariate G keeps every coefficient not
+    known to be zero; an unknown one raises PrecisionError
     (``series.is_known_zero``)."""
     if isinstance(G, TruncSeries):
         M = MultiSeries(G.ring, 1, G.trunc)
         for i, c in enumerate(G.coeffs):
             if not is_known_zero(G.ring, c, i):
                 M.coeffs[(i,)] = c
-        return M, fgl or MULT
+        return M
     if isinstance(G, MultiSeries):
-        return G, fgl or MULT
+        return G
     raise TypeError(f"cannot interpret {type(G).__name__} as a multivariate series")
 
 
@@ -167,23 +163,15 @@ def _as_multi(G, fgl: str | None = None) -> tuple[MultiSeries, str]:
 # star sums and substitution
 
 
-def star_sum(positions, fgl: str, nvars: int, trunc: int, ring=Q) -> MultiSeries:
+def star_sum(positions, nvars: int, trunc: int, ring=Q) -> MultiSeries:
     """Formal-group sum of the chosen variable positions (0-based) inside an
     nvars-variable series; the empty set gives 0.
 
-    Multiplicative law: x * y = x + y - xy, so the iterated sum over I is
-    1 - prod_{i in I} (1 - x_i); additive law: plain sum.
+    The law is x * y = x + y - xy, so the iterated sum over I is
+    1 - prod_{i in I} (1 - x_i).
     """
     positions = sorted(positions)
     out = MultiSeries(ring, nvars, trunc)
-    if not positions:
-        return out
-    if fgl == ADD:
-        for i in positions:
-            key = [0] * nvars
-            key[i] = 1
-            out.coeffs[tuple(key)] = ring.one()
-        return out
     for r in range(1, len(positions) + 1):
         sign = (-1) ** (r + 1)
         for sub in combinations(positions, r):
@@ -230,58 +218,50 @@ def subst_first(
     return out
 
 
-def partial_derivative(G, fgl: str | None = None) -> MultiSeries:
+def partial_derivative(G) -> MultiSeries:
     """The formal-group-law partial derivative in the first variable:
     G(x1*x2, x3, ...) - G(x1, x3, ...) - G(x2, x3, ...) + G(0, x3, ...),
-    which is iter_partial(G, 1, fgl), the m = 1 subset sum.
+    which is iter_partial(G, 1), the m = 1 subset sum.
     """
-    return iter_partial(G, 1, fgl)
+    return iter_partial(G, 1)
 
 
-def partial0(G, fgl: str | None = None) -> MultiSeries:
-    """partial^0: G - G(0, x_2, ..., x_n), same arity."""
-    M, _ = _as_multi(G, fgl)
-    n = M.nvars
-    tail = list(range(1, n))
-    zero = MultiSeries(M.ring, n, M.trunc)
-    return M - subst_first(M, zero, n, tail)
-
-
-def iter_partial(G, m: int, fgl: str | None = None) -> MultiSeries:
+def iter_partial(G, m: int) -> MultiSeries:
     """m-th iterated partial derivative by the subset-sum formula
     (partial^m G)(x_1..x_{m+n}) =
         sum_{I in [1, m+1]} (-1)^(m+1-|I|) G(x_I, x_{m+2}, ...).
 
-    For m = 0 this is the projection partial^0, for m = 1 it is
-    partial_derivative.  This is the production route; its oracle is the
-    m-fold nested partial derivative, which must agree with it
-    (cross-checked in the tests).
+    For m = 0 this is G - G(0, x_2, ..., x_n): the monomials of G whose
+    x_1 exponent is positive.  For m = 1 it is partial_derivative.  This is
+    the production route; its oracle is the m-fold nested partial
+    derivative, which must agree with it (cross-checked in the tests).
     """
-    M, law = _as_multi(G, fgl)
+    M = _as_multi(G)
+    n, T = M.nvars, M.trunc
     if m == 0:
-        return partial0(M, law)
-    n = M.nvars
+        out = MultiSeries(M.ring, n, T)
+        out.coeffs = {k: v for k, v in M.coeffs.items() if k[0] > 0}
+        return out
     out_n = n + m
-    T = M.trunc
     tail = list(range(m + 1, out_n))
     out = MultiSeries(M.ring, out_n, T)
     head = list(range(m + 1))
     for r in range(len(head) + 1):
         sign = (-1) ** (m + 1 - r)
         for sub in combinations(head, r):
-            star = star_sum(list(sub), law, out_n, T, M.ring)
+            star = star_sum(list(sub), out_n, T, M.ring)
             out = out + subst_first(M, star, out_n, tail).scale(sign)
     return out
 
 
-def is_double_symmetric(G, fgl: str | None = None) -> bool:
+def is_double_symmetric(G) -> bool:
     """True iff G and its partial derivative are both symmetric."""
-    M, law = _as_multi(G, fgl)
+    M = _as_multi(G)
     if M.nvars == 1:
         return True
     if not is_symmetric(M):
         return False
-    return is_symmetric(partial_derivative(M, law))
+    return is_symmetric(partial_derivative(M))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +278,7 @@ def integrate_symmetric(G) -> TruncSeries:
     at every composition k, and then L = sum_m a_m lg_m.  Otherwise G was
     not double-symmetric within truncation: NotIntegrable.
     """
-    M, _ = _as_multi(G)
+    M = _as_multi(G)
     if not isinstance(M.ring, RationalRing):
         raise TypeError("symmetric integration needs rational coefficients")
     n, T = M.nvars, M.trunc

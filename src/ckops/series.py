@@ -497,16 +497,18 @@ def weighted_lg(a, r: int, T: int) -> TruncSeries:
     (-1)^r sum_{0<i_1<...<i_r<=T} a_{i_1} x^{i_r} / (i_1 ... i_r).
 
     Integer weights give an exact rational series, profinite weights a
-    profinite series; each coefficient is one chain_sum.
+    profinite series (the ring is read from a's first entry, Q for an
+    empty a); each coefficient is one chain_sum.
     """
     if r < 1:
         raise ValueError("weight depth r must be >= 1")
-    vals = list(a)[:T]
+    a = list(a)
+    vals = a[:T]
     if len(vals) < T:
         raise ValueError("sequence too short for the requested window")
     w = chain_weights(r, T)
     sign = (-1) ** r
-    ring = ProfiniteRing(vals[0].budget) if isinstance(vals[0], ProfiniteApprox) else Q
+    ring = ProfiniteRing(a[0].budget) if a and isinstance(a[0], ProfiniteApprox) else Q
     out = [ring.zero()] + [chain_sum(ring, vals, w[m]) * sign for m in range(1, T + 1)]
     return TruncSeries(ring, T, out)
 

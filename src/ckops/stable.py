@@ -230,8 +230,8 @@ def tower_member(
 
     Pinned by tests for j <= 4: d x^j (stored at truncation j) passes level
     j+1 when d_j divides d, and fails for d = 1 and d = d_j/2.  This is no
-    "iff" at finite precision: d_j/2 x^j passes for j = 6..10 at budget
-    (2,3,5,7)^8, and for j = 8..10 at (2,3,5,7)^14.
+    "iff" at finite precision: at budget (2)^e, d_j/2 x^j passes level j+1
+    exactly while e < j + v_2(j!) (pinned by a test for j = 2..10).
     """
     if n < 1:
         return True

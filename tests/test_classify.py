@@ -74,6 +74,24 @@ def test_in_Qnm_m_below_n_collapses():
     assert vals[3] == in_Qn(G, 3)
 
 
+def test_in_Qnm_truncation_below_n_is_precision_error():
+    # partial^(n-1) G has no monomial below total degree n: nothing to check,
+    # the same error as the Phi route
+    G = TruncSeries(Q, 2, [0, Fraction(1, 2), Fraction(1, 3)])
+    for n in (3, 4):
+        for route in (lambda: in_Qnm(G, n, 3), lambda: in_Qn(G, n), lambda: in_Opnm_phi(G, n, 3)):
+            with pytest.raises(PrecisionError, match=f"need truncation >= {n}, have 2"):
+                route()
+    with pytest.raises(PrecisionError, match="need truncation >= 1, have 0"):
+        in_Qnm(TruncSeries(Q, 0, [0]), 1, 0)
+    # the constant term is checked first, and at T = n the one monomial
+    # 3! c x_1 x_2 x_3 of partial^2 (c x^3) is checked as before
+    with pytest.raises(NotInGroup):
+        in_Qnm(TruncSeries(Q, 2, [1, 0, 0]), 3, 3)
+    assert not in_Qnm(TruncSeries(Q, 3, [0, 0, 0, Fraction(1, 12)]), 3, 3)
+    assert in_Qnm(TruncSeries(Q, 3, [0, 0, 0, Fraction(1, 6)]), 3, 3)
+
+
 def test_in_Opnm_adams_unit_minus_one(budget):
     ring = ProfiniteRing(budget)
     one = ProfiniteApprox.from_int(budget, 1)
@@ -100,9 +118,9 @@ def test_in_Opnm_detects_phi_inverted_bomb():
 def test_in_Qnm_computes_the_derivative_once(monkeypatch):
     calls = []
 
-    def counting(G, m, fgl=None):
+    def counting(G, m):
         calls.append(m)
-        return iter_partial(G, m, fgl)
+        return iter_partial(G, m)
 
     monkeypatch.setattr(classify, "iter_partial", counting)
     assert in_Qnm(TruncSeries.monomial(Q, 8, 4), 3, 4)

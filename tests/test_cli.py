@@ -249,6 +249,7 @@ def _profinite_file(budget, *entries):
 
 
 _HALF = {"ring": "Q", "trunc": 3, "coeffs": ["1/2", "0", "0", "0"]}
+_SHORT = {"ring": "Q", "trunc": 2, "coeffs": ["0", "1/2", "1/3"]}
 _BLIND = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
           "coeffs": [{"primes": [[2, 1, 0]]}, {"primes": [[2, 0, 0]]}, {"primes": [[2, 1, 0]]}]}
 
@@ -292,6 +293,10 @@ _BLIND = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
          ["opnm"], "budget entry [2] is not [prime, exponent]"),
         (_profinite_file([[2, 4]], [2, 4]), ["opnm"],
          "profinite coefficient entry [2, 4] is not [prime, precision, residue]"),
+        # below truncation n, partial^(n-1) G has no monomial to check
+        (_SHORT, ["qnm", "--n", "3", "--m", "3"], "need truncation >= 3, have 2"),
+        (_SHORT, ["qn", "--n", "3"], "need truncation >= 3, have 2"),
+        (_SHORT, ["opnm", "--n", "3", "--m", "3"], "need truncation >= 3, have 2"),
     ],
 )
 def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):

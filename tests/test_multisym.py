@@ -28,7 +28,7 @@ from ckops import (
     phi,
     star_sum,
 )
-from ckops.multisym import integer_coefficients, partial0, subst_first
+from ckops.multisym import integer_coefficients, subst_first
 
 
 def univ_in_var(ts, var, nvars):
@@ -51,22 +51,17 @@ def rand_series(rng, T, dens=(1, 2, 3)):
 
 
 def test_star_sum_single():
-    s = star_sum([0], "mult", 2, 5)
+    s = star_sum([0], 2, 5)
     assert s.coeffs == {(1, 0): Fraction(1)}
 
 
 def test_star_sum_pair_multiplicative():
-    s = star_sum([0, 1], "mult", 2, 5)
+    s = star_sum([0, 1], 2, 5)
     assert s.coeffs == {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(-1)}
 
 
-def test_star_sum_triple_additive():
-    s = star_sum([0, 1, 2], "add", 3, 5)
-    assert len(s.coeffs) == 3 and all(v == 1 for v in s.coeffs.values())
-
-
 def test_star_sum_empty():
-    assert star_sum([], "mult", 2, 5).is_zero()
+    assert star_sum([], 2, 5).is_zero()
 
 
 # -- partial derivative ----------------------------------------------------------
@@ -82,20 +77,26 @@ def test_partial_kills_lg1():
 
 
 def test_partial0_convention():
-    G0 = partial0(TruncSeries(Q, 4, [5, 1, 2]))
+    G0 = iter_partial(TruncSeries(Q, 4, [5, 1, 2]), 0)
     assert G0.coeffs == {(1,): Fraction(1), (2,): Fraction(2)}
 
 
-def _partial_by_definition(M, law):
+def _partial_by_definition(M):
     """Oracle for partial_derivative: the four substitutions
     G(x1*x2, x3, ...) - G(x1, x3, ...) - G(x2, x3, ...) + G(0, x3, ...)."""
     n = M.nvars + 1
     tail = list(range(2, n))
 
     def at(positions):
-        return subst_first(M, star_sum(positions, law, n, M.trunc, M.ring), n, tail)
+        return subst_first(M, star_sum(positions, n, M.trunc, M.ring), n, tail)
 
     return at([0, 1]) - at([0]) - at([1]) + at([])
+
+
+def _partial0_by_definition(M):
+    """Oracle for iter_partial(M, 0): M - M(0, x_2, ..., x_n)."""
+    n = M.nvars
+    return M - subst_first(M, MultiSeries(M.ring, n, M.trunc), n, list(range(1, n)))
 
 
 def _exact(M):
@@ -104,26 +105,46 @@ def _exact(M):
     return {k: v.to_json() if isinstance(v, ProfiniteApprox) else v for k, v in M.coeffs.items()}
 
 
+def _random_multi(rng, budget, blind=False):
+    """A 1-3 variable series over Q, Z or Zhat; with blind, each profinite
+    value has a random precision per prime, 0 included."""
+    ring = rng.choice([Q, Z, ProfiniteRing(budget)])
+    nvars = rng.randint(1, 3)
+    T = rng.randint(3, 6)
+    coeffs = {}
+    for _ in range(rng.randint(1, 5)):
+        key = tuple(rng.randint(0, 3) for _ in range(nvars))
+        if ring == Q:
+            coeffs[key] = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
+        elif ring == Z:
+            coeffs[key] = rng.randint(-5, 5)
+        else:
+            prec = {2: rng.randint(0, 4), 3: rng.randint(0, 4)} if blind else None
+            coeffs[key] = ProfiniteApprox(budget, {2: rng.randrange(16), 3: rng.randrange(81)}, prec)
+    return MultiSeries(ring, nvars, T, coeffs)
+
+
 def test_partial_derivative_matches_definition():
     rng = random.Random(10)
     budget = PrimeBudget.uniform([2, 3], 4)
     for trial in range(30):
-        ring = rng.choice([Q, Z, ProfiniteRing(budget)])
-        nvars = rng.randint(1, 3)
-        T = rng.randint(3, 6)
-        coeffs = {}
-        for _ in range(rng.randint(1, 5)):
-            key = tuple(rng.randint(0, 3) for _ in range(nvars))
-            if ring == Q:
-                coeffs[key] = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
-            elif ring == Z:
-                coeffs[key] = rng.randint(-5, 5)
-            else:
-                coeffs[key] = ProfiniteApprox(budget, {2: rng.randrange(16), 3: rng.randrange(81)})
-        M = MultiSeries(ring, nvars, T, coeffs)
-        for law in ("mult", "add"):
-            got = _exact(partial_derivative(M, law))
-            assert got == _exact(_partial_by_definition(M, law)), (trial, law)
+        M = _random_multi(rng, budget)
+        assert _exact(partial_derivative(M)) == _exact(_partial_by_definition(M)), trial
+
+
+def test_partial0_matches_definition():
+    # iter_partial(M, 0) keeps the monomials with a positive x_1 exponent;
+    # its oracle substitutes x_1 = 0 and subtracts
+    rng = random.Random(11)
+    budget = PrimeBudget.uniform([2, 3], 4)
+    blind = 0
+    for trial in range(60):
+        M = _random_multi(rng, budget, blind=True)
+        blind += any(0 in v.prec.values() for v in M.coeffs.values() if isinstance(v, ProfiniteApprox))
+        got = iter_partial(M, 0)
+        assert (got.nvars, got.trunc) == (M.nvars, M.trunc), trial
+        assert _exact(got) == _exact(_partial0_by_definition(M)), trial
+    assert blind > 0
 
 
 # -- iterated partials -------------------------------------------------------------

@@ -144,6 +144,15 @@ def test_weighted_lg_r1_formula():
     assert list(W.coeffs) == [0] + [Fraction(-a[i - 1], i) for i in range(1, 9)]
 
 
+def test_weighted_lg_empty_window_is_zero_of_the_sequence_ring(budget):
+    # T = 0 reads no entry; the ring still comes from a's first entry
+    ring = ProfiniteRing(budget)
+    cases = [([3, 1], Q), ([prof(budget, 5)] * 2, ring), ([], Q)]
+    for a, want in cases:
+        for r in (1, 2):
+            assert weighted_lg(a, r, 0).to_json() == TruncSeries.zero(want, 0).to_json(), (a, r)
+
+
 def test_weighted_lg_phi_ladder():
     rng = random.Random(5)
     for r in (2, 3, 4):

@@ -496,6 +496,17 @@ def test_tower_monomials_iff_dn_divides(budget):
                 assert not tower_member(G, n + 1, budget), (n, bad)
 
 
+def test_tower_p2_precision_law():
+    # d_j/2 x^j, stored at truncation j, fails level j+1 at budget (2)^e
+    # exactly from e = j + v_2(j!) on
+    least = {2: 3, 3: 4, 4: 7, 5: 8, 6: 10, 7: 11, 8: 15, 9: 16, 10: 18}
+    for j, e_min in least.items():
+        assert e_min == j + vp_factorial(j, 2)
+        G = TruncSeries(Z, j, [0] * j + [dn(j).value // 2])
+        for e in range(1, e_min + 3):
+            assert tower_member(G, j + 1, PrimeBudget.uniform([2], e)) == (e < e_min), (j, e)
+
+
 def test_tower_x_fails(budget):
     ring = ProfiniteRing(budget)
     G = TruncSeries(ring, 1, [ring.zero(), prof(budget, 1)])
