@@ -61,10 +61,12 @@ def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
     truncation, so nothing could be checked: PrecisionError, as in
     in_Opnm_phi.
 
-    The derivative route, straight from the definition: it serves as the
-    oracle for the Phi route in_Opnm_phi, which answers the same question
-    without multivariate series (cross-checked in the tests and in the
-    ``ifandonlyif`` suite)."""
+    The derivative route, straight from the definition.  The Phi route
+    in_Opnm_phi tests a group that contains this one, not the same group:
+    on seeded draws in_Qnm True implies in_Opnm_phi True, and the converse
+    fails (x^4/8 at T = 4, n = 3, m = 1; x^2/2 at T = 3, n = m = 1).  The
+    two agree on every draw from the ``ifandonlyif`` suite's domain:
+    integer series plus lg_r (r < n) plus Phi-inverted non-integral terms."""
     if n < 1:
         v = valuation(G)
         return integer_coefficients(G) and (v is None or v >= m)
@@ -82,10 +84,12 @@ def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
 def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
     """The Phi-route test: Phi^n(G) integral with valuation >= m - n.
 
-    The production route for Q^{n,m} membership: univariate, and valid
-    over profinite coefficients.  Its oracle is the derivative route
-    in_Qnm; the two agree on the same inputs (cross-checked in the tests
-    and in the ``ifandonlyif`` suite)."""
+    Univariate, and valid over profinite coefficients.  Its group
+    contains in_Qnm's (the derivative route, from the definition of
+    Q^{n,m}) and can be larger: an in_Qnm member always passed here on
+    seeded draws, but x^4/8 at T = 4, n = 3, m = 1 and x^2/2 at T = 3,
+    n = m = 1 pass here and fail in_Qnm (cross-checked in the tests; the
+    ``ifandonlyif`` suite checks agreement on its own domain)."""
     if n < 1:
         raise ValueError("the Phi route applies to n >= 1")
     if G.trunc < n:

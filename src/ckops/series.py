@@ -59,6 +59,14 @@ class RationalRing:
         return [Fraction(sum(map(mul, row, nums)), L) for row in rows]
 
     @staticmethod
+    def matvec(values, cols):
+        Lv = math.lcm(*(v.denominator for v in values))
+        Lc = math.lcm(*(c.denominator for col in cols for c in col))
+        nums = [v.numerator * (Lv // v.denominator) for v in values]
+        mat = [[c.numerator * (Lc // c.denominator) for c in col] for col in cols]
+        return [Fraction(sum(map(mul, nums, row)), Lv * Lc) for row in zip(*mat)]
+
+    @staticmethod
     def coeff_to_json(x):
         return rational_to_str(x)
 
@@ -100,6 +108,10 @@ class IntegerRing:
     @staticmethod
     def combine(values, rows):
         return [sum(map(mul, row, values)) for row in rows]
+
+    @staticmethod
+    def matvec(values, cols):
+        return [sum(map(mul, values, row)) for row in zip(*cols)]
 
     @staticmethod
     def coeff_to_json(x):
@@ -164,6 +176,23 @@ class ProfiniteRing:
             for (r, k), row, js in zip(out, rows, live):
                 r[p] = sum(map(mul, row, res))
                 k[p] = min(map(prec.__getitem__, js), default=e)
+        return [ProfiniteApprox(self.budget, r, k) for r, k in out]
+
+    def matvec(self, values, cols):
+        """[sum_i values[i] * cols[i][d] for each d], both factors ring values:
+        the one bilinear kernel (Q's sums integer numerators, values and
+        matrix each over one common denominator; Z's plain ints).
+        Precision: at each prime an output has the least precision of every
+        value and every matrix entry in its sum, the budget exponent if there
+        are none.  No term is skipped."""
+        rows = list(zip(*cols))
+        out = [({}, {}) for _ in rows]
+        for p, e in zip(self.budget.primes, self.budget.exponents):
+            res = [v.residue[p] for v in values]
+            low = min((v.prec[p] for v in values), default=e)
+            for (r, k), row in zip(out, rows):
+                r[p] = sum(map(mul, res, [c.residue[p] for c in row]))
+                k[p] = min(low, *[c.prec[p] for c in row])
         return [ProfiniteApprox(self.budget, r, k) for r, k in out]
 
     @staticmethod
@@ -535,6 +564,11 @@ class Composer:
     no substitution, division-free, hence valid over Z and profinite
     coefficients.  Precision is ring.combine's: [x^d] U_i has the least
     precision of the b_k whose integer multiplier is nonzero.
+
+    compose(H') is one ring.matvec of H'.coeffs (coerced into H's ring
+    first) against the columns U_0..U_T, at T the lesser truncation.  Its
+    precision rule: a profinite [x^d] of the result has, at each prime, the
+    least precision of every a_i and every [x^d] U_i, whatever their value.
     """
 
     def __init__(self, H: TruncSeries):
@@ -558,13 +592,9 @@ class Composer:
 
     def compose(self, H2: TruncSeries) -> TruncSeries:
         T = min(self.H.trunc, H2.trunc)
-        out = TruncSeries.zero(self.ring, T)
-        for i in range(T + 1):
-            a = H2.coeffs[i]
-            if self.ring.is_exact_zero(a):
-                continue
-            out = out + self.U[i].truncate(T).scale(a)
-        return out
+        a = [self.ring.coerce(c) for c in H2.coeffs[:T + 1]]
+        cols = [U.coeffs[:T + 1] for U in self.U[:T + 1]]
+        return TruncSeries(self.ring, T, self.ring.matvec(a, cols))
 
 
 def compose_op(H: TruncSeries, H2: TruncSeries) -> TruncSeries:

@@ -1,7 +1,7 @@
 """Reference implementations that only the tests compare against: a
 brute-force row span, the binomial-Vandermonde determinant in closed form
-(the Vandermonde-ratio route to d_n), the lg-basis reassembly, and the
-term-by-term integer combination."""
+(the Vandermonde-ratio route to d_n), the lg-basis reassembly, the
+term-by-term integer combination and the scaled-sum composition."""
 
 import math
 from fractions import Fraction
@@ -64,4 +64,17 @@ def combine_by_terms(ring, values, rows) -> list:
             if w:
                 acc = acc + v * w
         out.append(acc)
+    return out
+
+
+def compose_by_scaling(C, H2) -> TruncSeries:
+    """Composer.compose one scaled series per term: out + U_i.scale(a_i)
+    from the zero series, skipping only an exact zero a_i."""
+    T = min(C.H.trunc, H2.trunc)
+    out = TruncSeries.zero(C.ring, T)
+    for i in range(T + 1):
+        a = H2.coeffs[i]
+        if C.ring.is_exact_zero(a):
+            continue
+        out = out + C.U[i].truncate(T).scale(a)
     return out

@@ -128,13 +128,38 @@ def test_in_Qnm_computes_the_derivative_once(monkeypatch):
 
 
 def test_route_equivalence_sweep():
-    # production route in_Opnm_phi against its oracle, the derivative route in_Qnm
+    # the two routes agree on random_membership_witness's domain, not beyond it
     rng = random.Random(4)
     for trial in range(25):
         n = rng.randint(1, 4)
         m = rng.randint(n, n + 3)
         G, _ = random_membership_witness(rng, 12, n)
         assert in_Qnm(G, n, m) == in_Opnm_phi(G, n, m), (trial, n, m)
+
+
+def test_derivative_group_lies_inside_phi_group():
+    # in_Qnm True implies in_Opnm_phi True on unconstrained rational draws;
+    # the converse fails, so the sweep must also meet a disagreement
+    rng = random.Random(13)
+    members = disagreements = 0
+    for trial in range(300):
+        n = rng.randint(1, 3)
+        m = rng.randint(n, n + 2)
+        T = rng.randint(n, 7)
+        G = TruncSeries(Q, T, [0] + [rng.choice([0, 0, rng.randint(-4, 4), Fraction(
+            rng.randint(-4, 4), rng.choice([2, 3, 4, 6, 8]))]) for _ in range(T)])
+        d, p = in_Qnm(G, n, m), in_Opnm_phi(G, n, m)
+        assert p or not d, (trial, n, m, G.to_json())
+        members += d
+        disagreements += d != p
+    assert members and disagreements
+
+
+@pytest.mark.parametrize("T, n, m, k, c", [(4, 3, 1, 4, Fraction(1, 8)), (3, 1, 1, 2, Fraction(1, 2))])
+def test_routes_disagree_on_documented_repros(T, n, m, k, c):
+    G = TruncSeries.monomial(Q, T, k, c)
+    assert not in_Qnm(G, n, m)
+    assert in_Opnm_phi(G, n, m)
 
 
 def test_functoriality_of_inclusions():

@@ -109,6 +109,27 @@ def test_command_loads_only_the_modules_it_calls(tmp_path, argv, loaded):
     assert "dataclasses" not in new
 
 
+# -- zero runtime dependencies ---------------------------------------------------------
+
+_EVERY_MODULE = """
+import sys
+before = {m.partition(".")[0] for m in sys.modules}  # what a bare interpreter loads
+import json, pkgutil, ckops
+names = [info.name for info in pkgutil.iter_modules(ckops.__path__)]
+for name in names:
+    __import__("ckops." + name)
+added = {m.partition(".")[0] for m in sys.modules} - before - {"ckops"}
+print(json.dumps({"modules": sorted(names), "foreign": sorted(added - sys.stdlib_module_names)}))
+"""
+
+
+def test_every_module_imports_only_the_standard_library():
+    out = json.loads(_python(_EVERY_MODULE))
+    files = sorted(f.stem for f in Path(ckops.__file__).parent.glob("*.py") if f.stem != "__init__")
+    assert out["modules"] == files
+    assert out["foreign"] == []
+
+
 # -- value semantics of the record classes -------------------------------------------
 
 

@@ -26,7 +26,7 @@ from ckops import (
 )
 from ckops.multisym import iter_partial
 from ckops.series import Composer, adams_coordinates, chain_sum, chain_weights, stirling2
-from oracles import assemble_lg, combine_by_terms
+from oracles import assemble_lg, combine_by_terms, compose_by_scaling
 
 
 def prof(budget, n):
@@ -481,6 +481,73 @@ def test_composer_makes_quadratically_many_ring_values(monkeypatch):
     monkeypatch.setattr(ProfiniteApprox, "__init__", counting_init)
     Composer(H)
     assert len(made) <= (T + 1) * (T + 2)
+
+
+# Composer.compose (one ring.matvec) against the scaled-sum loop it
+# replaced: values and types over Q and Z, residue and precision dicts
+# over Zhat, with digit-less and one-digit coefficients, zero coefficients
+# and the right factor's truncation above and below the left one's.
+
+_COMPOSE_BUDGET = PrimeBudget.uniform([2, 3, 5], 6)
+
+
+def _compose_coeffs(rng, ring, n):
+    if ring == Q:
+        return [rng.choice([Fraction(0), Fraction(rng.randint(-20, 20), rng.randint(1, 9))])
+                for _ in range(n)]
+    if ring == Z:
+        return [rng.choice([0, rng.randint(-30, 30)]) for _ in range(n)]
+    out = []
+    for _ in range(n):
+        prec = {p: rng.choice([0, 1, 6, 6, rng.randint(0, 6)]) for p in _COMPOSE_BUDGET.primes}
+        res = {p: rng.choice([0, rng.randrange(p**6)]) for p in _COMPOSE_BUDGET.primes}
+        out.append(ProfiniteApprox(_COMPOSE_BUDGET, res, prec))
+    return out
+
+
+def _exact(ring, series):
+    if isinstance(ring, ProfiniteRing):
+        return [(c.residue, c.prec) for c in series.coeffs]
+    return [(type(c), c) for c in series.coeffs]
+
+
+@pytest.mark.parametrize("ring", [Q, Z, ProfiniteRing(_COMPOSE_BUDGET)], ids=["Q", "Z", "Zhat"])
+def test_compose_kernel_matches_scaling_oracle(ring):
+    rng = random.Random(f"compose {ring}")
+    for trial in range(40):
+        T, T2 = rng.randint(0, 9), rng.randint(0, 11)
+        H = TruncSeries(ring, T, _compose_coeffs(rng, ring, T + 1))
+        if trial % 5 == 0:  # Adams and lg series as the left factor
+            H = lg_series(rng.randint(0, T), T) if ring == Q else adams_series(rng.randint(-4, 6), T)
+            H = H.map_coeffs(ring.coerce, ring)
+        H2 = TruncSeries(ring, T2, _compose_coeffs(rng, ring, T2 + 1))
+        C = Composer(H)
+        got, want = C.compose(H2), compose_by_scaling(C, H2)
+        assert got.trunc == want.trunc == min(T, T2)
+        assert _exact(ring, got) == _exact(ring, want)
+
+
+def test_compose_mixed_rings_coerce_the_right_factor_first():
+    # the right factor's coefficients enter the left factor's ring before
+    # the kernel reads them, so a mismatch is the ring's own coercion error
+    Zhat = ProfiniteRing(PrimeBudget.uniform([2], 4))
+    half = TruncSeries(Q, 3, [0, Fraction(1, 2), 1])
+    Hq = TruncSeries(Q, 3, [0, 1, Fraction(1, 3)])
+    Hz = TruncSeries(Z, 3, [0, 1, 2])
+    Hp = TruncSeries(Zhat, 3, [0, 1, 2])
+    got = compose_op(Hq, Hz)
+    assert got.ring == Q and all(type(c) is Fraction for c in got.coeffs)
+    assert got == compose_op(Hq, Hz.map_coeffs(Q.coerce, Q))
+    for H, H2, error, message in [
+        (Hz, half, TypeError, "cannot coerce Fraction(1, 2) into Z"),
+        (Hp, half, ValueError, "denominator 2 not invertible mod 16"),
+        # a Zhat zero is not an exact zero: Q rejects it like any other
+        (Hq, Hp, TypeError, "cannot coerce ProfiniteApprox(0 mod 2^4) into Q"),
+        (Hq, TruncSeries.zero(Zhat, 3), TypeError, "cannot coerce ProfiniteApprox(0 mod 2^4) into Q"),
+    ]:
+        with pytest.raises(error) as exc:
+            Composer(H).compose(H2)
+        assert str(exc.value) == message
 
 
 def test_stirling2_iterative_and_explicit_formula():
