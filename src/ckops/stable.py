@@ -231,7 +231,10 @@ def tower_member(
     Pinned by tests for j <= 4: d x^j (stored at truncation j) passes level
     j+1 when d_j divides d, and fails for d = 1 and d = d_j/2.  This is no
     "iff" at finite precision: at budget (2)^e, d_j/2 x^j passes level j+1
-    exactly while e < j + v_2(j!) (pinned by a test for j = 2..10).
+    exactly while e < j + v_2(j!) (pinned by a test for j = 2..10).  At
+    p = 3 and p = 5 no law is known; the least failing e, recorded as data
+    in tests/test_stable.py, is j -> e = 2->1, 4->2, 5->1, 6->4, 7->3, 8->5,
+    9->4, 10->6 for d_j/3 x^j, and 4->1, 8->2, 9->1 for d_j/5 x^j.
     """
     if n < 1:
         return True

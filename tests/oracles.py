@@ -1,7 +1,8 @@
 """Reference implementations that only the tests compare against: a
 brute-force row span, the binomial-Vandermonde determinant in closed form
-(the Vandermonde-ratio route to d_n), the lg-basis reassembly, the
-term-by-term integer combination and the scaled-sum composition."""
+(the Vandermonde-ratio route to d_n), lg_r by series powers, the lg-basis
+reassembly, the term-by-term integer combination and the scaled-sum
+composition."""
 
 import math
 from fractions import Fraction
@@ -43,6 +44,18 @@ def vdm_value(nodes) -> int:
     if q.denominator != 1:
         raise AssertionError("binomial Vandermonde determinant must be integral")
     return int(q)
+
+
+def lg_by_powers(r: int, T: int) -> TruncSeries:
+    """lg_r = (1/r!) log(1-x)^r as r-1 truncated Fraction series products
+    of lg_1: the route lg_series's Stirling recurrence replaced."""
+    if r == 0:
+        return TruncSeries.one(Q, T)
+    lg1 = TruncSeries(Q, T, [0] + [Fraction(-1, i) for i in range(1, T + 1)])
+    out = lg1
+    for _ in range(r - 1):
+        out = out * lg1
+    return out.scale(Fraction(1, math.factorial(r)))
 
 
 def assemble_lg(coeffs: Sequence[Fraction | int], T: int) -> TruncSeries:

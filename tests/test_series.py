@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from ckops import (
 )
 from ckops.multisym import iter_partial
 from ckops.series import Composer, adams_coordinates, chain_sum, chain_weights, stirling2
-from oracles import assemble_lg, combine_by_terms, compose_by_scaling
+from oracles import assemble_lg, combine_by_terms, compose_by_scaling, lg_by_powers
 
 
 def prof(budget, n):
@@ -66,6 +67,30 @@ def test_valuation_of_coefficient_without_digits_is_unknown():
     wide = PrimeBudget.uniform([2, 3], 2)
     c = ProfiniteApprox(wide, {2: 0, 3: 1}, {2: 0, 3: 2})
     assert valuation(TruncSeries(ProfiniteRing(wide), 3, [0, c])) == 1
+
+
+def _blind_series():
+    # degree 1 has zero residues but no digits at p = 2
+    budget = PrimeBudget.uniform([2, 3], 4)
+    ring = ProfiniteRing(budget)
+    blind = ProfiniteApprox(budget, {2: 0, 3: 0}, {2: 0, 3: 4})
+    return ring, TruncSeries(ring, 2, [0, blind])
+
+
+def test_series_equality_with_unknown_coefficient_raises():
+    ring, G = _blind_series()
+    with pytest.raises(PrecisionError, match="coefficient 1 has no digits at p=2"):
+        G == TruncSeries.zero(ring, 2)
+    # a known difference elsewhere decides, whatever degree 1 holds
+    assert G != TruncSeries(ring, 2, [0, 0, 1])
+
+
+def test_series_is_zero_with_unknown_coefficient_raises():
+    ring, G = _blind_series()
+    with pytest.raises(PrecisionError, match="coefficient 1 has no digits at p=2"):
+        G.is_zero()
+    assert not (G + TruncSeries(ring, 2, [0, 0, 1])).is_zero()
+    assert TruncSeries(ring, 2, [0, 0, 0]).is_zero()
 
 
 # -- phi ---------------------------------------------------------------------
@@ -130,6 +155,23 @@ def test_lg_examples():
         G = lg_series(r, 8)
         assert valuation(G) == r
         assert G.coeffs[r] == Fraction((-1) ** r, math.factorial(r))
+
+
+def test_lg_series_matches_power_route():
+    # the Stirling recurrence against the r-1 Fraction series products it
+    # replaced, past r = T where lg_r vanishes to the truncation
+    for T in range(19):
+        for r in range(T + 3):
+            got = lg_series(r, T)
+            assert got.coeffs == lg_by_powers(r, T).coeffs, (r, T)
+            assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_lg_series_stirling_orthogonality():
+    # first-kind kernel (lg_series) against second-kind kernel (b_map)
+    for T in range(17):
+        for r in range(T + 1):
+            assert list(b_map(lg_series(r, T), T).values) == [int(i == r) for i in range(T + 1)]
 
 
 def test_weighted_lg_constant_factor():
@@ -548,6 +590,25 @@ def test_compose_mixed_rings_coerce_the_right_factor_first():
         with pytest.raises(error) as exc:
             Composer(H).compose(H2)
         assert str(exc.value) == message
+
+
+def test_rational_coercion_shares_fractions():
+    # a Fraction is immutable, so Q keeps the very object; any other
+    # accepted value becomes a plain Fraction
+    class Sub(Fraction):
+        pass
+
+    f = Fraction(3, 7)
+    assert Q.coerce(f) is f
+    fs = [Fraction(i, i + 1) for i in range(5)]
+    G = TruncSeries(Q, 4, fs)
+    assert all(c is f for c, f in zip(G.coeffs, fs))
+    for x, want in [(3, Fraction(3)), (True, Fraction(1)), (Sub(2, 5), Fraction(2, 5))]:
+        got = Q.coerce(x)
+        assert type(got) is Fraction and got == want
+    for x in [0.5, "1/2", Decimal("0.5")]:
+        with pytest.raises(TypeError, match="into Q"):
+            Q.coerce(x)
 
 
 def test_stirling2_iterative_and_explicit_formula():

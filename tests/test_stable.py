@@ -507,6 +507,22 @@ def test_tower_p2_precision_law():
             assert tower_member(G, j + 1, PrimeBudget.uniform([2], e)) == (e < e_min), (j, e)
 
 
+# the least budget exponent e at which d_j/p x^j, stored at truncation j,
+# fails level j+1 at budget (p)^e, for every j <= 10 with p | d_j; no closed
+# form is known yet, unlike p = 2's j + v_2(j!)
+TOWER_P3_LEAST_FAILING_E = {2: 1, 4: 2, 5: 1, 6: 4, 7: 3, 8: 5, 9: 4, 10: 6}
+TOWER_P5_LEAST_FAILING_E = {4: 1, 8: 2, 9: 1}
+
+
+@pytest.mark.parametrize("p, least", [(3, TOWER_P3_LEAST_FAILING_E), (5, TOWER_P5_LEAST_FAILING_E)])
+def test_tower_p3_p5_precision_tables(p, least):
+    assert sorted(least) == [j for j in range(1, 11) if dn(j).value % p == 0]
+    for j, e_min in least.items():
+        G = TruncSeries(Z, j, [0] * j + [dn(j).value // p])
+        for e in range(1, 12):
+            assert tower_member(G, j + 1, PrimeBudget.uniform([p], e)) == (e < e_min), (j, e)
+
+
 def test_tower_x_fails(budget):
     ring = ProfiniteRing(budget)
     G = TruncSeries(ring, 1, [ring.zero(), prof(budget, 1)])
