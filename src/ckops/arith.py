@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 
@@ -171,18 +172,34 @@ class Struct:
 
 
 class PrimeBudget(Struct):
-    """Finite approximation window for Zhat: distinct primes with exponents."""
+    """Finite approximation window for Zhat: distinct primes with exponents.
 
-    __slots__ = ("primes", "exponents")
+    ``moduli`` maps each prime p to p**e and ``full_prec`` to e; both are
+    computed once here and are read-only, like the budget itself."""
+
+    __slots__ = ("primes", "exponents", "moduli", "full_prec")
 
     def __init__(self, primes: tuple[int, ...], exponents: tuple[int, ...]):
         if len(set(primes)) != len(primes):
             raise ValueError("budget primes must be distinct")
-        if any(e < 1 for e in exponents):
-            raise ValueError("budget exponents must be >= 1")
         if len(primes) != len(exponents):
             raise ValueError("primes and exponents must align")
-        super().__init__(primes, exponents)
+        for p, e in zip(primes, exponents):
+            if type(p) is not int:
+                raise ValueError(f"budget prime {p!r} is not an integer")
+            if not is_prime(p):
+                raise ValueError(f"budget prime {p} is not a prime")
+            if type(e) is not int:
+                raise ValueError(f"budget exponent {e!r} at p={p} is not an integer")
+            if e < 1:
+                raise ValueError("budget exponents must be >= 1")
+        self.primes = primes
+        self.exponents = exponents
+        self.moduli = {p: p**e for p, e in zip(primes, exponents)}
+        self.full_prec = dict(zip(primes, exponents))
+
+    def _fields(self) -> tuple:
+        return self.primes, self.exponents
 
     def __eq__(self, other):  # hot: ProfiniteApprox and ProfiniteRing compare budgets
         if self is other:
@@ -200,14 +217,11 @@ class PrimeBudget(Struct):
         return cls(ps, tuple(prec for _ in ps))
 
     def exponent(self, p: int) -> int:
-        return self.exponents[self.primes.index(p)]
+        return self.full_prec[p]
 
     @property
     def modulus(self) -> int:
-        m = 1
-        for p, e in zip(self.primes, self.exponents):
-            m *= p**e
-        return m
+        return math.prod(self.moduli.values())
 
     def to_json(self):
         return [[p, e] for p, e in zip(self.primes, self.exponents)]
@@ -215,9 +229,6 @@ class PrimeBudget(Struct):
     @classmethod
     def from_json(cls, data) -> "PrimeBudget":
         data = _int_rows(data, "budget", ("prime", "exponent"))
-        for p, _ in data:
-            if not is_prime(p):
-                raise ValueError(f"budget prime {p} is not a prime")
         return cls(tuple(p for p, _ in data), tuple(e for _, e in data))
 
 
@@ -240,38 +251,63 @@ class ProfiniteApprox:
     are least nonnegative.  Arithmetic keeps the minimum precision of the
     operands; division by an integer consumes v_p of it per prime and
     requires the corresponding divisibility, failing loudly otherwise.
+
+    The constructor is the validating boundary: it reduces the residues and
+    names a missing or extra prime, a non-integer residue or precision, and
+    a precision outside 0..e.  Kernels whose results are reduced by
+    construction build them with ``_trusted``.  Values may share their
+    ``prec`` dicts, so ``prec`` and ``residue`` are read-only.
     """
 
     __slots__ = ("budget", "prec", "residue")
 
     def __init__(self, budget: PrimeBudget, residue: Mapping[int, int],
                  prec: Mapping[int, int] | None = None):
-        self.budget = budget
         if prec is None:
-            prec = {p: budget.exponent(p) for p in budget.primes}
-        self.prec = {p: int(prec[p]) for p in budget.primes}
-        self.residue = {}
-        for p in budget.primes:
-            k = self.prec[p]
+            prec = budget.full_prec
+        _check_primes(budget, residue, "profinite coefficient")
+        _check_primes(budget, prec, "profinite coefficient precision")
+        self.budget = budget
+        self.prec, self.residue = {}, {}
+        for p, e in budget.full_prec.items():
+            k, r = prec[p], residue[p]
+            if type(k) is not int:
+                raise ValueError(f"precision {k!r} at p={p} is not an integer")
+            if type(r) is not int:
+                raise ValueError(f"residue {r!r} at p={p} is not an integer")
             if k < 0:
                 raise PrecisionError(f"negative precision at p={p}")
-            if k > budget.exponent(p):
-                raise ValueError("precision exceeds budget")
-            self.residue[p] = residue[p] % p**k if k > 0 else 0
+            if k > e:
+                raise ValueError(f"precision {k} exceeds the budget exponent {e} at p={p}")
+            self.prec[p] = k
+            self.residue[p] = r % p**k
+
+    @classmethod
+    def _trusted(cls, budget: PrimeBudget, residue: dict, prec: dict) -> "ProfiniteApprox":
+        """A value a kernel has already reduced, built without checks: the
+        keys of both dicts are the budget primes in order, and at each p the
+        residue is least nonnegative mod p**k for an int 0 <= k <= e."""
+        x = object.__new__(cls)
+        x.budget = budget
+        x.prec = prec
+        x.residue = residue
+        return x
 
     @classmethod
     def from_int(cls, budget: PrimeBudget, n: int) -> "ProfiniteApprox":
-        return cls(budget, {p: n % p**budget.exponent(p) for p in budget.primes})
+        if not isinstance(n, int):
+            raise TypeError(f"cannot embed {n!r} as an integer")
+        return cls._trusted(budget, {p: n % m for p, m in budget.moduli.items()},
+                            budget.full_prec)
 
     @classmethod
     def from_rational(cls, budget: PrimeBudget, q: Fraction) -> "ProfiniteApprox":
         """Embed a rational whose denominator is a unit at every budget prime."""
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"cannot embed {q!r} as a rational")
         q = Fraction(q)
-        res = {}
-        for p in budget.primes:
-            pe = p ** budget.exponent(p)
-            res[p] = rational_mod(q, pe)
-        return cls(budget, res)
+        return cls._trusted(budget, {p: rational_mod(q, m) for p, m in budget.moduli.items()},
+                            budget.full_prec)
 
     def residue_mod(self, p: int, k: int) -> int:
         """Value mod p**k; raises PrecisionError if k digits are not stored."""
@@ -307,31 +343,39 @@ class ProfiniteApprox:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prec = {p: min(self.prec[p], other.prec[p]) for p in self.budget.primes}
-        res = {
-            p: fn(self.residue[p], other.residue[p]) % (p ** prec[p]) if prec[p] else 0
-            for p in self.budget.primes
-        }
-        return ProfiniteApprox(self.budget, res, prec)
+        if self.prec is other.prec:
+            prec = self.prec
+        else:
+            prec = {p: min(k, other.prec[p]) for p, k in self.prec.items()}
+        a, b = self.residue, other.residue
+        res = {p: fn(a[p], b[p]) % p**k for p, k in prec.items()}
+        return ProfiniteApprox._trusted(self.budget, res, prec)
 
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, sub)
 
     def __rsub__(self, other):
-        return self._zip(other, lambda a, b: b - a)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other._zip(self, sub)
 
     def __mul__(self, other):
-        return self._zip(other, lambda a, b: a * b)
+        if isinstance(other, int):
+            prec = self.prec
+            res = {p: r * other % p**prec[p] for p, r in self.residue.items()}
+            return ProfiniteApprox._trusted(self.budget, res, prec)
+        return self._zip(other, mul)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._zip(0, lambda a, b: -a)
+        prec = self.prec
+        res = {p: -r % p**prec[p] for p, r in self.residue.items()}
+        return ProfiniteApprox._trusted(self.budget, res, prec)
 
     def divide_exact(self, n: int) -> "ProfiniteApprox":
         """Divide by a nonzero integer, consuming v_p(n) precision per prime.
@@ -359,7 +403,7 @@ class ProfiniteApprox:
                 )
             res[p] = ((r // p**v) * modinv(unit, p**k) * sign) % p**k if k else 0
             prec[p] = k
-        return ProfiniteApprox(self.budget, res, prec)
+        return ProfiniteApprox._trusted(self.budget, res, prec)
 
     # -- predicates -----------------------------------------------------
 
@@ -398,17 +442,22 @@ class ProfiniteApprox:
         rows = _int_rows(data["primes"], "profinite coefficient", ("prime", "precision", "residue"))
         primes = [row[0] for row in rows]
         for p in primes:
-            if p not in budget.primes:
-                raise ValueError(
-                    f"profinite coefficient has prime {p} outside budget {budget.to_json()}")
             if primes.count(p) > 1:
                 raise ValueError(f"profinite coefficient repeats prime {p}")
-        for p in budget.primes:
-            if p not in primes:
-                raise ValueError(f"profinite coefficient lacks budget prime {p}")
         res = {p: r for p, _, r in rows}
         prec = {p: k for p, k, _ in rows}
         return cls(budget, res, prec)
+
+
+def _check_primes(budget: PrimeBudget, mapping: Mapping[int, int], what: str) -> None:
+    """ValueError naming the first key of ``mapping`` outside the budget, or
+    else the first budget prime it lacks."""
+    for p in mapping:
+        if p not in budget.full_prec:
+            raise ValueError(f"{what} has prime {p} outside budget {budget.to_json()}")
+    for p in budget.primes:
+        if p not in mapping:
+            raise ValueError(f"{what} lacks budget prime {p}")
 
 
 def is_unit(r: ProfiniteApprox) -> bool:

@@ -26,7 +26,10 @@ class NotIntegrable(ArithmeticError):
 
 class MultiSeries:
     """Plain (unsorted-key) container: dict from exponent tuple to value,
-    truncated by total degree; zero coefficients are not stored."""
+    truncated by total degree; zero coefficients are not stored.  Pruning
+    goes through ``series.is_known_zero``: a profinite coefficient with no
+    digits at some prime is unknown and raises PrecisionError.  Each site
+    tests ``ring.is_zero`` first, so a nonzero value costs no extra call."""
 
     __slots__ = ("ring", "nvars", "trunc", "coeffs")
 
@@ -42,7 +45,7 @@ class MultiSeries:
                 if sum(key) > trunc:
                     continue
                 v = ring.coerce(val)
-                if not ring.is_zero(v):
+                if not (ring.is_zero(v) and is_known_zero(ring, v, key)):
                     self.coeffs[tuple(key)] = v
 
     def get(self, key):
@@ -64,7 +67,7 @@ class MultiSeries:
             if sum(key) > T:
                 continue
             v = fn(self.get(key), other.get(key))
-            if not self.ring.is_zero(v):
+            if not (self.ring.is_zero(v) and is_known_zero(self.ring, v, key)):
                 out[key] = v
         res = MultiSeries(self.ring, self.nvars, T)
         res.coeffs = out
@@ -85,7 +88,7 @@ class MultiSeries:
             return out
         for key, val in self.coeffs.items():
             v = val * c
-            if not self.ring.is_zero(v):
+            if not (self.ring.is_zero(v) and is_known_zero(self.ring, v, key)):
                 out.coeffs[key] = v
         return out
 
@@ -106,7 +109,8 @@ class MultiSeries:
                 cur = acc.get(key)
                 prod = v1 * v2
                 acc[key] = cur + prod if cur is not None else prod
-        for key in [k for k, v in acc.items() if self.ring.is_zero(v)]:
+        is_zero = self.ring.is_zero
+        for key in [k for k, v in acc.items() if is_zero(v) and is_known_zero(self.ring, v, k)]:
             del acc[key]
         return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Iterable
 
 from .arith import (
@@ -172,13 +172,13 @@ class ProfiniteRing:
         Only a zero weight skips a value, never a value that tests as zero."""
         out = [({}, {}) for _ in rows]
         live = [[j for j, w in enumerate(row) if w] for row in rows]
-        for p, e in zip(self.budget.primes, self.budget.exponents):
+        for p, e in self.budget.full_prec.items():
             res = [v.residue[p] for v in values]
             prec = [v.prec[p] for v in values]
             for (r, k), row, js in zip(out, rows, live):
-                r[p] = sum(map(mul, row, res))
-                k[p] = min(map(prec.__getitem__, js), default=e)
-        return [ProfiniteApprox(self.budget, r, k) for r, k in out]
+                k[p] = least = min(map(prec.__getitem__, js), default=e)
+                r[p] = sum(map(mul, row, res)) % p**least
+        return [ProfiniteApprox._trusted(self.budget, r, k) for r, k in out]
 
     def matvec(self, values, cols):
         """[sum_i values[i] * cols[i][d] for each d], both factors ring values:
@@ -189,13 +189,13 @@ class ProfiniteRing:
         are none.  No term is skipped."""
         rows = list(zip(*cols))
         out = [({}, {}) for _ in rows]
-        for p, e in zip(self.budget.primes, self.budget.exponents):
+        for p, e in self.budget.full_prec.items():
             res = [v.residue[p] for v in values]
             low = min((v.prec[p] for v in values), default=e)
             for (r, k), row in zip(out, rows):
-                r[p] = sum(map(mul, res, [c.residue[p] for c in row]))
-                k[p] = min(low, *[c.prec[p] for c in row])
-        return [ProfiniteApprox(self.budget, r, k) for r, k in out]
+                k[p] = least = min(low, *[c.prec[p] for c in row])
+                r[p] = sum(map(mul, res, [c.residue[p] for c in row])) % p**least
+        return [ProfiniteApprox._trusted(self.budget, r, k) for r, k in out]
 
     @staticmethod
     def coeff_to_json(x):
@@ -259,6 +259,17 @@ class TruncSeries:
             cs.append(ring.zero())
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _trusted(cls, ring, trunc: int, coeffs) -> "TruncSeries":
+        """A series whose trunc+1 coefficients are values of ``ring`` by
+        construction (results of ring arithmetic), built without coercion
+        or padding."""
+        s = object.__new__(cls)
+        s.ring = ring
+        s.trunc = trunc
+        s.coeffs = tuple(coeffs)
+        return s
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -308,22 +319,18 @@ class TruncSeries:
 
     def __add__(self, other):
         T = self._align(other)
-        return TruncSeries(
-            self.ring, T, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return TruncSeries._trusted(self.ring, T, map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         T = self._align(other)
-        return TruncSeries(
-            self.ring, T, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return TruncSeries._trusted(self.ring, T, map(sub, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return TruncSeries(self.ring, self.trunc, [-c for c in self.coeffs])
+        return TruncSeries._trusted(self.ring, self.trunc, map(neg, self.coeffs))
 
     def scale(self, c) -> "TruncSeries":
         c = self.ring.coerce(c)
-        return TruncSeries(self.ring, self.trunc, [c * a for a in self.coeffs])
+        return TruncSeries._trusted(self.ring, self.trunc, [c * a for a in self.coeffs])
 
     def __mul__(self, other):
         T = self._align(other)
@@ -334,12 +341,14 @@ class TruncSeries:
             for j in range(T + 1 - i):
                 b = other.coeffs[j]
                 out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.ring, T, out)
+        return TruncSeries._trusted(self.ring, T, out)
 
     def truncate(self, T: int) -> "TruncSeries":
         if T > self.trunc:
             raise TruncationExhausted(f"cannot extend T={self.trunc} to {T}")
-        return TruncSeries(self.ring, T, self.coeffs[: T + 1])
+        if T < 0:
+            raise ValueError("truncation must be >= 0")
+        return TruncSeries._trusted(self.ring, T, self.coeffs[: T + 1])
 
     def substitute(self, u: "TruncSeries") -> "TruncSeries":
         """Classical substitution self(u(x)) for u with zero constant term.
@@ -475,8 +484,8 @@ def adams_series(r, T: int) -> TruncSeries:
                     )
                 res[p] = (-1) ** k * gen_binomial(r, k, p, e) % p**e
                 prec[p] = e
-            coeffs.append(ProfiniteApprox(r.budget, res, prec))
-        return TruncSeries(ring, T, coeffs)
+            coeffs.append(ProfiniteApprox._trusted(r.budget, res, prec))
+        return TruncSeries._trusted(ring, T, coeffs)
     raise TypeError("Adams exponent must be an integer or a ProfiniteApprox")
 
 

@@ -287,7 +287,7 @@ def _glued_nodes(budget: PrimeBudget, count: int) -> list[int]:
     integer coefficients while matching the prescribed unit at every
     budget prime.  The list is prefix-stable in ``count``: G_i uses the
     first i+1 nodes, whose distinctness ``_NodeWeights`` checks."""
-    mods = {p: p ** budget.exponent(p) for p in budget.primes}
+    mods = budget.moduli
     per_p = {p: a_min(p, count) for p in mods}
     return [crt_lift((per_p[p][i] % q, q) for p, q in mods.items())[0] for i in range(count)]
 
@@ -309,7 +309,7 @@ class _NodeWeights:
     def __init__(self, nodes: list[int], budget: PrimeBudget):
         self.nodes = nodes
         self.budget = budget
-        self.mods = {p: p ** budget.exponent(p) for p in budget.primes}
+        self.mods = budget.moduli
         self.val = {p: [] for p in self.mods}
         self.unit = {p: [] for p in self.mods}
         self.size = 0  # nodes multiplied in; stops before a repeated node
@@ -359,7 +359,7 @@ class _NodeWeights:
 def _adams_table(nodes: list[int], T: int, budget: PrimeBudget) -> list[dict]:
     """table[k][p][j] = [x^k] A_(a_j) = (-1)^k C(a_j, k) mod p^e_p for k <= T.
     The binomials are exact integers, updated in k."""
-    mods = {p: p ** budget.exponent(p) for p in budget.primes}
+    mods = budget.moduli
     table, binoms = [], [1] * len(nodes)
     for k in range(T + 1):
         table.append({p: [(-b if k % 2 else b) % q for b in binoms] for p, q in mods.items()})
@@ -376,12 +376,16 @@ def _adams_coeff(weights: dict, row: dict) -> dict:
 def _weighted_adams(weights: dict, nodes: list[int], table: list[dict], budget: PrimeBudget):
     """sum_j w_j A_(a_j) as a profinite series, with its combination
     [(w_j, a_j), ...] over the weighted prefix of the nodes."""
-    coeffs = [ProfiniteApprox(budget, _adams_coeff(weights, row)) for row in table]
+    full, mods = budget.full_prec, budget.moduli
+    coeffs = []
+    for row in table:
+        res = {p: s % mods[p] for p, s in _adams_coeff(weights, row).items()}
+        coeffs.append(ProfiniteApprox._trusted(budget, res, full))
     comb = [
-        (ProfiniteApprox(budget, dict(zip(weights, col))), a)
+        (ProfiniteApprox._trusted(budget, dict(zip(weights, col)), full), a)
         for col, a in zip(zip(*weights.values()), nodes)
     ]
-    return TruncSeries(ProfiniteRing(budget), len(table) - 1, coeffs), comb
+    return TruncSeries._trusted(ProfiniteRing(budget), len(table) - 1, coeffs), comb
 
 
 def _require_leading_term(kind: str, n: int, T: int) -> None:
@@ -436,8 +440,7 @@ def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
             "F", 1, TruncSeries(ring, T, ints[: T + 1]), ints[: T + 1],
             combination=[(one, -1), (-one, 1)],
         )
-    e = dict(zip(budget.primes, budget.exponents))
-    mods = {p: p**k for p, k in e.items()}
+    e, mods = budget.full_prec, budget.moduli
     nodes = _glued_nodes(budget, max(n, T) + 1)
     lagrange = _NodeWeights(nodes, budget)
     dn_n = dn(n)
@@ -555,8 +558,8 @@ def twisted_adams(b: ProfiniteApprox, c: ProfiniteApprox, T: int) -> TwistedAdam
             unit = n // p**vn
             res[p] = (val // p**vn) * modinv(unit, p**e) % p**e
             prec[p] = e
-        coeffs.append(ProfiniteApprox(budget, res, prec))
-    return TwistedAdams(TruncSeries(ring, T, coeffs), True, None, rule)
+        coeffs.append(ProfiniteApprox._trusted(budget, res, prec))
+    return TwistedAdams(TruncSeries._trusted(ring, T, coeffs), True, None, rule)
 
 
 def stable_mult_check(c: ProfiniteApprox, T: int) -> bool:

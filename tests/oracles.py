@@ -1,14 +1,15 @@
 """Reference implementations that only the tests compare against: a
 brute-force row span, the binomial-Vandermonde determinant in closed form
 (the Vandermonde-ratio route to d_n), lg_r by series powers, the lg-basis
-reassembly, the term-by-term integer combination and the scaled-sum
-composition."""
+reassembly, the term-by-term integer combination, the scaled-sum
+composition and the validating profinite binary kernel."""
 
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from ckops import Q, TruncSeries, lg_series
+from ckops import ProfiniteApprox, Q, TruncSeries, lg_series
+from ckops.arith import rational_mod
 from ckops.linalg import ModMatrix
 
 
@@ -91,3 +92,19 @@ def compose_by_scaling(C, H2) -> TruncSeries:
             continue
         out = out + C.U[i].truncate(T).scale(a)
     return out
+
+
+def validating_zip(x: ProfiniteApprox, y, fn) -> ProfiniteApprox:
+    """ProfiniteApprox's binary kernel before trusted construction: y (an
+    int, a Fraction or a value) embedded through the public constructor, the
+    least precision per prime, fn of the residues reduced mod p**k, and the
+    result built through the public constructor again."""
+    B = x.budget
+    if not isinstance(y, ProfiniteApprox):
+        y = ProfiniteApprox(B, {p: rational_mod(y, p**e) for p, e in zip(B.primes, B.exponents)})
+    prec = {p: min(x.prec[p], y.prec[p]) for p in B.primes}
+    res = {
+        p: fn(x.residue[p], y.residue[p]) % (p ** prec[p]) if prec[p] else 0
+        for p in B.primes
+    }
+    return ProfiniteApprox(B, res, prec)

@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from ckops import (
     vp_factorial,
 )
 from ckops.arith import is_prime, rational_reconstruct, set_primes_upto
+from oracles import validating_zip
 
 
 def test_vp_examples():
@@ -201,3 +204,109 @@ def test_is_prime_matches_sieve_and_rejects_strong_pseudoprimes():
     # the least composite passing every base: beyond the decided range
     with pytest.raises(ValueError, match="not decided"):
         is_prime(318665857834031151167461)
+
+
+# -- the validating constructors ------------------------------------------
+
+
+@pytest.mark.parametrize("residue, prec, message", [
+    ({2: 1}, None, "lacks budget prime 3"),
+    ({2: 1, 3: 1}, {2: 4}, "precision lacks budget prime 3"),
+    ({2: 1, 3: 1, 5: 1}, None, r"has prime 5 outside budget \[\[2, 4\], \[3, 4\]\]"),
+    ({2: 1, 3: 1}, {2: 4, 3: 4, 7: 1}, "precision has prime 7 outside budget"),
+    ({2: 1.5, 3: 1}, None, r"residue 1.5 at p=2 is not an integer"),
+    ({2: 1, 3: True}, None, "residue True at p=3 is not an integer"),
+    ({2: 1, 3: 1}, {2: 2.5, 3: 4}, "precision 2.5 at p=2 is not an integer"),
+    ({2: 1, 3: 1}, {2: 4, 3: False}, "precision False at p=3 is not an integer"),
+    ({2: 1, 3: 1}, {2: 5, 3: 4}, "precision 5 exceeds the budget exponent 4 at p=2"),
+])
+def test_profinite_constructor_names_bad_input(residue, prec, message):
+    B = PrimeBudget.uniform([2, 3], 4)
+    with pytest.raises(ValueError, match=message):
+        ProfiniteApprox(B, residue, prec)
+
+
+def test_profinite_constructor_reduces_and_keeps_precision():
+    B = PrimeBudget.uniform([2, 3], 4)
+    x = ProfiniteApprox(B, {2: -1, 3: 100}, {2: 2, 3: 0})
+    assert (x.residue, x.prec) == ({2: 3, 3: 0}, {2: 2, 3: 0})
+    with pytest.raises(PrecisionError, match="negative precision at p=3"):
+        ProfiniteApprox(B, {2: 1, 3: 1}, {2: 1, 3: -1})
+    with pytest.raises(TypeError):
+        ProfiniteApprox.from_int(B, 1.5)
+    for q in (0.5, "1/7"):
+        with pytest.raises(TypeError):
+            ProfiniteApprox.from_rational(B, q)
+
+
+@pytest.mark.parametrize("primes, exponents, message", [
+    ((2, 4), (4, 2), "budget prime 4 is not a prime"),
+    ((2, 1), (4, 2), "budget prime 1 is not a prime"),
+    ((2, 3), (4, 2.5), r"budget exponent 2.5 at p=3 is not an integer"),
+    ((2, 3), (4, True), "budget exponent True at p=3 is not an integer"),
+    ((2.0, 3), (4, 4), r"budget prime 2.0 is not an integer"),
+    ((2, 3), (4, 0), "exponents must be >= 1"),
+    ((2, 2), (4, 4), "distinct"),
+    ((2, 3), (4,), "align"),
+])
+def test_budget_constructor_names_bad_input(primes, exponents, message):
+    with pytest.raises(ValueError, match=message):
+        PrimeBudget(primes, exponents)
+
+
+def test_budget_moduli_leave_its_face_unchanged():
+    B = PrimeBudget((2, 5, 3), (4, 1, 2))
+    assert B.moduli == {2: 16, 5: 5, 3: 9} and B.full_prec == {2: 4, 5: 1, 3: 2}
+    assert list(B.moduli) == [2, 5, 3]
+    assert repr(B) == "PrimeBudget((2, 5, 3), (4, 1, 2))"
+    assert B == PrimeBudget((2, 5, 3), (4, 1, 2)) != PrimeBudget((2, 5, 3), (4, 1, 3))
+    assert hash(B) == hash(((2, 5, 3), (4, 1, 2)))
+    assert B.to_json() == [[2, 4], [5, 1], [3, 2]]
+    assert B.modulus == 16 * 5 * 9
+
+
+# -- trusted arithmetic against the validating kernel it replaced ---------
+
+
+def _same_dicts(x, y):
+    """Equal residue and precision dicts, every residue and precision an int."""
+    assert (x.residue, x.prec) == (y.residue, y.prec)
+    assert all(type(v) is int for v in (*x.residue.values(), *x.prec.values()))
+    return True
+
+
+def test_trusted_arithmetic_matches_validating_zip():
+    # seeded values with no digits, some digits and every digit per prime,
+    # against values, ints and Fractions whose denominators are budget units;
+    # each result also passes the public constructor unchanged
+    rng = random.Random(15)
+    B = PrimeBudget((2, 3, 5), (4, 2, 3))
+
+    def value():
+        kind = rng.choice(["none", "partial", "full"])
+        prec = {p: {"none": 0, "partial": rng.randint(0, e), "full": e}[kind]
+                for p, e in zip(B.primes, B.exponents)}
+        return ProfiniteApprox(B, {p: rng.randrange(-p**5, p**5) for p in B.primes}, prec)
+
+    def operand():
+        kind = rng.choice(["value", "int", "Fraction"])
+        if kind == "value":
+            return value()
+        if kind == "int":
+            return rng.randint(-300, 300)
+        return Fraction(rng.randint(-60, 60), rng.choice([1, 7, 11, 13, 77]))
+
+    for trial in range(400):
+        a, b = value(), operand()
+        pairs = [
+            (a + b, validating_zip(a, b, operator.add)),
+            (b + a, validating_zip(a, b, operator.add)),
+            (a - b, validating_zip(a, b, operator.sub)),
+            (b - a, validating_zip(a, b, lambda x, y: y - x)),
+            (a * b, validating_zip(a, b, operator.mul)),
+            (b * a, validating_zip(a, b, operator.mul)),
+            (-a, validating_zip(a, 0, lambda x, y: -x)),
+        ]
+        for got, want in pairs:
+            assert _same_dicts(got, want), trial
+            assert _same_dicts(got, ProfiniteApprox(B, got.residue, got.prec)), trial

@@ -93,10 +93,10 @@ def _partial_by_definition(M):
     return at([0, 1]) - at([0]) - at([1]) + at([])
 
 
-def _partial0_by_definition(M):
-    """Oracle for iter_partial(M, 0): M - M(0, x_2, ..., x_n)."""
+def _x1_free_part(M):
+    """M(0, x_2, ..., x_n): M with the zero series substituted for x_1."""
     n = M.nvars
-    return M - subst_first(M, MultiSeries(M.ring, n, M.trunc), n, list(range(1, n)))
+    return subst_first(M, MultiSeries(M.ring, n, M.trunc), n, list(range(1, n)))
 
 
 def _exact(M):
@@ -121,6 +121,12 @@ def _random_multi(rng, budget, blind=False):
         else:
             prec = {2: rng.randint(0, 4), 3: rng.randint(0, 4)} if blind else None
             coeffs[key] = ProfiniteApprox(budget, {2: rng.randrange(16), 3: rng.randrange(81)}, prec)
+    # a zero without digits at some prime is unknown, which MultiSeries
+    # rejects (test_multiseries_unknown_coefficient_raises): leave it out
+    unknown = [k for k, v in coeffs.items()
+               if isinstance(v, ProfiniteApprox) and v.is_zero() and 0 in v.prec.values()]
+    for k in unknown:
+        del coeffs[k]
     return MultiSeries(ring, nvars, T, coeffs)
 
 
@@ -134,7 +140,9 @@ def test_partial_derivative_matches_definition():
 
 def test_partial0_matches_definition():
     # iter_partial(M, 0) keeps the monomials with a positive x_1 exponent;
-    # its oracle substitutes x_1 = 0 and subtracts
+    # its oracle is the definition M = iter_partial(M, 0) + M(0, x_2, ...).
+    # The two parts share no monomial, so no value cancels: M - M(0, ...)
+    # would cancel a coefficient without digits into an unknown zero.
     rng = random.Random(11)
     budget = PrimeBudget.uniform([2, 3], 4)
     blind = 0
@@ -143,7 +151,7 @@ def test_partial0_matches_definition():
         blind += any(0 in v.prec.values() for v in M.coeffs.values() if isinstance(v, ProfiniteApprox))
         got = iter_partial(M, 0)
         assert (got.nvars, got.trunc) == (M.nvars, M.trunc), trial
-        assert _exact(got) == _exact(_partial0_by_definition(M)), trial
+        assert _exact(got + _x1_free_part(M)) == _exact(M), trial
     assert blind > 0
 
 
@@ -163,6 +171,28 @@ def test_coefficient_without_digits_is_unknown_not_dropped():
         iter_partial(G, 1)
     # zeros known to one digit are still zeros
     assert iter_partial(TruncSeries(ring, 3, [zero] * 4), 1).coeffs == {}
+
+
+def test_multiseries_unknown_coefficient_raises():
+    # a zero without digits at p = 2 is unknown: the constructor, +/-, scale
+    # and * raise instead of pruning it, as TruncSeries does
+    B = PrimeBudget.uniform([2, 3], 4)
+    R = ProfiniteRing(B)
+    blind_zero = ProfiniteApprox(B, {2: 0, 3: 0}, {2: 0, 3: 4})
+    with pytest.raises(PrecisionError, match=r"coefficient \(1, 0\) has no digits at p=2"):
+        MultiSeries(R, 2, 3, {(1, 0): blind_zero})
+    M = MultiSeries(R, 2, 3, {(1, 0): ProfiniteApprox(B, {2: 0, 3: 5}, {2: 0, 3: 4})})
+    assert list(M.coeffs) == [(1, 0)]
+    with pytest.raises(PrecisionError, match="no digits at p=2"):
+        M - M
+    with pytest.raises(PrecisionError, match="no digits at p=2"):
+        M == M
+    with pytest.raises(PrecisionError, match="no digits at p=2"):
+        M.scale(81)
+    with pytest.raises(PrecisionError, match="no digits at p=2"):
+        M * MultiSeries(R, 2, 3, {(0, 1): 81})
+    # a zero known at every prime is still pruned
+    assert MultiSeries(R, 2, 3, {(1, 0): ProfiniteApprox(B, {2: 0, 3: 0}, {2: 1, 3: 4})}).is_zero()
 
 
 def test_iter_partial_equals_folded():

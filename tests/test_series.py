@@ -18,6 +18,8 @@ from ckops import (
     adams_series,
     b_map,
     compose_op,
+    construct_Fn,
+    construct_Gn,
     desuspend,
     lg_decompose,
     lg_series,
@@ -508,21 +510,79 @@ def test_integer_combinations_match_per_term_forms(ring):
             ring, lambda: [chain_sum_by_terms(ring, vals, row)])
 
 
-def test_composer_makes_quadratically_many_ring_values(monkeypatch):
-    # the table is one combine of T+1 Adams coordinates: (T+1)(T+2) profinite
-    # values at most, where one ring operation per term made thousands
-    T = 12
-    H = adams_series(prof(PrimeBudget.uniform([2, 3, 5, 7], 12), 11), T)
-    made = []
-    init = ProfiniteApprox.__init__
+def _count_constructions(monkeypatch) -> dict:
+    """Hook both ProfiniteApprox constructors: the returned dict counts the
+    validating (``__init__``) and trusted (``_trusted``) constructions made
+    from here on."""
+    made = {"validating": 0, "trusted": 0}
+    init, trusted = ProfiniteApprox.__init__, ProfiniteApprox._trusted.__func__
 
     def counting_init(self, *args, **kwargs):
-        made.append(None)
+        made["validating"] += 1
         init(self, *args, **kwargs)
 
+    def counting_trusted(cls, *args):
+        made["trusted"] += 1
+        return trusted(cls, *args)
+
     monkeypatch.setattr(ProfiniteApprox, "__init__", counting_init)
+    monkeypatch.setattr(ProfiniteApprox, "_trusted", classmethod(counting_trusted))
+    return made
+
+
+def test_composer_makes_quadratically_many_ring_values(monkeypatch):
+    # the table is one combine of T+1 Adams coordinates: (T+1)(T+2) profinite
+    # values at most, where one ring operation per term made thousands; the
+    # combine alone makes T(T+1), so the hook sees every construction
+    T = 12
+    H = adams_series(prof(PrimeBudget.uniform([2, 3, 5, 7], 12), 11), T)
+    made = _count_constructions(monkeypatch)
     Composer(H)
-    assert len(made) <= (T + 1) * (T + 2)
+    assert T * (T + 1) <= made["validating"] + made["trusted"] <= (T + 1) * (T + 2)
+
+
+def test_kernels_make_no_validating_constructions(monkeypatch):
+    B = PrimeBudget.uniform([2, 3, 5, 7], 8)
+    R = ProfiniteRing(B)
+    a, b = prof(B, 123456), prof(B, 789).divide_exact(3)
+    S = TruncSeries(R, 6, [a, b, 7, 0, a, b, 1])
+    made = _count_constructions(monkeypatch)
+    values = [a + b, a * b, a * 7, 7 * a, -a, a - b, 5 - a]
+    series = [S + S, S - S, -S, S.scale(7), S.scale(a), S * S, S.truncate(3)]
+    assert made["validating"] == 0
+    assert made["trusted"] >= len(values) + (len(series) - 1) * (S.trunc + 1)
+
+
+def test_kernel_outputs_pass_the_public_constructor_unchanged(budget):
+    # every value a kernel builds without checks is one the constructor
+    # accepts and leaves as it is: combine, matvec, adams_series,
+    # divide_exact, construct_Gn and construct_Fn, at precision 0 too
+    R = ProfiniteRing(_BUDGET)
+    rng = random.Random("trusted round trip")
+    outputs = []
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        values = _values(rng, R, n)
+        outputs += R.combine(values, [[rng.randint(-40, 40) for _ in range(n)] for _ in range(4)])
+        cols = [_values(rng, R, 5) for _ in range(n)]
+        outputs += R.matvec(values, cols)
+        for v in values:
+            d = rng.choice([1, -2, 3, 25, 12])
+            try:
+                outputs.append((v * d * rng.randint(1, 9)).divide_exact(d))
+            except PrecisionError:
+                pass
+    outputs += adams_series(prof(_BUDGET, 7), 5).coeffs
+    outputs += adams_series(ProfiniteApprox(_BUDGET, {2: 5, 3: 4, 5: 7}, {2: 4, 3: 2, 5: 2}), 2).coeffs
+    for n in range(5):
+        for basis in (construct_Gn(n, 7, budget), construct_Fn(n, 7, budget)):
+            outputs += basis.series.coeffs
+            outputs += [w for w, _ in basis.combination]
+    assert any(0 in x.prec.values() for x in outputs)
+    for x in outputs:
+        y = ProfiniteApprox(x.budget, x.residue, x.prec)
+        assert (y.residue, y.prec) == (x.residue, x.prec)
+        assert all(type(v) is int for v in (*x.residue.values(), *x.prec.values()))
 
 
 # Composer.compose (one ring.matvec) against the scaled-sum loop it
