@@ -7,9 +7,9 @@ argparse usage errors exit 2 with argparse's own message.  All output is
 deterministic for fixed inputs, seed, and budget.
 
 Each command imports only the modules it calls: check --test qn|qnm|opnm
-loads arith, series, multisym and classify; s, tower, basis and dn load
-arith, linalg, series and stable; verify loads suites and what the suite
-calls (adams: arith and series only).
+loads arith, series, multisym and classify; s, basis and dn load arith,
+series and stable, and tower loads linalg as well; verify loads suites
+and what the suite calls (adams: arith and series only).
 """
 
 from __future__ import annotations

@@ -195,6 +195,21 @@ def test_multiseries_unknown_coefficient_raises():
     assert MultiSeries(R, 2, 3, {(1, 0): ProfiniteApprox(B, {2: 0, 3: 0}, {2: 1, 3: 4})}).is_zero()
 
 
+def test_is_symmetric_unknown_difference_raises():
+    # a and b agree mod 3^4 but have no digits at p = 2: whether they are
+    # equal is unknown, so the symmetry verdict raises instead of True
+    B = PrimeBudget.uniform([2, 3], 4)
+    R = ProfiniteRing(B)
+    a = ProfiniteApprox(B, {2: 0, 3: 5}, {2: 0, 3: 4})
+    b = ProfiniteApprox(B, {2: 0, 3: 5}, {2: 0, 3: 4})
+    with pytest.raises(PrecisionError, match=r"coefficient \(0, 1\) has no digits at p=2"):
+        is_symmetric(MultiSeries(R, 2, 3, {(1, 0): a, (0, 1): b}))
+    # with every digit the verdicts stand
+    five, six = ProfiniteApprox.from_int(B, 5), ProfiniteApprox.from_int(B, 6)
+    assert is_symmetric(MultiSeries(R, 2, 3, {(1, 0): five, (0, 1): five}))
+    assert not is_symmetric(MultiSeries(R, 2, 3, {(1, 0): five, (0, 1): six}))
+
+
 def test_iter_partial_equals_folded():
     # production route iter_partial (one subset sum) against its oracle,
     # the m-fold nested partial_derivative

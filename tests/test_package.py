@@ -84,7 +84,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
-_STABLE_PATH = {"ckops", "ckops.cli", "ckops.arith", "ckops.linalg", "ckops.series", "ckops.stable"}
+# linalg loads only with the lattice routes (tower_member, s_oracle)
+_STABLE_PATH = {"ckops", "ckops.cli", "ckops.arith", "ckops.series", "ckops.stable"}
 
 
 @pytest.mark.parametrize(
@@ -97,6 +98,7 @@ _STABLE_PATH = {"ckops", "ckops.cli", "ckops.arith", "ckops.linalg", "ckops.seri
         (["verify", "adams", "--trunc", "4"],
          {"ckops", "ckops.cli", "ckops.arith", "ckops.series", "ckops.suites"}),
         (["verify", "basis", "--trunc", "4"], _STABLE_PATH | {"ckops.suites"}),
+        (["check", "--test", "tower"], _STABLE_PATH | {"ckops.linalg"}),
     ],
 )
 def test_command_loads_only_the_modules_it_calls(tmp_path, argv, loaded):

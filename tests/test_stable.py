@@ -508,8 +508,9 @@ def test_tower_p2_precision_law():
 
 
 # the least budget exponent e at which d_j/p x^j, stored at truncation j,
-# fails level j+1 at budget (p)^e, for every j <= 10 with p | d_j; no closed
-# form is known yet, unlike p = 2's j + v_2(j!)
+# fails level j+1 at budget (p)^e, for every j <= 10 with p | d_j; both
+# tables are instances of e_min(p, j) = v_p(d_j) + v_p(j!) - (j mod (p-1)),
+# a conjecture checked over a wider range by test_tower_precision_law
 TOWER_P3_LEAST_FAILING_E = {2: 1, 4: 2, 5: 1, 6: 4, 7: 3, 8: 5, 9: 4, 10: 6}
 TOWER_P5_LEAST_FAILING_E = {4: 1, 8: 2, 9: 1}
 
@@ -521,6 +522,28 @@ def test_tower_p3_p5_precision_tables(p, least):
         G = TruncSeries(Z, j, [0] * j + [dn(j).value // p])
         for e in range(1, 12):
             assert tower_member(G, j + 1, PrimeBudget.uniform([p], e)) == (e < e_min), (j, e)
+
+
+# p -> largest j checked by test_tower_precision_law
+TOWER_LAW_J_MAX = {2: 16, 3: 20, 5: 22, 7: 22, 11: 24}
+
+
+def test_tower_precision_law():
+    # d_j/p x^j, stored at truncation j, passes level j+1 at budget (p)^e
+    # exactly while e < e_min(p, j) = v_p(d_j) + v_p(j!) - (j mod (p-1)),
+    # at every j in range with p | d_j (a conjecture, checked here)
+    cases = 0
+    for p, j_max in TOWER_LAW_J_MAX.items():
+        for j in range(1, j_max + 1):
+            d = dn(j)
+            if p not in d.per_prime:
+                continue
+            e_min = d.per_prime[p] + vp_factorial(j, p) - j % (p - 1)
+            G = TruncSeries(Z, j, [0] * j + [d.value // p])
+            for e in range(1, e_min + 2):
+                assert tower_member(G, j + 1, PrimeBudget.uniform([p], e)) == (e < e_min), (p, j, e)
+            cases += 1
+    assert cases == 56
 
 
 def test_tower_x_fails(budget):
@@ -594,19 +617,29 @@ def _random_tower_case(rng):
 
 
 def test_tower_member_single_lattice_matches_per_level_oracle():
-    rng = random.Random(8)
-    verdicts = []
-    for trial in range(300):
-        G, n, budget = _random_tower_case(rng)
-        try:
-            want = _oracle_tower(G, n, budget)
-        except PrecisionError:
-            with pytest.raises(PrecisionError):
-                tower_member(G, n, budget)
-            continue
-        assert tower_member(G, n, budget) == want, (trial, n, budget, G)
-        verdicts.append(want)
-    assert True in verdicts and False in verdicts
+    # every case twice: with the lattice memo emptied before it (cold), and
+    # with it kept from the cases before (warm); the cases repeat (D, r, q)
+    # keys with different G, including Zhat inputs whose lost digits lower q
+    lattice = stable._phi_image_lattice
+    assert lattice.cache_info().maxsize is not None
+    for cold in (True, False):
+        lattice.cache_clear()
+        rng = random.Random(8)
+        verdicts = []
+        for trial in range(300):
+            G, n, budget = _random_tower_case(rng)
+            if cold:
+                lattice.cache_clear()
+            try:
+                want = _oracle_tower(G, n, budget)
+            except PrecisionError:
+                with pytest.raises(PrecisionError):
+                    tower_member(G, n, budget)
+                continue
+            assert tower_member(G, n, budget) == want, (cold, trial, n, budget, G)
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
+        assert (lattice.cache_info().hits > 0) == (not cold)
 
 
 # -- multiplicative layer ----------------------------------------------------------------
