@@ -407,20 +407,31 @@ class ProfiniteApprox:
 
     # -- predicates -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        """Zero within the stored precision."""
-        return all(self.residue[p] == 0 for p in self.budget.primes)
+    def is_zero(self, at=None) -> bool:
+        """False if some residue is nonzero; else unknown if some prime has
+        no digits, a PrecisionError naming ``at`` (a caller's degree or key)
+        and the prime; else True."""
+        if any(self.residue.values()):
+            return False
+        for p, k in self.prec.items():
+            if k == 0:
+                what = "value" if at is None else f"coefficient {at}"
+                raise PrecisionError(f"{what} has no digits at p={p}: zero or not is unknown")
+        return True
 
     def eq_within(self, other) -> bool:
-        diff = self - self._coerce(other)
-        return diff.is_zero()
+        """Equal within the stored precision: the one comparison that counts
+        a prime with no digits as agreeing."""
+        return not any((self - self._coerce(other)).residue.values())
 
     def __eq__(self, other):
+        """Through is_zero: PrecisionError when the answer is unknown."""
         if isinstance(other, (int, Fraction, ProfiniteApprox)):
             try:
-                return self.eq_within(other)
-            except (ValueError, PrecisionError):
+                diff = self - other
+            except ValueError:
                 return NotImplemented
+            return diff.is_zero()
         return NotImplemented
 
     def __hash__(self):

@@ -35,7 +35,6 @@ from .series import (
     TruncSeries,
     chain_sum,
     chain_weights,
-    is_known_zero,
     lg_series,
     phi,
     valuation,
@@ -70,7 +69,7 @@ def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
     if n < 1:
         v = valuation(G)
         return integer_coefficients(G) and (v is None or v >= m)
-    if not G.ring.is_zero(G.coeffs[0]):
+    if not G.ring.is_zero(G.coeffs[0], 0):
         raise NotInGroup("membership for n >= 1 needs a zero constant term")
     if G.trunc < n:
         raise PrecisionError(f"need truncation >= {n}, have {G.trunc}")
@@ -96,7 +95,7 @@ def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
         raise PrecisionError(f"need truncation >= {n}, have {G.trunc}")
     if isinstance(G.ring, ProfiniteRing):  # name an unknown input degree, not one of Phi^n(G)
         for i, c in enumerate(G.coeffs):
-            is_known_zero(G.ring, c, i)
+            G.ring.is_zero(c, i)
     H = G
     for _ in range(n):
         H = phi(H)

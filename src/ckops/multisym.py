@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from .series import Q, RationalRing, TruncSeries, b_map, is_known_zero, lg_series
+from .series import Q, RationalRing, TruncSeries, all_zero, b_map, lg_series
 
 
 class NotIntegrable(ArithmeticError):
@@ -27,9 +27,9 @@ class NotIntegrable(ArithmeticError):
 class MultiSeries:
     """Plain (unsorted-key) container: dict from exponent tuple to value,
     truncated by total degree; zero coefficients are not stored.  Pruning
-    goes through ``series.is_known_zero``: a profinite coefficient with no
-    digits at some prime is unknown and raises PrecisionError.  Each site
-    tests ``ring.is_zero`` first, so a nonzero value costs no extra call."""
+    asks ``ring.is_zero`` once per value: a profinite coefficient with no
+    digits at some prime is unknown and raises PrecisionError naming its
+    key, so no unknown coefficient is ever stored."""
 
     __slots__ = ("ring", "nvars", "trunc", "coeffs")
 
@@ -45,7 +45,7 @@ class MultiSeries:
                 if sum(key) > trunc:
                     continue
                 v = ring.coerce(val)
-                if not (ring.is_zero(v) and is_known_zero(ring, v, key)):
+                if not ring.is_zero(v, key):
                     self.coeffs[tuple(key)] = v
 
     def get(self, key):
@@ -67,7 +67,7 @@ class MultiSeries:
             if sum(key) > T:
                 continue
             v = fn(self.get(key), other.get(key))
-            if not (self.ring.is_zero(v) and is_known_zero(self.ring, v, key)):
+            if not self.ring.is_zero(v, key):
                 out[key] = v
         res = MultiSeries(self.ring, self.nvars, T)
         res.coeffs = out
@@ -88,7 +88,7 @@ class MultiSeries:
             return out
         for key, val in self.coeffs.items():
             v = val * c
-            if not (self.ring.is_zero(v) and is_known_zero(self.ring, v, key)):
+            if not self.ring.is_zero(v, key):
                 out.coeffs[key] = v
         return out
 
@@ -110,7 +110,7 @@ class MultiSeries:
                 prod = v1 * v2
                 acc[key] = cur + prod if cur is not None else prod
         is_zero = self.ring.is_zero
-        for key in [k for k, v in acc.items() if is_zero(v) and is_known_zero(self.ring, v, k)]:
+        for key in [k for k, v in acc.items() if is_zero(v, k)]:
             del acc[key]
         return out
 
@@ -134,9 +134,11 @@ class MultiSeries:
 
 
 def is_symmetric(M: MultiSeries) -> bool:
-    """Coefficientwise symmetry under all variable permutations.  Each
-    difference goes through ``series.is_known_zero``: one with no digits at
-    some prime is unknown and raises PrecisionError naming its key."""
+    """Coefficientwise symmetry under all variable permutations.  A stored
+    key whose permutation is missing, or a known nonzero difference within
+    an orbit, decides False; otherwise an unknown difference raises
+    PrecisionError naming its key (``series.all_zero``), whatever the
+    order of the coefficients."""
     groups: dict[tuple, list] = {}
     for key, val in M.coeffs.items():
         groups.setdefault(tuple(sorted(key)), []).append((key, val))
@@ -144,20 +146,17 @@ def is_symmetric(M: MultiSeries) -> bool:
         nperms = math.factorial(M.nvars) // math.prod(map(math.factorial, Counter(skey).values()))
         if len(items) != nperms:
             return False
-        v0 = items[0][1]
-        if any(not is_known_zero(M.ring, v - v0, key) for key, v in items[1:]):
-            return False
-    return True
+    return all_zero(M.ring, ((key, v - items[0][1])
+                             for items in groups.values() for key, v in items[1:]))
 
 
 def _as_multi(G) -> MultiSeries:
-    """G as a plain container.  A univariate G keeps every coefficient not
-    known to be zero; an unknown one raises PrecisionError
-    (``series.is_known_zero``)."""
+    """G as a plain container.  A univariate G keeps every nonzero
+    coefficient; an unknown one raises PrecisionError (``ring.is_zero``)."""
     if isinstance(G, TruncSeries):
         M = MultiSeries(G.ring, 1, G.trunc)
         for i, c in enumerate(G.coeffs):
-            if not is_known_zero(G.ring, c, i):
+            if not G.ring.is_zero(c, i):
                 M.coeffs[(i,)] = c
         return M
     if isinstance(G, MultiSeries):

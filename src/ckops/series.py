@@ -49,7 +49,7 @@ class RationalRing:
     one = staticmethod(lambda: Fraction(1))
 
     @staticmethod
-    def is_zero(x):
+    def is_zero(x, at=None):
         return x == 0
 
     is_exact_zero = is_zero
@@ -102,7 +102,7 @@ class IntegerRing:
     one = staticmethod(lambda: 1)
 
     @staticmethod
-    def is_zero(x):
+    def is_zero(x, at=None):
         return x == 0
 
     is_exact_zero = is_zero
@@ -156,8 +156,9 @@ class ProfiniteRing:
         return ProfiniteApprox.from_int(self.budget, 1)
 
     @staticmethod
-    def is_zero(x):
-        return x.is_zero()
+    def is_zero(x, at=None):
+        """Zero, nonzero, or PrecisionError naming ``at`` when unknown."""
+        return x.is_zero(at)
 
     # a profinite zero is zero only to its precision, which every product
     # with it keeps: no term is ever skipped
@@ -303,12 +304,9 @@ class TruncSeries:
         return f"TruncSeries({self.ring!r}; T={self.trunc}; [{head}{tail}])"
 
     def is_zero(self) -> bool:
-        """False if any coefficient is nonzero; otherwise a profinite
-        coefficient with no digits at some prime is unknown, and
-        is_known_zero's PrecisionError names its degree and the prime."""
-        cs = self.coeffs
-        return all(map(self.ring.is_zero, cs)) and all(
-            is_known_zero(self.ring, c, i) for i, c in enumerate(cs))
+        """Every coefficient zero, by the rule of ``all_zero``: an unknown
+        coefficient's PrecisionError names its degree and the prime."""
+        return all_zero(self.ring, enumerate(self.coeffs))
 
     def _align(self, other) -> int:
         if not isinstance(other, TruncSeries):
@@ -353,7 +351,7 @@ class TruncSeries:
     def substitute(self, u: "TruncSeries") -> "TruncSeries":
         """Classical substitution self(u(x)) for u with zero constant term.
         A test oracle: no code in the package calls it."""
-        if not self.ring.is_zero(u.coeffs[0]):
+        if not self.ring.is_zero(u.coeffs[0], 0):
             raise ValueError("substitution needs a series with zero constant term")
         T = min(self.trunc, u.trunc)
         res = TruncSeries(self.ring, T, [self.coeffs[T]])
@@ -418,31 +416,31 @@ class SeqWindow(Struct):
 
 
 def valuation(G: TruncSeries) -> int | None:
-    """Smallest degree with a nonzero coefficient (within precision for
-    profinite coefficients); None means "beyond truncation" (v = infinity
-    as far as this window can tell).
+    """Smallest degree with a nonzero coefficient; None means "beyond
+    truncation" (v = infinity as far as this window can tell).
 
     A profinite coefficient with zero residues but no digits at some budget
-    prime is unknown, not zero: PrecisionError names the prime."""
+    prime is unknown, not zero: ``ring.is_zero`` raises PrecisionError
+    naming its degree and the prime."""
     for i, c in enumerate(G.coeffs):
-        if not is_known_zero(G.ring, c, i):
+        if not G.ring.is_zero(c, i):
             return i
     return None
 
 
-def is_known_zero(ring, c, degree: int) -> bool:
-    """Is the coefficient c (at ``degree``) zero?  Zero within precision
-    counts as zero, but a profinite c with zero residues and no digits at
-    some budget prime is unknown: PrecisionError names the degree and the
-    prime."""
-    if not ring.is_zero(c):
-        return False
-    if isinstance(c, ProfiniteApprox):
-        blind = [p for p in c.budget.primes if c.prec[p] == 0]
-        if blind:
-            raise PrecisionError(
-                f"coefficient {degree} has no digits at p={blind[0]}: zero or not is unknown"
-            )
+def all_zero(ring, labelled) -> bool:
+    """Are the values of the (label, value) pairs all zero?  A known
+    nonzero value anywhere decides False; otherwise the first unknown
+    value's PrecisionError (``ring.is_zero``, naming its label) is raised."""
+    unknown = None
+    for at, c in labelled:
+        try:
+            if not ring.is_zero(c, at):
+                return False
+        except PrecisionError as e:
+            unknown = unknown or e
+    if unknown:
+        raise unknown
     return True
 
 

@@ -215,9 +215,9 @@ def _phi_image_rows(D: int, r: int, q: int) -> list[list[int]]:
     return rows
 
 
-# bound on the (D, r, q) lattices _phi_image_lattice keeps per process:
-# a key is a truncation window, a tower level and a budget modulus, so a
-# session revisits few, and the bound keeps a long one from growing
+# bound on the (D, e + 1, p^e) lattices tower_member keeps per process: a
+# key is a truncation window and a budget modulus, so a session revisits
+# few, and the bound keeps a long one from growing
 _PHI_LATTICE_CACHE_SIZE = 256
 
 
@@ -242,10 +242,11 @@ def tower_member(
     for every r >= n.  As Phi^(r+1)(x^k) = k Phi^r(x^k) - k Phi^r(x^(k-1))
     and Phi^r(x^(D+r)) vanishes below degree D, L_(r+1) lies in L_r; the
     chain is constant once r >= e, so one row-span test per prime, at
-    r = max(n, e) + 1, decides: a certificate-free membership test against
-    the Howell form of the image rows.  e is the budget exponent, lowered
-    to the least precision of a profinite G.  That Howell form depends
-    only on (D, r, p^e), not on G: each process builds it once per key and
+    r = e + 1 whatever the level n >= 1, decides: a certificate-free
+    membership test against the Howell form of the image rows (a test pins
+    L_r = L_(e+1) for r up to e + 6).  e is the budget exponent, lowered to
+    the least precision of a profinite G.  That Howell form depends only on
+    (D, e + 1, p^e), not on G or n: each process builds it once per key and
     keeps at most _PHI_LATTICE_CACHE_SIZE of them (``_phi_image_lattice``).
 
     Pinned by tests for j <= 4: d x^j (stored at truncation j) passes level
@@ -275,7 +276,7 @@ def tower_member(
             raise PrecisionError(f"coefficient {i} has no digits at p={p}")
         q = p**e
         target = [_coeff_residue(G, i, p, e) for i in range(D)]
-        if not in_howell_span(_phi_image_lattice(D, max(n, e) + 1, q), target):
+        if not in_howell_span(_phi_image_lattice(D, e + 1, q), target):
             return False
     return True
 

@@ -167,6 +167,28 @@ def test_profinite_arithmetic_and_precision(budget):
         ProfiniteApprox.from_int(budget, 1).divide_exact(2)
 
 
+def test_zero_test_is_three_valued():
+    # zero, nonzero, or unknown: zero residues with no digits at p = 2
+    B = PrimeBudget.uniform([2, 3], 4)
+    blind = ProfiniteApprox(B, {2: 0, 3: 0}, {2: 0, 3: 4})
+    with pytest.raises(PrecisionError, match="value has no digits at p=2"):
+        blind.is_zero()
+    with pytest.raises(PrecisionError, match="coefficient 7 has no digits at p=2"):
+        blind.is_zero(7)
+    with pytest.raises(PrecisionError, match="p=2"):
+        blind == 0
+    with pytest.raises(PrecisionError, match="p=2"):
+        blind != 0
+    # within the stored precision the value agrees with 0, and only eq_within says so
+    assert blind.eq_within(0)
+    # a nonzero residue decides, whatever p = 2 holds
+    assert not ProfiniteApprox(B, {2: 0, 3: 5}, {2: 0, 3: 4}).is_zero()
+    assert ProfiniteApprox(B, {2: 3, 3: 0}, {2: 4, 3: 0}) != 0
+    assert ProfiniteApprox(B, {2: 0, 3: 0}, {2: 1, 3: 4}).is_zero()
+    assert ProfiniteApprox.from_int(B, 6) == Fraction(6)
+    assert ProfiniteApprox.from_int(B, 6) != Fraction(1, 2) and ProfiniteApprox.from_int(B, 6) != 7
+
+
 def test_profinite_serialization(budget):
     a = ProfiniteApprox.from_int(budget, 12345).divide_exact(3)
     back = ProfiniteApprox.from_json(budget, a.to_json())

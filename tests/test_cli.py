@@ -252,6 +252,8 @@ _HALF = {"ring": "Q", "trunc": 3, "coeffs": ["1/2", "0", "0", "0"]}
 _SHORT = {"ring": "Q", "trunc": 2, "coeffs": ["0", "1/2", "1/3"]}
 _BLIND = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
           "coeffs": [{"primes": [[2, 1, 0]]}, {"primes": [[2, 0, 0]]}, {"primes": [[2, 1, 0]]}]}
+_BLIND_0 = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
+            "coeffs": [{"primes": [[2, 0, 0]]}, {"primes": [[2, 1, 1]]}, {"primes": [[2, 1, 0]]}]}
 
 
 @pytest.mark.parametrize(
@@ -297,6 +299,10 @@ _BLIND = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
         (_SHORT, ["qnm", "--n", "3", "--m", "3"], "need truncation >= 3, have 2"),
         (_SHORT, ["qn", "--n", "3"], "need truncation >= 3, have 2"),
         (_SHORT, ["opnm", "--n", "3", "--m", "3"], "need truncation >= 3, have 2"),
+        # a constant term with no digits is unknown, not the zero both routes need
+        (_BLIND_0, ["qn", "--n", "1"], "coefficient 0 has no digits at p=2"),
+        (_BLIND_0, ["qnm", "--n", "2", "--m", "1"], "coefficient 0 has no digits at p=2"),
+        (_BLIND_0, ["opnm", "--n", "1", "--m", "1"], "coefficient 0 has no digits at p=2"),
     ],
 )
 def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):

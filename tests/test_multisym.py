@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -124,7 +125,7 @@ def _random_multi(rng, budget, blind=False):
     # a zero without digits at some prime is unknown, which MultiSeries
     # rejects (test_multiseries_unknown_coefficient_raises): leave it out
     unknown = [k for k, v in coeffs.items()
-               if isinstance(v, ProfiniteApprox) and v.is_zero() and 0 in v.prec.values()]
+               if isinstance(v, ProfiniteApprox) and v.eq_within(0) and 0 in v.prec.values()]
     for k in unknown:
         del coeffs[k]
     return MultiSeries(ring, nvars, T, coeffs)
@@ -210,6 +211,20 @@ def test_is_symmetric_unknown_difference_raises():
     assert not is_symmetric(MultiSeries(R, 2, 3, {(1, 0): five, (0, 1): six}))
 
 
+def test_is_symmetric_known_difference_decides_in_any_order():
+    # the u entries differ by an unknown value, the integer entries by a
+    # known nonzero one: False, whichever entries come first
+    B = PrimeBudget.uniform([2, 3], 4)
+    R = ProfiniteRing(B)
+    u = ProfiniteApprox(B, {2: 0, 3: 5}, {2: 0, 3: 4})
+    blind = {(1, 0): u, (0, 1): u}
+    known = {(2, 0): 5, (0, 2): 6}
+    assert not is_symmetric(MultiSeries(R, 2, 3, {**blind, **known}))
+    assert not is_symmetric(MultiSeries(R, 2, 3, {**known, **blind}))
+    with pytest.raises(PrecisionError, match=r"coefficient \(0, 1\) has no digits at p=2"):
+        is_symmetric(MultiSeries(R, 2, 3, {**blind, (2, 0): 5, (0, 2): 5}))
+
+
 def test_iter_partial_equals_folded():
     # production route iter_partial (one subset sum) against its oracle,
     # the m-fold nested partial_derivative
@@ -269,6 +284,38 @@ def test_double_symmetric_counterexample():
 
 def test_double_symmetric_univariate_vacuous():
     assert is_double_symmetric(TruncSeries(Q, 5, [0, 1, 2]))
+
+
+def test_double_symmetric_iff_integrable():
+    # is_double_symmetric against "integrate_symmetric does not raise" on
+    # partial^(n-1) L, left clean or perturbed at one composition key or on
+    # its whole permutation orbit; each perturbation kind meets both verdicts
+    rng = random.Random(11)
+    seen = {"clean": set(), "key": set(), "orbit": set()}
+    for trial in range(300):
+        n, T = rng.choice([2, 3]), rng.randint(3, 7)
+        L = TruncSeries(Q, T, [0] + [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                                     for _ in range(T)])
+        M = iter_partial(L, n - 1)
+        kind = rng.choice(sorted(seen))
+        if kind != "clean":
+            key = (0,) * n
+            while sum(key) > T or 0 in key:
+                key = tuple(rng.randint(1, T - n + 1) for _ in range(n))
+            keys = {key} if kind == "key" else set(permutations(key))
+            delta = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice((1, 2)))
+            coeffs = dict(M.coeffs)
+            for k in keys:
+                coeffs[k] = coeffs.get(k, 0) + delta
+            M = MultiSeries(Q, n, T, coeffs)
+        try:
+            integrate_symmetric(M)
+            integrable = True
+        except NotIntegrable:
+            integrable = False
+        assert is_double_symmetric(M) == integrable, (trial, kind, M)
+        seen[kind].add(integrable)
+    assert seen == {"clean": {True}, "key": {True, False}, "orbit": {True, False}}
 
 
 def test_symmetry_checker_on_missing_orbit():

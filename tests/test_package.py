@@ -132,6 +132,20 @@ def test_every_module_imports_only_the_standard_library():
     assert out["foreign"] == []
 
 
+# -- the demos print their recorded output --------------------------------------------
+
+_DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(p.stem for p in _DEMOS.glob("*.py")))
+def test_demo_prints_its_recorded_output(demo):
+    # as the CI demos step runs them: a fresh interpreter, no cached bytecode
+    env = {**os.environ, "PYTHONPATH": _SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, str(_DEMOS / f"{demo}.py")], capture_output=True,
+                          env=env, cwd=_DEMOS.parent, check=True)
+    assert proc.stdout == (_DEMOS / "expected" / f"{demo}.txt").read_bytes()
+
+
 # -- value semantics of the record classes -------------------------------------------
 
 

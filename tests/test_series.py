@@ -29,6 +29,7 @@ from ckops import (
 )
 from ckops.multisym import iter_partial
 from ckops.series import Composer, adams_coordinates, chain_sum, chain_weights, stirling2
+from ckops.series import all_zero
 from oracles import assemble_lg, combine_by_terms, compose_by_scaling, lg_by_powers
 
 
@@ -60,7 +61,9 @@ def test_valuation_of_coefficient_without_digits_is_unknown():
     budget = PrimeBudget.uniform([2], 1)
     ring = ProfiniteRing(budget)
     blind = ProfiniteApprox.from_int(budget, 2).divide_exact(2)  # no digits left
-    assert blind.is_zero()
+    assert blind.eq_within(0)
+    with pytest.raises(PrecisionError, match="p=2"):
+        blind.is_zero()
     with pytest.raises(PrecisionError, match="p=2"):
         valuation(TruncSeries(ring, 3, [0, blind, 1]))
     # a zero known to one digit is zero within precision
@@ -93,6 +96,21 @@ def test_series_is_zero_with_unknown_coefficient_raises():
         G.is_zero()
     assert not (G + TruncSeries(ring, 2, [0, 0, 1])).is_zero()
     assert TruncSeries(ring, 2, [0, 0, 0]).is_zero()
+
+
+def test_all_zero_rule_is_independent_of_order():
+    # a known nonzero value decides False wherever it stands; otherwise the
+    # first unknown value raises, named by its label
+    budget = PrimeBudget.uniform([2, 3], 4)
+    ring = ProfiniteRing(budget)
+    blind = ProfiniteApprox(budget, {2: 0, 3: 0}, {2: 0, 3: 4})
+    one, zero = ring.one(), ring.zero()
+    assert not all_zero(ring, [("a", blind), ("b", one)])
+    assert not all_zero(ring, [("b", one), ("a", blind)])
+    with pytest.raises(PrecisionError, match="coefficient a has no digits at p=2"):
+        all_zero(ring, [("z", zero), ("a", blind), ("c", blind)])
+    assert all_zero(ring, [("z", zero)]) and all_zero(ring, [])
+    assert not all_zero(Q, [(0, Fraction(0)), (1, Fraction(1, 2))])
 
 
 # -- phi ---------------------------------------------------------------------

@@ -616,6 +616,18 @@ def _random_tower_case(rng):
     return TruncSeries(ring, T, coeffs), n, budget
 
 
+def test_phi_image_lattice_is_constant_above_the_exponent():
+    # L_r mod (p^e, x^D) equals L_(e+1) for every r from e+2 to e+6, which
+    # lets tower_member test every level n >= 1 at r = e + 1
+    lattice = stable._phi_image_lattice
+    for p in (2, 3, 5, 7):
+        for e in range(1, 5):
+            for D in range(1, 17):
+                stable_lattice = lattice(D, e + 1, p**e)
+                for n in range(e + 1, e + 6):
+                    assert lattice(D, n + 1, p**e) == stable_lattice, (p, e, D, n)
+
+
 def test_tower_member_single_lattice_matches_per_level_oracle():
     # every case twice: with the lattice memo emptied before it (cold), and
     # with it kept from the cases before (warm); the cases repeat (D, r, q)
