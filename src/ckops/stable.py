@@ -5,7 +5,8 @@ the basis, desuspension-tower membership, and the multiplicative layer.
 Two independent membership routes are kept deliberately: s_criterion tests
 the explicit binomial-sum congruences, s_oracle tests membership in the
 iterated Phi-image lattices over quotient rings; their agreement is the
-module's central check.
+module's central check.  One memoized builder, ``_phi_image_lattice``,
+serves both lattice routes, s_oracle and tower_member.
 """
 
 from __future__ import annotations
@@ -156,53 +157,6 @@ def _phi_step(vec: list[int], q: int) -> list[int]:
     ]
 
 
-def s_oracle(
-    G: TruncSeries, p: int, e: int, T: int | None = None, r_max: int | None = None
-) -> bool:
-    """Membership in every iterated Phi-image lattice, per quotient window.
-
-    For each n <= e with p^n <= T+1 the ideal (p^n, x^m) with m the largest
-    multiple of p^n at most T+1 is Phi-stable, so Phi induces an operator
-    on Z/p^n[x]/(x^m); G must lie in the row span (Howell form) of the
-    matrix of Phi^r for every r, detected by stabilization of the
-    decreasing lattice chain before r_max.
-
-    The oracle for the production route s_criterion, which it must agree
-    with (cross-checked in the tests and in the ``s-dual-route`` suite).
-    """
-    from .linalg import ModMatrix, howell_form, in_howell_span
-
-    if T is None:
-        T = G.trunc
-    if T > G.trunc:
-        raise PrecisionError("oracle window exceeds the stored truncation")
-    if r_max is None:
-        r_max = e * (p - 1) + T
-    for n in range(1, e + 1):
-        q = p**n
-        if q > T + 1:
-            break
-        m = (T + 1) // q * q
-        vec = [_coeff_residue(G, i, p, n) for i in range(m)]
-        rows = [[1 if i == k else 0 for i in range(m)] for k in range(m)]
-        prev_h = None
-        stab = None
-        for r in range(1, r_max + 1):
-            rows = [_phi_step(row, q) for row in rows]
-            h = howell_form(ModMatrix(q, rows, cols=m))
-            if prev_h is not None and h == prev_h:
-                stab = h
-                break
-            prev_h = h
-        if stab is None:
-            raise ArithmeticError(
-                f"image lattices did not stabilize by r_max={r_max}; increase r_max"
-            )
-        if not in_howell_span(stab, vec):
-            return False
-    return True
-
-
 def _phi_image_rows(D: int, r: int, q: int) -> list[list[int]]:
     """Truncations to degree < D of Phi^r(x^k), k = 1..D+r-1, mod q: these
     span the full image of Phi^r on series, reduced mod (q, x^D)."""
@@ -215,9 +169,10 @@ def _phi_image_rows(D: int, r: int, q: int) -> list[list[int]]:
     return rows
 
 
-# bound on the (D, e + 1, p^e) lattices tower_member keeps per process: a
-# key is a truncation window and a budget modulus, so a session revisits
-# few, and the bound keeps a long one from growing
+# bound on the Phi-image lattices kept per process: a key is a window, a
+# level and a modulus, (D, e + 1, p^e) from tower_member and (m, r, p^n)
+# from s_oracle's walk, so a session revisits few, and the bound keeps a
+# long one from growing
 _PHI_LATTICE_CACHE_SIZE = 256
 
 
@@ -225,15 +180,49 @@ _PHI_LATTICE_CACHE_SIZE = 256
 def _phi_image_lattice(D: int, r: int, q: int):
     """The image lattice L_r of Phi^r mod (q, x^D) as the Howell form of
     ``_phi_image_rows``: an immutable ModMatrix, shared by every caller
-    with the same (D, r, q)."""
+    with the same (D, r, q); the one builder of s_oracle and tower_member."""
     from .linalg import ModMatrix, howell_form
 
     return howell_form(ModMatrix(q, _phi_image_rows(D, r, q), cols=D))
 
 
-def tower_member(
-    G: TruncSeries, n: int, budget: PrimeBudget | None = None
-) -> bool:
+def s_oracle(G: TruncSeries, p: int, e: int, T: int | None = None) -> bool:
+    """Membership in every iterated Phi-image lattice, per quotient window.
+
+    For each n <= e with q = p^n <= T+1 and m the largest multiple of q at
+    most T+1, the ideal (q, x^m) is Phi-stable: the step x^m -> x^(m-1)
+    carries the factor -m = 0 mod q, so Phi induces an operator on
+    Z/q[x]/(x^m), and the rows x^k with k >= m of ``_phi_image_lattice``
+    vanish below degree m; L_r = _phi_image_lattice(m, r, q) is the image
+    of Phi^r there.  G must lie in L_r for every r.  As L_(r+1) = Phi(L_r),
+    the chain decreases and is constant from its first repeat, which a
+    strictly decreasing chain in (Z/p^n)^m reaches within n*m steps; the
+    walk from r = 1 stops there and tests membership once.
+
+    The oracle for the production route s_criterion, which it must agree
+    with (cross-checked in the tests and in the ``s-dual-route`` suite).
+    """
+    from .linalg import in_howell_span
+
+    if T is None:
+        T = G.trunc
+    if T > G.trunc:
+        raise PrecisionError("oracle window exceeds the stored truncation")
+    for n in range(1, e + 1):
+        q = p**n
+        if q > T + 1:
+            break
+        m = (T + 1) // q * q
+        r = 1
+        while _phi_image_lattice(m, r + 1, q) != _phi_image_lattice(m, r, q):
+            r += 1
+        target = [_coeff_residue(G, i, p, n) for i in range(m)]
+        if not in_howell_span(_phi_image_lattice(m, r, q), target):
+            return False
+    return True
+
+
+def tower_member(G: TruncSeries, n: int, budget: PrimeBudget) -> bool:
     """Does G desuspend from level k+n for every k, within the budget and
     G's truncation window?
 
@@ -247,7 +236,8 @@ def tower_member(
     L_r = L_(e+1) for r up to e + 6).  e is the budget exponent, lowered to
     the least precision of a profinite G.  That Howell form depends only on
     (D, e + 1, p^e), not on G or n: each process builds it once per key and
-    keeps at most _PHI_LATTICE_CACHE_SIZE of them (``_phi_image_lattice``).
+    keeps at most _PHI_LATTICE_CACHE_SIZE of them (``_phi_image_lattice``,
+    the lattice builder s_oracle walks too).
 
     Pinned by tests for j <= 4: d x^j (stored at truncation j) passes level
     j+1 when d_j divides d, and fails for d = 1 and d = d_j/2.  This is no
@@ -260,10 +250,6 @@ def tower_member(
     """
     if n < 1:
         return True
-    if budget is None:
-        if not isinstance(G.ring, ProfiniteRing):
-            raise ValueError("a budget is required for non-profinite input")
-        budget = G.ring.budget
     from .linalg import in_howell_span
 
     D = G.trunc + 1
@@ -535,30 +521,23 @@ def decompose_S0(G: TruncSeries, budget: PrimeBudget, family=None) -> list[int]:
 
 class TwistedAdams(Struct):
     """Coefficient data of a twisted Adams operation at t = 1: ``witness`` is
-    the (p, n) of a non-integral coefficient, ``rule_integral`` the
-    per-prime rule's verdict (b_p = 0 or c_p a unit)."""
+    the (p, n) of a non-integral coefficient."""
 
-    __slots__ = ("series", "integral", "witness", "rule_integral")
+    __slots__ = ("series", "integral", "witness")
 
 
 def twisted_adams(b: ProfiniteApprox, c: ProfiniteApprox, T: int) -> TwistedAdams:
     """Coefficients a_n = (-1)^(n-1) b C(bc-1, n-1) / n of the twisted
     operation's characteristic series, with the integrality verdict.
 
-    The series route computes each coefficient per prime with honest
-    precision (division by n consumes v_p(n) digits after the binomial's
-    v_p((n-1)!) inflation); the closed per-prime rule is reported alongside
-    so the two can be compared.
+    Each coefficient is computed per prime with honest precision (division
+    by n consumes v_p(n) digits after the binomial's v_p((n-1)!)
+    inflation).  The tests compare the verdict with the closed per-prime
+    rule (b_p = 0 or c_p a unit), ``tests/oracles.py::twisted_rule``.
     """
     budget = b.budget
     if c.budget != budget:
         raise ValueError("mixed budgets")
-    rule = True
-    for p in budget.primes:
-        bz = b.residue_mod(p, budget.exponent(p)) == 0
-        cu = c.residue_mod(p, 1) != 0
-        if not (bz or cu):
-            rule = False
     r = b * c - 1
     ring = ProfiniteRing(budget)
     coeffs = [ring.zero()]
@@ -577,12 +556,12 @@ def twisted_adams(b: ProfiniteApprox, c: ProfiniteApprox, T: int) -> TwistedAdam
                 (-1) ** (n - 1) * b.residue_mod(p, e + vn) * bin_res
             ) % p ** (e + vn)
             if vn and val % p**vn:
-                return TwistedAdams(None, False, (p, n), rule)
+                return TwistedAdams(None, False, (p, n))
             unit = n // p**vn
             res[p] = (val // p**vn) * modinv(unit, p**e) % p**e
             prec[p] = e
         coeffs.append(ProfiniteApprox._trusted(budget, res, prec))
-    return TwistedAdams(TruncSeries._trusted(ring, T, coeffs), True, None, rule)
+    return TwistedAdams(TruncSeries._trusted(ring, T, coeffs), True, None)
 
 
 def stable_mult_check(c: ProfiniteApprox, T: int) -> bool:

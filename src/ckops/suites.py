@@ -181,7 +181,7 @@ def suite_kgr_duality(T: int, seed: int) -> tuple[bool, dict]:
     if to_e_basis([Fraction(1, 2)]) is not None:
         return False, {"counterexample": "s/2 accepted as numerical"}
     for trial in range(30):
-        deg = rng.randint(0, 8)
+        deg = rng.randint(0, min(8, T))  # pair needs deg f <= T
         f = NumericalPoly(tuple(rng.randint(-5, 5) for _ in range(deg + 1)))
         m = rng.randint(-10, 10)
         if pair(f, adams_series(m, T)) != f(m):

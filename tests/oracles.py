@@ -2,7 +2,8 @@
 brute-force row span, the binomial-Vandermonde determinant in closed form
 (the Vandermonde-ratio route to d_n), lg_r by series powers, the lg-basis
 reassembly, the term-by-term integer combination, the scaled-sum
-composition and the validating profinite binary kernel."""
+composition, the validating profinite binary kernel and the twisted-Adams
+integrality rule."""
 
 import math
 from fractions import Fraction
@@ -108,3 +109,13 @@ def validating_zip(x: ProfiniteApprox, y, fn) -> ProfiniteApprox:
         for p in B.primes
     }
     return ProfiniteApprox(B, res, prec)
+
+
+def twisted_rule(b: ProfiniteApprox, c: ProfiniteApprox) -> bool:
+    """The closed per-prime integrality rule of the twisted Adams operation
+    with parameters (b, c): at every budget prime p, b_p = 0 within the
+    budget or c_p a unit."""
+    B = b.budget
+    return all(
+        b.residue_mod(p, B.exponent(p)) == 0 or c.residue_mod(p, 1) != 0 for p in B.primes
+    )

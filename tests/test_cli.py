@@ -8,7 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ckops import PrimeBudget, ProfiniteRing, Q, TruncSeries, Z, adams_series, lg_series
+from ckops import (
+    PrimeBudget,
+    ProfiniteApprox,
+    ProfiniteRing,
+    Q,
+    TruncSeries,
+    Z,
+    adams_series,
+    lg_series,
+)
 from ckops.cli import main
 from ckops.suites import SUITES
 
@@ -58,6 +67,21 @@ def test_check_non_member_witness(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["member"] is False
     assert payload["witness"] == [2, 1, 2, 0]
+
+
+def test_check_s_reports_skipped_instances(tmp_path, capsys):
+    # A_5 over (2,3)^4 with [x^3] known only mod 2: a member, with the
+    # instances beyond that precision listed
+    B = PrimeBudget.uniform([2, 3], 4)
+    R = ProfiniteRing(B)
+    coeffs = list(adams_series(5, 8).map_coeffs(R.coerce, R).coeffs)
+    c = coeffs[3]
+    coeffs[3] = ProfiniteApprox(B, {2: c.residue[2] % 2, 3: c.residue[3]}, {2: 1, 3: 4})
+    f = tmp_path / "blind.json"
+    f.write_text(json.dumps(TruncSeries(R, 8, coeffs).to_json()))
+    code, out = run(capsys, "check", "--input", str(f), "--test", "s", "--primes", "2,3", "--prec", "4")
+    assert code == 0
+    assert out == '{"member":true,"skipped":[[2,2,4],[2,2,8],[2,3,8]],"test":"s"}\n'
 
 
 def test_check_truncation_too_small_is_error(tmp_path, capsys):
@@ -165,6 +189,14 @@ def test_verify_suites(capsys):
     # the basis suite checks F_0..F_min(3, T), whose leading terms fit the truncation
     code, out = run(capsys, "verify", "basis", "--trunc", "2")
     assert code == 0 and json.loads(out)["report"] == {"range": "0..2"}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_at_small_truncations(suite):
+    # no suite draws inputs outside its own window
+    for T in (3, 5):
+        ok, report = SUITES[suite](T, 0)
+        assert ok, (suite, T, report)
 
 
 def test_verify_unknown_suite(capsys):

@@ -34,8 +34,8 @@ from ckops import (
 )
 from ckops import stable
 from ckops.arith import crt_lift, gbinom
-from ckops.linalg import ModMatrix, in_row_span
-from oracles import vdm_value
+from ckops.linalg import ModMatrix, howell_form, in_row_span
+from oracles import twisted_rule, vdm_value
 
 
 def prof(budget, n):
@@ -151,6 +151,18 @@ def test_criterion_x_witness():
     assert rep.witness == (2, 1, 2, 0)
 
 
+def test_criterion_reports_skipped_instances():
+    # A_5 over (2,3)^4 with [x^3] known only mod 2: every instance at p = 2
+    # whose sum reads x^3 mod 4 or 8 is skipped, never passed or failed
+    B = PrimeBudget.uniform([2, 3], 4)
+    R = ProfiniteRing(B)
+    coeffs = list(adams_series(5, 8).map_coeffs(R.coerce, R).coeffs)
+    c = coeffs[3]
+    coeffs[3] = ProfiniteApprox(B, {2: c.residue[2] % 2, 3: c.residue[3]}, {2: 1, 3: 4})
+    rep = s_criterion(TruncSeries(R, 8, coeffs))
+    assert rep == stable.CriterionReport(True, None, [(2, 2, 4), (2, 2, 8), (2, 3, 8)])
+
+
 def test_criterion_Fn(budget):
     for n in (0, 1, 2, 3):
         F = construct_Fn(n, 12, budget)
@@ -188,10 +200,21 @@ def test_oracle_top_monomial_false():
     assert not s_oracle(G, 2, 3, T)
 
 
-def test_oracle_stabilization_guard():
-    G = TruncSeries(Z, 8, [0, 1])
-    with pytest.raises(ArithmeticError):
-        s_oracle(G, 2, 2, 8, r_max=1)
+def test_oracle_walks_past_the_first_image():
+    # G = Phi(H) lies in L_1 at every window, so only the levels r >= 2 of
+    # the walk can reject it; 2x^2 - 2x is in L_1 but not L_2 mod (4, x^4)
+    assert not s_oracle(TruncSeries(Z, 3, [0, -2, 2]), 2, 2, 3)
+    rng = random.Random(11)
+    verdicts = set()
+    for trial in range(40):
+        p, e = rng.choice([2, 3]), rng.randint(2, 3)
+        T = rng.randint(p**2 - 1, 12)
+        G = phi(TruncSeries(Z, T + 1, [rng.randint(-20, 20) for _ in range(T + 2)]))
+        rep = s_criterion(G, primes=[p])
+        want = rep.ok or rep.witness[1] > e
+        assert s_oracle(G, p, e, T) == want, (trial, p, e, T)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -- basis construction ----------------------------------------------------------------
@@ -628,6 +651,26 @@ def test_phi_image_lattice_is_constant_above_the_exponent():
                     assert lattice(D, n + 1, p**e) == stable_lattice, (p, e, D, n)
 
 
+def test_phi_image_lattice_is_phi_power_of_identity_basis():
+    # the identity s_oracle rests on: with q | m, the rows x^k (k >= m) of
+    # the memoized lattice vanish below degree m, so L_r mod (q, x^m) is the
+    # Howell form of Phi^r on the basis 1, x, ..., x^(m-1), here by phi
+    for p in (2, 3, 5, 7):
+        q = p
+        while q <= 17:
+            for m in range(q, 18, q):
+                for r in range(1, 7):
+                    rows = []
+                    for k in range(m):
+                        image = TruncSeries.monomial(Z, m - 1 + r, k)
+                        for _ in range(r):
+                            image = phi(image)
+                        rows.append([int(c) % q for c in image.coeffs[:m]])
+                    want = howell_form(ModMatrix(q, rows, cols=m))
+                    assert stable._phi_image_lattice(m, r, q) == want, (q, m, r)
+            q *= p
+
+
 def test_tower_member_single_lattice_matches_per_level_oracle():
     # every case twice: with the lattice memo emptied before it (cold), and
     # with it kept from the cases before (warm); the cases repeat (D, r, q)
@@ -665,7 +708,7 @@ def deep_budget():
 def test_twisted_identity(deep_budget):
     one = prof(deep_budget, 1)
     ta = twisted_adams(one, one, 8)
-    assert ta.integral and ta.rule_integral
+    assert ta.integral and twisted_rule(one, one)
     assert ta.series.coeffs[1].eq_within(1)
     assert all(ta.series.coeffs[k].is_zero() for k in (0, 2, 3, 4))
 
@@ -682,8 +725,9 @@ def test_twisted_plain_adams(deep_budget):
 
 
 def test_twisted_nonintegral_witness(deep_budget):
-    tc = twisted_adams(prof(deep_budget, 1), prof(deep_budget, 2), 8)
-    assert not tc.integral and tc.witness == (2, 2) and not tc.rule_integral
+    b, c = prof(deep_budget, 1), prof(deep_budget, 2)
+    tc = twisted_adams(b, c, 8)
+    assert not tc.integral and tc.witness == (2, 2) and not twisted_rule(b, c)
 
 
 def _twisted_witness_fits(bv: int, cv: int, primes, T: int) -> bool:
@@ -704,12 +748,13 @@ def test_twisted_rule_matches_series_random(deep_budget):
     for trial in range(60):
         bv = rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 10, 15])
         cv = rng.choice([1, 2, 3, 5, 6, 7, 10, 11, 14, 15, 21, 35])
-        out = twisted_adams(prof(deep_budget, bv), prof(deep_budget, cv), T)
+        b, c = prof(deep_budget, bv), prof(deep_budget, cv)
+        out, rule = twisted_adams(b, c, T), twisted_rule(b, c)
         if _twisted_witness_fits(bv, cv, deep_budget.primes, T):
-            assert out.integral == out.rule_integral, (trial, bv, cv, out.witness)
-        elif out.integral != out.rule_integral:
+            assert out.integral == rule, (trial, bv, cv, out.witness)
+        elif out.integral != rule:
             # only the predicted direction: window-integral vs rule-false
-            assert out.integral and not out.rule_integral, (trial, bv, cv)
+            assert out.integral and not rule, (trial, bv, cv)
 
 
 def test_twisted_composition_relation(deep_budget):
