@@ -96,9 +96,7 @@ def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
     if isinstance(G.ring, ProfiniteRing):  # name an unknown input degree, not one of Phi^n(G)
         for i, c in enumerate(G.coeffs):
             G.ring.is_zero(c, i)
-    H = G
-    for _ in range(n):
-        H = phi(H)
+    H = phi(G, n)
     if not integer_coefficients(H):
         return False
     v = valuation(H)
@@ -122,10 +120,7 @@ def _component_step(cur: TruncSeries, r: int) -> tuple[int, dict]:
     window = cur.trunc - (r - 1)
     if window < 1:
         raise PrecisionError(f"truncation {cur.trunc} too small for component {r}")
-    H = cur
-    for _ in range(r - 1):
-        H = phi(H)
-    return window, {i: -(H.coeffs[i] * i) for i in range(1, window + 1)}
+    return window, {i: -(c * i) for i, c in enumerate(phi(cur, r - 1).coeffs) if i}
 
 
 def _component_from_family(fam, budget: PrimeBudget, window: int):

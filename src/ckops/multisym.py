@@ -317,7 +317,7 @@ def aformula_check(G: TruncSeries, n: int) -> bool:
     lhs = iter_partial(G, n)
     rhs = MultiSeries(G.ring, n + 1, T)
     dk = G
-    one_minus_x = TruncSeries(G.ring, T, [1, -1])
+    one_minus_x = TruncSeries(G.ring, T, [1, -1][:T + 1])
     base = one_minus_x
     for k in range(1, T + 1):
         dk = TruncSeries(
@@ -343,4 +343,4 @@ def integer_coefficients(S) -> bool:
     if not isinstance(S.ring, RationalRing):
         return True
     vals = S.coeffs.values() if isinstance(S, MultiSeries) else S.coeffs
-    return all(Fraction(v).denominator == 1 for v in vals)
+    return all(v.denominator == 1 for v in vals)

@@ -3,7 +3,7 @@ with the operator Phi, Adams and logarithm series, the composition product,
 and the sequence-side b map.
 
 A series stores exactly trunc+1 coefficients; identities hold modulo
-x^(trunc+1).  Phi and desuspension each cost one truncation degree and the
+x^(trunc+1).  Phi^n costs n truncation degrees, desuspension one, and the
 result records it; operations never return silently degraded answers.
 """
 
@@ -444,16 +444,30 @@ def all_zero(ring, labelled) -> bool:
     return True
 
 
-def phi(G: TruncSeries) -> TruncSeries:
-    """(x-1) dG/dx, truncated one degree lower."""
-    if G.trunc < 1:
-        raise TruncationExhausted("phi needs truncation >= 1")
-    T = G.trunc - 1
-    out = [
-        k * G.coeffs[k] - (k + 1) * G.coeffs[k + 1]
-        for k in range(T + 1)
-    ]
-    return TruncSeries(G.ring, T, out)
+@lru_cache(maxsize=128)
+def _phi_band(n: int, T: int) -> tuple[tuple[int, ...], ...]:
+    """rows[k][m] = [x^k] Phi^n(x^m) for k <= T-n, m <= T, zero outside
+    k <= m <= k+n: n steps [x^k] Phi(H) = k h_k - (k+1) h_(k+1) applied to
+    the identity rows.  The bound keeps a long session from growing."""
+    rows = [[int(k == m) for m in range(T + 1)] for k in range(T + 1)]
+    for s in range(1, n + 1):
+        rows = [[k * a - (k + 1) * b for a, b in zip(rows[k], rows[k + 1])]
+                for k in range(T + 1 - s)]
+    return tuple(map(tuple, rows))
+
+
+def phi(G: TruncSeries, n: int = 1) -> TruncSeries:
+    """Phi^n(G), Phi = (x-1) d/dx, truncated n degrees lower.  Phi is
+    diagonal in Adams coordinates, Phi (1-x)^j = j (1-x)^j, so Phi^n at
+    truncation T is one integer band, ``_phi_band(n, T)``, applied by one
+    ring.combine: [x^k] Phi^n(G) reads a_k..a_(k+n), and a profinite one has
+    ring.combine's precision, so a_0 (band weight 0) never limits it."""
+    if n < 0:
+        raise ValueError("phi power must be >= 0")
+    if G.trunc < n:
+        raise TruncationExhausted(f"phi^{n} needs truncation >= {n}")
+    band = _phi_band(n, G.trunc)
+    return TruncSeries._trusted(G.ring, G.trunc - n, G.ring.combine(G.coeffs, band))
 
 
 def desuspend(G: TruncSeries, n: int) -> TruncSeries:

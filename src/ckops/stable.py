@@ -6,7 +6,8 @@ Two independent membership routes are kept deliberately: s_criterion tests
 the explicit binomial-sum congruences, s_oracle tests membership in the
 iterated Phi-image lattices over quotient rings; their agreement is the
 module's central check.  One memoized builder, ``_phi_image_lattice``,
-serves both lattice routes, s_oracle and tower_member.
+serves both lattice routes, s_oracle and tower_member; its rows are read
+off series' cached integer band of Phi^r, the one Phi^n kernel.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .series import (
     ProfiniteRing,
     TruncationExhausted,
     TruncSeries,
+    _phi_band,
     adams_series,
     exact_int,
     phi,
@@ -148,25 +150,12 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
     return CriterionReport(True, None, skipped)
 
 
-def _phi_step(vec: list[int], q: int) -> list[int]:
-    """One Phi step on a coefficient vector mod q, Phi(x^k) = k x^k - k x^(k-1),
-    kept to the vector's length (exact: Phi does not raise degrees)."""
-    m = len(vec)
-    return [
-        (j * vec[j] - ((j + 1) * vec[j + 1] if j + 1 < m else 0)) % q for j in range(m)
-    ]
-
-
 def _phi_image_rows(D: int, r: int, q: int) -> list[list[int]]:
     """Truncations to degree < D of Phi^r(x^k), k = 1..D+r-1, mod q: these
-    span the full image of Phi^r on series, reduced mod (q, x^D)."""
-    rows = []
-    for k in range(1, D + r):
-        vec = [0] * k + [1]
-        for _ in range(r):
-            vec = _phi_step(vec, q)
-        rows.append((vec + [0] * D)[:D])
-    return rows
+    span the full image of Phi^r on series, reduced mod (q, x^D), read off
+    the band of Phi^r at truncation D+r-1."""
+    rows = _phi_band(r, D + r - 1)
+    return [[rows[d][k] % q for d in range(D)] for k in range(1, D + r)]
 
 
 # bound on the Phi-image lattices kept per process: a key is a window, a

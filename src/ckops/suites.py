@@ -38,7 +38,7 @@ def suite_idempotents(T: int, seed: int) -> tuple[bool, dict]:
     total = TruncSeries.zero(Q, T)
     for r in range(T + 1):
         total = total + lgs[r]
-    if total != TruncSeries(Q, T, [1, -1]):
+    if total != TruncSeries(Q, T, [1, -1][:T + 1]):
         return False, {"counterexample": "1 - x != sum of lg_r"}
     return True, {"pairs": (nmax + 1) ** 2}
 
@@ -119,9 +119,11 @@ def phi_inverse(F: TruncSeries) -> TruncSeries:
 
 def suite_ifandonlyif(T: int, seed: int) -> tuple[bool, dict]:
     from .classify import in_Opnm_phi, in_Qnm
+    if T < 1:  # both routes need n <= T, and n >= 1
+        raise ValueError(f"ifandonlyif needs --trunc >= 1, got {T}")
     rng = random.Random(seed)
     for trial in range(20):
-        n = rng.randint(1, 3)
+        n = rng.randint(1, min(3, T))
         m = rng.randint(n, n + 2)
         G, _expect = random_membership_witness(rng, T, n)
         a = in_Qnm(G, n, m)

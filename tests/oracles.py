@@ -2,14 +2,14 @@
 brute-force row span, the binomial-Vandermonde determinant in closed form
 (the Vandermonde-ratio route to d_n), lg_r by series powers, the lg-basis
 reassembly, the term-by-term integer combination, the scaled-sum
-composition, the validating profinite binary kernel and the twisted-Adams
-integrality rule."""
+composition, Phi^n one step at a time, the validating profinite binary
+kernel and the twisted-Adams integrality rule."""
 
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from ckops import ProfiniteApprox, Q, TruncSeries, lg_series
+from ckops import ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
 from ckops.arith import rational_mod
 from ckops.linalg import ModMatrix
 
@@ -93,6 +93,20 @@ def compose_by_scaling(C, H2) -> TruncSeries:
             continue
         out = out + C.U[i].truncate(T).scale(a)
     return out
+
+
+def phi_by_steps(G: TruncSeries, n: int = 1) -> TruncSeries:
+    """Phi^n(G) as n single steps [x^k] Phi(H) = k h_k - (k+1) h_(k+1), each
+    a new series: the loop series.phi's cached band replaced.  A profinite
+    [x^k] keeps the least precision of h_k and h_(k+1), even where the
+    weight k is 0."""
+    if G.trunc < n:
+        raise TruncationExhausted(f"phi^{n} needs truncation >= {n}")
+    H = G
+    for _ in range(n):
+        T = H.trunc - 1
+        H = TruncSeries(H.ring, T, [k * H.coeffs[k] - (k + 1) * H.coeffs[k + 1] for k in range(T + 1)])
+    return H
 
 
 def validating_zip(x: ProfiniteApprox, y, fn) -> ProfiniteApprox:

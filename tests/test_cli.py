@@ -199,6 +199,18 @@ def test_every_suite_at_small_truncations(suite):
         assert ok, (suite, T, report)
 
 
+@pytest.mark.parametrize("T", [0, 1, 2])
+def test_every_suite_at_the_smallest_truncations(capsys, T):
+    # every suite answers at T >= 1; at T = 0 only ifandonlyif, whose routes
+    # need 1 <= n <= T, refuses, with a named reason
+    for suite in sorted(SUITES):
+        code, out = run(capsys, "verify", suite, "--trunc", str(T))
+        if suite == "ifandonlyif" and T == 0:
+            assert code == 2 and "needs --trunc >= 1" in json.loads(out)["error"]
+        else:
+            assert code == 0 and json.loads(out)["ok"], (suite, T, out)
+
+
 def test_verify_unknown_suite(capsys):
     code, out = run(capsys, "verify", "nosuch")
     assert code == 2

@@ -1,0 +1,105 @@
+"""Differential tests: each production route against the slower route it
+replaced, on unconstrained hypothesis draws over Q, Z and Zhat."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ckops import PrecisionError, PrimeBudget, ProfiniteApprox, ProfiniteRing, Q, TruncSeries, Z
+from ckops import TruncationExhausted, in_Opnm_phi, phi, series
+from oracles import phi_by_steps
+
+_BUDGET = PrimeBudget.uniform((2, 3, 5), 4)
+_ZHAT = ProfiniteRing(_BUDGET)
+
+
+@st.composite
+def profinite(draw):
+    """A Zhat value whose precision at each prime is anywhere from 0 digits
+    to the budget's, its residue anything below that modulus."""
+    prec = {p: draw(st.integers(0, e)) for p, e in _BUDGET.full_prec.items()}
+    res = {p: draw(st.integers(0, p**k - 1)) for p, k in prec.items()}
+    return ProfiniteApprox(_BUDGET, res, prec)
+
+
+_COEFFS = {
+    "Q": st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
+    "Z": st.integers(-10**6, 10**6),
+    "Zhat": profinite(),
+}
+_RINGS = {"Q": Q, "Z": Z, "Zhat": _ZHAT}
+
+
+@st.composite
+def series_and_power(draw, ring):
+    """(G, n) with T <= 9 and n from 0 to T + 1: n = 0, T = n and T < n
+    all occur."""
+    T = draw(st.integers(0, 9))
+    coeffs = draw(st.lists(_COEFFS[ring], min_size=T + 1, max_size=T + 1))
+    return TruncSeries(_RINGS[ring], T, coeffs), draw(st.integers(0, T + 1))
+
+
+@pytest.mark.parametrize("ring", ["Q", "Z"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_phi_band_equals_phi_by_steps_exactly(ring, data):
+    assert series._phi_band.cache_info().maxsize is not None
+    G, n = data.draw(series_and_power(ring))
+    if G.trunc < n:
+        for route in (phi, phi_by_steps):
+            with pytest.raises(TruncationExhausted, match=f"phi\\^{n} needs truncation >= {n}"):
+                route(G, n)
+        return
+    got, want = phi(G, n), phi_by_steps(G, n)
+    assert got.trunc == want.trunc == G.trunc - n
+    assert got.coeffs == want.coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_phi_band_on_zhat_agrees_within_the_old_precision(data):
+    # combine skips the zero weight of a_0, so the band keeps at least the
+    # step loop's precision at every prime, and the residues agree modulo it
+    G, n = data.draw(series_and_power("Zhat"))
+    if G.trunc < n:
+        with pytest.raises(TruncationExhausted):
+            phi(G, n)
+        return
+    got, want = phi(G, n), phi_by_steps(G, n)
+    assert got.trunc == want.trunc
+    for new, old in zip(got.coeffs, want.coeffs):
+        for p, k in old.prec.items():
+            assert new.prec[p] >= k
+            assert new.residue[p] % p**k == old.residue[p]
+
+
+def test_phi_constant_term_ignores_a0_precision():
+    # a_0 known to 1 digit at p = 2 and a_1 to 8: [x^0] Phi(G) = -a_1 keeps
+    # all 8 digits, where the step loop's 0 * a_0 term cut it to 1
+    B = PrimeBudget.uniform([2], 8)
+    ring = ProfiniteRing(B)
+    G = TruncSeries(ring, 1, [ProfiniteApprox(B, {2: 1}, {2: 1}), ProfiniteApprox(B, {2: 12})])
+    assert phi_by_steps(G).coeffs[0].prec == {2: 1}
+    [c0] = phi(G).coeffs
+    assert c0.prec == {2: 8} and c0.residue == {2: -12 % 256}
+
+
+def test_phi_route_verdicts_no_longer_limited_by_a0():
+    # a_0 = 0 mod 2 (1 digit) and a_1 = 12: [x^0] Phi(G) = -12 is nonzero,
+    # so v(Phi G) = 0 < m - n = 1; the step loop saw 0 mod 2 and said True
+    B = PrimeBudget.uniform([2], 5)
+    ring = ProfiniteRing(B)
+    G = TruncSeries(ring, 1, [ProfiniteApprox(B, {2: 0}, {2: 1}), ProfiniteApprox(B, {2: 12})])
+    assert not in_Opnm_phi(G, 1, 2)
+    # a_0 with no digits at p = 2 but nonzero mod 3 is a known nonzero input
+    # coefficient, and Phi(G) = -a_1 = 0 is known: the step loop raised
+    # "coefficient 0 has no digits at p=2" on Phi(G)
+    B = PrimeBudget.uniform([2, 3], 2)
+    ring = ProfiniteRing(B)
+    a0 = ProfiniteApprox(B, {2: 0, 3: 1}, {2: 0, 3: 1})
+    G = TruncSeries(ring, 1, [a0, ring.zero()])
+    with pytest.raises(PrecisionError, match="coefficient 0 has no digits at p=2"):
+        phi_by_steps(G).is_zero()
+    assert in_Opnm_phi(G, 1, 1)

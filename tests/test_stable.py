@@ -35,7 +35,7 @@ from ckops import (
 from ckops import stable
 from ckops.arith import crt_lift, gbinom
 from ckops.linalg import ModMatrix, howell_form, in_row_span
-from oracles import twisted_rule, vdm_value
+from oracles import phi_by_steps, twisted_rule, vdm_value
 
 
 def prof(budget, n):
@@ -589,7 +589,7 @@ def test_tower_cross_checks_oracle(budget):
 def _oracle_tower(G, n, budget):
     """tower_member by the per-level loop: G's window must lie in the image
     lattice of Phi^r mod (p^e, x^D) for every r from n to max(n, e) + 1,
-    each lattice spanned by Phi^r(x^k), k < D + r, computed with phi."""
+    each lattice spanned by Phi^r(x^k), k < D + r, computed with phi_by_steps."""
     if n < 1:
         return True
     D = G.trunc + 1
@@ -607,9 +607,7 @@ def _oracle_tower(G, n, budget):
         for r in range(n, max(n, e) + 2):
             rows = []
             for k in range(1, D + r):
-                image = TruncSeries.monomial(Z, D + r - 1, k)
-                for _ in range(r):
-                    image = phi(image)
+                image = phi_by_steps(TruncSeries.monomial(Z, D + r - 1, k), r)
                 rows.append([int(c) % q for c in image.coeffs[:D]])
             if not in_row_span(ModMatrix(q, rows, cols=D), target)[0]:
                 return False
@@ -651,10 +649,22 @@ def test_phi_image_lattice_is_constant_above_the_exponent():
                     assert lattice(D, n + 1, p**e) == stable_lattice, (p, e, D, n)
 
 
+def test_phi_image_rows_match_phi_by_steps():
+    # the rows read off the cached Phi^r band are the step loop's Phi^r(x^k),
+    # k = 1..D+r-1, truncated below degree D and reduced mod q
+    for D in range(1, 18):
+        for r in range(1, 7):
+            steps = [phi_by_steps(TruncSeries.monomial(Z, D + r - 1, k), r).coeffs
+                     for k in range(1, D + r)]
+            for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
+                want = [[c % q for c in image] for image in steps]
+                assert stable._phi_image_rows(D, r, q) == want, (D, r, q)
+
+
 def test_phi_image_lattice_is_phi_power_of_identity_basis():
     # the identity s_oracle rests on: with q | m, the rows x^k (k >= m) of
     # the memoized lattice vanish below degree m, so L_r mod (q, x^m) is the
-    # Howell form of Phi^r on the basis 1, x, ..., x^(m-1), here by phi
+    # Howell form of Phi^r on the basis 1, x, ..., x^(m-1), here by phi_by_steps
     for p in (2, 3, 5, 7):
         q = p
         while q <= 17:
@@ -662,9 +672,7 @@ def test_phi_image_lattice_is_phi_power_of_identity_basis():
                 for r in range(1, 7):
                     rows = []
                     for k in range(m):
-                        image = TruncSeries.monomial(Z, m - 1 + r, k)
-                        for _ in range(r):
-                            image = phi(image)
+                        image = phi_by_steps(TruncSeries.monomial(Z, m - 1 + r, k), r)
                         rows.append([int(c) % q for c in image.coeffs[:m]])
                     want = howell_form(ModMatrix(q, rows, cols=m))
                     assert stable._phi_image_lattice(m, r, q) == want, (q, m, r)
