@@ -2,6 +2,7 @@
 # with numerical polynomials, and the basis-window decomposition.
 
 import random
+from fractions import Fraction
 
 from ckops import (
     NumericalPoly,
@@ -24,7 +25,7 @@ rng = random.Random(4)
 # against the m-th Adams series the pairing is plain evaluation at m.
 f = to_e_basis([0, 0, 1])  # s^2
 print("<s^2, A_7> =", pair(f, adams_series(7, 10)), "= 49")
-print("s/2 numerical?", to_e_basis([0, 0.5]) is not None)
+print("s/2 numerical?", to_e_basis([0, Fraction(1, 2)]) is not None)
 
 # The canonical basis sequences f^(n): two-sided integer sequences whose
 # first nonzero entry is n! d_n at index n.

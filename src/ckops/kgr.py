@@ -13,7 +13,7 @@ from itertools import repeat
 
 from .arith import PrecisionError, PrimeBudget, Struct, crt_lift, gbinom
 from .linalg import ModMatrix, howell_form, in_howell_span
-from .series import SeqWindow, TruncSeries, exact_int
+from .series import Q, SeqWindow, TruncSeries, exact_int
 from .stable import a_min, construct_Fn, dn_tilde
 
 
@@ -52,8 +52,9 @@ class NumericalPoly(Struct):
 def to_e_basis(mono_coeffs) -> NumericalPoly | None:
     """e-basis coefficients of a rational polynomial (monomial coefficients
     in s), by finite differences; None when some coefficient is not an
-    integer, i.e. the polynomial is not numerical."""
-    cs = [Fraction(c) for c in mono_coeffs]
+    integer, i.e. the polynomial is not numerical.  The inputs must be
+    exact (``Q.coerce``): a float raises TypeError."""
+    cs = [Q.coerce(c) for c in mono_coeffs]
 
     def f(x: int) -> Fraction:
         acc = Fraction(0)
@@ -97,29 +98,20 @@ def reflect(a: SeqWindow) -> SeqWindow:
 
 def interval_in_N(v, budget: PrimeBudget) -> bool:
     """Membership of the tuple v in the lattice generated by the unit power
-    rows (1, r, ..., r^(len-1)), per budget prime.
+    rows (1, r, ..., r^(n-1)), n = len(v), per budget prime p with q = p^e.
 
-    The generating set grows until the Howell form stabilizes, so the
-    answer is the full unit lattice's.
+    The n(p-1) units below n*p, ``a_min(p, n*(p-1))``, generate that
+    lattice: a row depends on r mod q only, every unit is r0 + p*t with
+    0 < r0 < p and t >= 0, and t -> row(r0 + p*t) is a polynomial of degree
+    < n, so Newton's forward differences write it as an integer combination
+    (weights C(t, k)) of its values at t = 0..n-1, the units r0 + p*t below
+    n*p.  One Howell form of their rows decides membership.
     """
     n = len(v)
     for p in budget.primes:
-        e = budget.exponent(p)
-        q = p**e
-        target = [x % q for x in v]
-        count = max(2 * n, 8)
-        H = None
-        while True:
-            units = a_min(p, count)
-            rows = [[pow(r, j, q) for j in range(n)] for r in units]
-            newH = howell_form(ModMatrix(q, rows, cols=n))
-            if newH == H:
-                break
-            H = newH
-            count *= 2
-            if count > 4 * q:
-                break
-        if not in_howell_span(H, target):
+        q = p ** budget.exponent(p)
+        rows = [[pow(r, j, q) for j in range(n)] for r in a_min(p, n * (p - 1))]
+        if not in_howell_span(howell_form(ModMatrix(q, rows, cols=n)), v):
             return False
     return True
 
@@ -175,10 +167,20 @@ def fseq(
     return SeqWindow(start, vals)
 
 
+def _basis_window(n: int, lo: int, hi: int, T: int, budget: PrimeBudget) -> SeqWindow:
+    """Window [lo, hi] of the n-th basis sequence: shift^(-i) reflect f^(2i)
+    for n = 2i, shift^i f^(2i+1) for n = 2i+1."""
+    i = n // 2
+    if n % 2:
+        return shift(fseq(n, lo + i, hi + i + 1, T, budget), i)
+    return shift(reflect(fseq(n, i - hi, i - lo + 1, T, budget)), -i)
+
+
 def decompose_TZ(a: SeqWindow, m: int, T: int, budget: PrimeBudget) -> list[int]:
     """Coordinates b_0..b_(2m+1) of an integer window against the basis
-    shift^(-i) reflect f^(2i), shift^(i) f^(2i+1): peel the two endpoint
-    entries of the interval [-i, i+1] per pair, then verify reassembly.
+    ``_basis_window``: basis sequence n has its entry n! d_n at the pivot
+    -i (n = 2i) or i+1 (n = 2i+1) and zeros at the pivots before it, so
+    peel the pivots of [-m, m+1] in turn, then verify reassembly.
 
     A nonintegral quotient or a nonzero residual raises: the window is not
     in the lattice the basis spans.
@@ -186,39 +188,28 @@ def decompose_TZ(a: SeqWindow, m: int, T: int, budget: PrimeBudget) -> list[int]
     if a.start > -m or a.stop < m + 2:
         raise ValueError(f"window must cover [{-m}, {m + 1}]")
     lo, hi = -m, m + 1
-    residual = {j: a[j] for j in range(lo, hi + 1)}
+    residual = [a[j] for j in range(lo, hi + 1)]
     out = []
     for n in range(2 * m + 2):
-        i, odd = n // 2, n % 2
-        if odd:
-            f, pivot = fseq(n, lo + i, hi + i + 1, T, budget), i + 1
-        else:
-            f, pivot = fseq(n, i - hi, i - lo + 1, T, budget), -i
-        d = dn_tilde(n)
-        if residual[pivot] % d:
-            raise ValueError(f"entry at {pivot} = {residual[pivot]} not divisible by {d}")
-        b = residual[pivot] // d
-        for j in residual:
-            residual[j] -= b * f[j + i if odd else i - j]
+        pivot = n // 2 + 1 if n % 2 else -(n // 2)
+        f = _basis_window(n, lo, hi, T, budget)
+        d, x = dn_tilde(n), residual[pivot - lo]
+        if x % d:
+            raise ValueError(f"entry at {pivot} = {x} not divisible by {d}")
+        b = x // d
+        residual = [x - b * y for x, y in zip(residual, f.values)]
         out.append(b)
-    bad = [j for j in range(lo, hi + 1) if residual[j]]
+    bad = [j for j, x in enumerate(residual, lo) if x]
     if bad:
         raise ValueError(f"nonzero residual at indices {bad}: not in the span")
     return out
 
 
 def assemble_TZ(bs: list[int], lo: int, hi: int, T: int, budget: PrimeBudget) -> SeqWindow:
-    """Window [lo, hi] of sum_i b_2i shift^(-i) reflect f^(2i) +
-    b_(2i+1) shift^i f^(2i+1)."""
-    vals = {j: 0 for j in range(lo, hi + 1)}
-    for i in range(len(bs) // 2):
-        b_even, b_odd = bs[2 * i], bs[2 * i + 1]
-        if b_even:
-            f2i = fseq(2 * i, i - hi, i - lo + 1, T, budget)
-            for j in vals:
-                vals[j] += b_even * f2i[i - j]
-        if b_odd:
-            f2i1 = fseq(2 * i + 1, lo + i, hi + i + 1, T, budget)
-            for j in vals:
-                vals[j] += b_odd * f2i1[j + i]
-    return SeqWindow(lo, [vals[j] for j in range(lo, hi + 1)])
+    """Window [lo, hi] of sum_n b_n times basis sequence n (``_basis_window``)."""
+    vals = [0] * (hi - lo + 1)
+    for n, b in enumerate(bs):
+        if b:
+            f = _basis_window(n, lo, hi, T, budget)
+            vals = [x + b * y for x, y in zip(vals, f.values)]
+    return SeqWindow(lo, vals)

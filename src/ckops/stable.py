@@ -175,7 +175,7 @@ def _phi_image_lattice(D: int, r: int, q: int):
     return howell_form(ModMatrix(q, _phi_image_rows(D, r, q), cols=D))
 
 
-def s_oracle(G: TruncSeries, p: int, e: int, T: int | None = None) -> bool:
+def s_oracle(G: TruncSeries, p: int, e: int, T: int) -> bool:
     """Membership in every iterated Phi-image lattice, per quotient window.
 
     For each n <= e with q = p^n <= T+1 and m the largest multiple of q at
@@ -193,8 +193,6 @@ def s_oracle(G: TruncSeries, p: int, e: int, T: int | None = None) -> bool:
     """
     from .linalg import in_howell_span
 
-    if T is None:
-        T = G.trunc
     if T > G.trunc:
         raise PrecisionError("oracle window exceeds the stored truncation")
     for n in range(1, e + 1):

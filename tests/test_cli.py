@@ -343,10 +343,10 @@ _BLIND_0 = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
         (_SHORT, ["qnm", "--n", "3", "--m", "3"], "need truncation >= 3, have 2"),
         (_SHORT, ["qn", "--n", "3"], "need truncation >= 3, have 2"),
         (_SHORT, ["opnm", "--n", "3", "--m", "3"], "need truncation >= 3, have 2"),
-        # a constant term with no digits is unknown, not the zero both routes need
+        # a constant term with no digits is unknown, not the zero the derivative
+        # routes need (the Phi route never reads it: see the test below)
         (_BLIND_0, ["qn", "--n", "1"], "coefficient 0 has no digits at p=2"),
         (_BLIND_0, ["qnm", "--n", "2", "--m", "1"], "coefficient 0 has no digits at p=2"),
-        (_BLIND_0, ["opnm", "--n", "1", "--m", "1"], "coefficient 0 has no digits at p=2"),
     ],
 )
 def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):
@@ -357,6 +357,15 @@ def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):
     assert code == 2
     assert out.count("\n") == 1
     assert reason in json.loads(out)["error"]
+
+
+def test_opnm_answers_with_an_unknown_constant_term(tmp_path, capsys):
+    # Phi never reads a_0, and Phi(G) = [1, 1, 0] mod 2 is known
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(_BLIND_0))
+    code, out = run(capsys, "check", "--input", str(f), "--test", "opnm", "--n", "1", "--m", "1")
+    assert code == 0
+    assert out == '{"member":true,"test":"opnm"}\n'
 
 
 def test_s_and_tower_agree_on_a_non_integer(tmp_path, capsys):

@@ -103,3 +103,20 @@ def test_phi_route_verdicts_no_longer_limited_by_a0():
     with pytest.raises(PrecisionError, match="coefficient 0 has no digits at p=2"):
         phi_by_steps(G).is_zero()
     assert in_Opnm_phi(G, 1, 1)
+
+
+def test_phi_route_ignores_the_constant_term():
+    # Phi^n never reads a_0: any a_0 over Q and Z, and a Zhat a_0 without digits
+    for a0 in (0, 5, -7):
+        assert in_Opnm_phi(TruncSeries(Q, 3, [a0, 1, 0, 0]), 1, 1)
+        assert in_Opnm_phi(TruncSeries(Z, 3, [a0, 1, 0, 0]), 1, 1)
+    B = PrimeBudget.uniform([2], 4)
+    ring = ProfiniteRing(B)
+    blind = ProfiniteApprox(B, {2: 0}, {2: 0})
+    G = TruncSeries(ring, 2, [blind, ring.coerce(3), ring.zero()])
+    assert [c.residue[2] for c in phi(G).coeffs] == [13, 3]
+    assert in_Opnm_phi(G, 1, 1)
+    # an unknown a_1, which Phi reads, is still named by its input degree
+    G = TruncSeries(ring, 2, [ring.zero(), blind, ring.coerce(3)])
+    with pytest.raises(PrecisionError, match="coefficient 1 has no digits at p=2"):
+        in_Opnm_phi(G, 1, 1)

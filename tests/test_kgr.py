@@ -22,8 +22,9 @@ from ckops import (
     to_e_basis,
 )
 from ckops.arith import crt_lift
-from ckops.kgr import _fn_cached, assemble_TZ
-from ckops.linalg import ModMatrix
+from ckops.kgr import _basis_window, _fn_cached, assemble_TZ
+from ckops.linalg import ModMatrix, howell_form, in_howell_span
+from ckops.stable import a_min
 from oracles import span_enumerate
 
 
@@ -89,6 +90,18 @@ def test_to_e_basis_rejects_half_s():
     assert to_e_basis([0, Fraction(1, 2)]) is None
 
 
+def test_to_e_basis_binom_s3():
+    # s/3 - s^2/2 + s^3/6 = C(s, 3) = -e_3
+    f = to_e_basis([0, Fraction(1, 3), Fraction(-1, 2), Fraction(1, 6)])
+    assert f == NumericalPoly((0, 0, 0, -1))
+
+
+def test_to_e_basis_names_a_float():
+    # a float is inexact: rounded, C(s, 3) would look non-numerical
+    with pytest.raises(TypeError, match=r"cannot coerce 0\.333\d* into Q"):
+        to_e_basis([0, 1 / 3, -0.5, 1 / 6])
+
+
 # -- windows ----------------------------------------------------------------------------
 
 
@@ -132,6 +145,49 @@ def test_interval_dtilde_thresholds():
         assert interval_in_N([0] * n + [dt], bud), n
         if dt > 1:
             assert not interval_in_N([0] * n + [dt // 2], bud), n
+
+
+def _unit_rows(units, n, q):
+    return [[pow(r, j, q) for j in range(n)] for r in units]
+
+
+def _all_units_form(p, q, n):
+    return howell_form(ModMatrix(q, _unit_rows([r for r in range(1, q) if r % p], n, q), cols=n))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_units_below_n_p_generate_the_unit_lattice(p):
+    # the generating set of interval_in_N: the n(p-1) units below n*p span
+    # the rows of every unit below q
+    q = p
+    while q <= 1000:
+        for n in range(1, 7):
+            H = howell_form(ModMatrix(q, _unit_rows(a_min(p, n * (p - 1)), n, q), cols=n))
+            assert H == _all_units_form(p, q, n), (p, q, n)
+        q *= p
+
+
+def test_interval_matches_all_units_oracle():
+    rng = random.Random(5)
+    verdicts = set()
+    for p, e in ((2, 8), (3, 5), (5, 3), (7, 3)):
+        q = p**e
+        bud = PrimeBudget.uniform([p], e)
+        units = [r for r in range(1, q) if r % p]
+        for n in range(1, 6):
+            H = _all_units_form(p, q, n)
+            for _ in range(6):
+                # a lattice member, then half the time one entry moved
+                v = [0] * n
+                for r in rng.sample(units, 3):
+                    c = rng.randrange(q)
+                    v = [x + c * pow(r, j, q) for j, x in enumerate(v)]
+                if rng.random() < 0.5:
+                    v[rng.randrange(n)] += rng.randrange(1, q)
+                want = in_howell_span(H, v)
+                assert interval_in_N(v, bud) == want, (p, e, v)
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_interval_matches_enumeration_small():
@@ -183,7 +239,7 @@ def test_fseq_intervals_in_lattice(kgr_budget):
 
 
 def _oracle_fseq(n, start, stop, T, budget):
-    """fseq for n >= 2 by the per-index loop: every (index, prime, node)
+    """fseq by the per-index loop: every (index, prime, node)
     reads the budget exponent, the weight's residue and the node's power
     (through its inverse for a negative index) afresh."""
     F = _fn_cached(n, T, budget)
@@ -217,6 +273,13 @@ def test_fseq_matches_per_index_oracle(primes, e):
                 assert got == want, (n, start, stop, T)
 
 
+def test_fseq_closed_forms_match_per_index_oracle(kgr_budget):
+    # fseq's shortcut for n = 0, 1 against the weights of F_0 and F_1
+    for n in (0, 1):
+        for start, stop in ((-4, 6), (-9, -2), (3, 11)):
+            assert fseq(n, start, stop, 16, kgr_budget) == _oracle_fseq(n, start, stop, 16, kgr_budget)
+
+
 def test_fseq_needs_truncation(kgr_budget):
     with pytest.raises(PrecisionError):
         fseq(2, 0, 40, 16, kgr_budget)
@@ -243,6 +306,29 @@ def test_decompose_TZ_round_trips(kgr_budget):
             bs = [rng.randint(-4, 4) for _ in range(2 * m + 2)]
             win = assemble_TZ(bs, -m, m + 1, 16, kgr_budget)
             assert decompose_TZ(win, m, 16, kgr_budget) == bs, (m, bs)
+
+
+def test_basis_window_is_shifted_reflected_fseq(kgr_budget):
+    # entry j of basis sequence 2i is f^(2i)_(i-j), of 2i+1 is f^(2i+1)_(j+i)
+    for n in range(6):
+        i = n // 2
+        f = fseq(n, -8, 9, 16, kgr_budget)
+        w = _basis_window(n, -2, 3, 16, kgr_budget)
+        assert w.start == -2 and len(w.values) == 6
+        assert list(w.values) == [f[j + i] if n % 2 else f[i - j] for j in range(-2, 4)], n
+
+
+def test_decompose_TZ_round_trips_odd_length(kgr_budget):
+    # assemble_TZ reads every coordinate, the last one of an odd-length list too
+    win = assemble_TZ([1, 2, 3], -1, 2, 16, kgr_budget)
+    assert win != assemble_TZ([1, 2], -1, 2, 16, kgr_budget)
+    assert decompose_TZ(win, 1, 16, kgr_budget) == [1, 2, 3, 0]
+    rng = random.Random(6)
+    for m in range(3):
+        for length in range(1, 2 * m + 2, 2):
+            bs = [rng.randint(-4, 4) for _ in range(length - 1)] + [rng.choice([-2, -1, 1, 2])]
+            win = assemble_TZ(bs, -m, m + 1, 16, kgr_budget)
+            assert decompose_TZ(win, m, 16, kgr_budget) == bs + [0] * (2 * m + 2 - length), (m, bs)
 
 
 def test_decompose_TZ_rejects_outside_lattice(kgr_budget):
