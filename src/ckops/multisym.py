@@ -16,8 +16,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from operator import add, itemgetter, sub
 
-from .series import Q, RationalRing, TruncSeries, all_zero, b_map, lg_series
+from .series import Q, Z, RationalRing, TruncSeries, all_zero, b_map, lg_series
 
 
 class NotIntegrable(ArithmeticError):
@@ -117,8 +118,9 @@ class MultiSeries:
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        diff = self - other
-        return diff.is_zero()
+        if (self.ring, self.nvars, self.trunc) != (other.ring, other.nvars, other.trunc):
+            return False
+        return (self - other).is_zero()
 
     def __repr__(self):
         items = sorted(self.coeffs.items())[:6]
@@ -238,8 +240,15 @@ def iter_partial(G, m: int) -> MultiSeries:
 
     For m = 0 this is G - G(0, x_2, ..., x_n): the monomials of G whose
     x_1 exponent is positive.  For m = 1 it is partial_derivative.  This is
-    the production route; its oracle is the m-fold nested partial
-    derivative, which must agree with it (cross-checked in the tests).
+    the production route; its oracles are the m-fold nested partial
+    derivative and the sum with one substitution per subset (both
+    cross-checked in the tests).
+
+    The derivative is Z-linear, so over Q the sum runs on the integer
+    numerators L*G, L the lcm of G's denominators, and each coefficient is
+    divided by L at the end.  G(x_I, tail) is G(x_1..x_r, tail) with x_i
+    renamed x_(I[i]), r = |I|: one substitution per subset size.  The sum
+    is pruned once, where a coefficient without digits raises naming its key.
     """
     M = _as_multi(G)
     n, T = M.nvars, M.trunc
@@ -248,14 +257,26 @@ def iter_partial(G, m: int) -> MultiSeries:
         out.coeffs = {k: v for k, v in M.coeffs.items() if k[0] > 0}
         return out
     out_n = n + m
-    tail = list(range(m + 1, out_n))
-    out = MultiSeries(M.ring, out_n, T)
-    head = list(range(m + 1))
-    for r in range(len(head) + 1):
-        sign = (-1) ** (m + 1 - r)
-        for sub in combinations(head, r):
-            star = star_sum(list(sub), out_n, T, M.ring)
-            out = out + subst_first(M, star, out_n, tail).scale(sign)
+    head, tail = range(m + 1), list(range(m + 1, out_n))
+    ring = M.ring
+    if isinstance(ring, RationalRing):
+        L = math.lcm(*(v.denominator for v in M.coeffs.values()))
+        M = MultiSeries(Z, n, T, {k: v.numerator * (L // v.denominator) for k, v in M.coeffs.items()})
+    zero, acc = M.ring.zero(), {}
+    for r in range(m + 2):
+        S = subst_first(M, star_sum(head[:r], out_n, T, M.ring), out_n, tail).coeffs
+        op = sub if (m + 1 - r) % 2 else add
+        for I in combinations(head, r):
+            # x_i moves to position I[i]; x_r..x_m, zero in S, fill the rest of the head
+            order = I + tuple(j for j in head if j not in I)
+            relabel = itemgetter(*sorted(head, key=order.__getitem__), *tail)
+            for key, v in S.items():
+                k = relabel(key)
+                acc[k] = op(acc.get(k, zero), v)
+    out = MultiSeries(ring, out_n, T)
+    out.coeffs = {k: v for k, v in acc.items() if not M.ring.is_zero(v, k)}
+    if ring is not M.ring:
+        out.coeffs = {k: Fraction(v, L) for k, v in out.coeffs.items()}
     return out
 
 

@@ -3,15 +3,18 @@ brute-force row span, the binomial-Vandermonde determinant in closed form
 (the Vandermonde-ratio route to d_n), lg_r by series powers, the lg-basis
 reassembly, the term-by-term integer combination, the scaled-sum
 composition, Phi^n one step at a time, the validating profinite binary
-kernel and the twisted-Adams integrality rule."""
+kernel, the twisted-Adams integrality rule and the iterated partial
+derivative with one substitution per subset."""
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from ckops import ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
 from ckops.arith import rational_mod
 from ckops.linalg import ModMatrix
+from ckops.multisym import MultiSeries, _as_multi, star_sum, subst_first
 
 
 def span_enumerate(A: ModMatrix) -> set[tuple[int, ...]]:
@@ -133,3 +136,20 @@ def twisted_rule(b: ProfiniteApprox, c: ProfiniteApprox) -> bool:
     return all(
         b.residue_mod(p, B.exponent(p)) == 0 or c.residue_mod(p, 1) != 0 for p in B.primes
     )
+
+
+def iter_partial_by_subsets(G, m: int) -> MultiSeries:
+    """The subset sum of multisym.iter_partial in G's own ring (at m = 0
+    it is G - G(0, x_2, ...)): one subst_first per subset of the m + 1 head
+    variables, each added signed to a running series, so
+    ``MultiSeries.__add__`` prunes every partial sum.  The route that the
+    integer numerators and the one substitution per subset size replaced."""
+    M = _as_multi(G)
+    out_n, T = M.nvars + m, M.trunc
+    tail = list(range(m + 1, out_n))
+    out = MultiSeries(M.ring, out_n, T)
+    for r in range(m + 2):
+        for sub in combinations(range(m + 1), r):
+            star = star_sum(list(sub), out_n, T, M.ring)
+            out = out + subst_first(M, star, out_n, tail).scale((-1) ** (m + 1 - r))
+    return out

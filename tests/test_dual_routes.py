@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckops import PrecisionError, PrimeBudget, ProfiniteApprox, ProfiniteRing, Q, TruncSeries, Z
-from ckops import TruncationExhausted, in_Opnm_phi, phi, series
-from oracles import phi_by_steps
+from ckops import MultiSeries, PrecisionError, PrimeBudget, ProfiniteApprox, ProfiniteRing, Q
+from ckops import TruncSeries, TruncationExhausted, Z, in_Opnm_phi, iter_partial, phi, series
+from oracles import iter_partial_by_subsets, phi_by_steps
 
 _BUDGET = PrimeBudget.uniform((2, 3, 5), 4)
 _ZHAT = ProfiniteRing(_BUDGET)
 
 
 @st.composite
-def profinite(draw):
-    """A Zhat value whose precision at each prime is anywhere from 0 digits
-    to the budget's, its residue anything below that modulus."""
-    prec = {p: draw(st.integers(0, e)) for p, e in _BUDGET.full_prec.items()}
+def profinite(draw, least=0):
+    """A Zhat value whose precision at each prime is anywhere from ``least``
+    digits to the budget's, its residue anything below that modulus."""
+    prec = {p: draw(st.integers(least, e)) for p, e in _BUDGET.full_prec.items()}
     res = {p: draw(st.integers(0, p**k - 1)) for p, k in prec.items()}
     return ProfiniteApprox(_BUDGET, res, prec)
 
@@ -120,3 +120,59 @@ def test_phi_route_ignores_the_constant_term():
     G = TruncSeries(ring, 2, [ring.zero(), blind, ring.coerce(3)])
     with pytest.raises(PrecisionError, match="coefficient 1 has no digits at p=2"):
         in_Opnm_phi(G, 1, 1)
+
+
+@st.composite
+def partial_input(draw, ring):
+    """A univariate series with T <= 7, or a 2-3 variable MultiSeries with
+    T <= 4 whose variables after the first are the tail; one draw in eight
+    is the zero series.  Zhat values may lack digits, have at least one at
+    every prime, or be integers.  The MultiSeries leaves out a Zhat zero
+    without digits, which its constructor rejects."""
+    R = _RINGS[ring]
+    coeff = _COEFFS[ring]
+    if ring == "Zhat":
+        coeff = st.one_of(coeff, profinite(1), _COEFFS["Z"])
+    if draw(st.integers(0, 7)) == 0:
+        coeff = st.just(R.zero())
+    if draw(st.booleans()):
+        T = draw(st.integers(0, 7))
+        return TruncSeries(R, T, draw(st.lists(coeff, min_size=T + 1, max_size=T + 1)))
+    nvars, T = draw(st.integers(2, 3)), draw(st.integers(0, 4))
+    key = st.lists(st.integers(0, T), min_size=nvars, max_size=nvars).map(tuple)
+    coeffs = draw(st.dictionaries(key.filter(lambda k: sum(k) <= T), coeff, min_size=1, max_size=6))
+    return MultiSeries(R, nvars, T, {k: v for k, v in coeffs.items() if not _unknown(v)})
+
+
+def _unknown(v) -> bool:
+    return isinstance(v, ProfiniteApprox) and not any(v.residue.values()) and 0 in v.prec.values()
+
+
+def _exact(M: MultiSeries):
+    """Ring, arity, truncation and every coefficient with its type, a
+    profinite one as residues and precisions."""
+    coeffs = {k: v.to_json() if isinstance(v, ProfiniteApprox) else (type(v), v)
+              for k, v in M.coeffs.items()}
+    return M.ring, M.nvars, M.trunc, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_iter_partial_equals_subset_sum_oracle(data):
+    ring = data.draw(st.sampled_from(sorted(_RINGS)))
+    G, m = data.draw(partial_input(ring)), data.draw(st.integers(0, 3))
+    values = G.coeffs.values() if isinstance(G, MultiSeries) else G.coeffs
+    blind = [v for v in values if isinstance(v, ProfiniteApprox) and 0 in v.prec.values()]
+    # an unknown input value raises in both routes; at m >= 1 so does any
+    # value without digits at some prime, which the subset sum cancels to
+    # an unknown zero
+    if any(map(_unknown, blind)) or (blind and m):
+        for route in (iter_partial, iter_partial_by_subsets):
+            with pytest.raises(PrecisionError, match="has no digits at p="):
+                route(G, m)
+        return
+    if blind:
+        # m = 0 only keeps the monomials with a positive x_1 exponent; the
+        # oracle's G - G(0, ...) cancels an x_1-free one to an unknown zero
+        return
+    assert _exact(iter_partial(G, m)) == _exact(iter_partial_by_subsets(G, m))

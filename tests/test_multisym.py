@@ -29,6 +29,7 @@ from ckops import (
     phi,
     star_sum,
 )
+from ckops import multisym
 from ckops.multisym import integer_coefficients, subst_first
 
 
@@ -196,6 +197,19 @@ def test_multiseries_unknown_coefficient_raises():
     assert MultiSeries(R, 2, 3, {(1, 0): ProfiniteApprox(B, {2: 0, 3: 0}, {2: 1, 3: 4})}).is_zero()
 
 
+def test_multiseries_eq_needs_equal_ring_arity_and_truncation():
+    # as TruncSeries.__eq__: a mismatch is unequal, not a comparison at the
+    # lesser truncation or an incompatible-operands error
+    low = MultiSeries(Q, 1, 3, {(1,): 1})
+    assert low != MultiSeries(Q, 1, 5, {(1,): 1, (4,): 7})
+    assert low != MultiSeries(Q, 1, 5, {(1,): 1})
+    assert low != MultiSeries(Q, 2, 3, {(1, 0): 1})
+    assert low != MultiSeries(Z, 1, 3, {(1,): 1})
+    assert MultiSeries(Z, 1, 3, {(1,): 1}) != low
+    assert low == MultiSeries(Q, 1, 3, {(1,): 1, (4,): 7})
+    assert TruncSeries(Q, 3, [0, 1]) != TruncSeries(Q, 5, [0, 1, 0, 0, 7])
+
+
 def test_is_symmetric_unknown_difference_raises():
     # a and b agree mod 3^4 but have no digits at p = 2: whether they are
     # equal is unknown, so the symmetry verdict raises instead of True
@@ -237,6 +251,22 @@ def test_iter_partial_equals_folded():
             for _ in range(m - 1):
                 fold = partial_derivative(fold)
             assert it == fold
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_iter_partial_substitutes_once_per_subset_size(monkeypatch, m):
+    # one subst_first per subset size 0..m+1, not one per subset
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return subst_first(*args)
+
+    monkeypatch.setattr(multisym, "subst_first", counting)
+    for G in (lg_series(3, 7), MultiSeries(Q, 2, 5, {(1, 1): Fraction(1, 2), (2, 0): 3})):
+        calls.clear()
+        iter_partial(G, m)
+        assert len(calls) == m + 2
 
 
 def test_iter_partial_lg_product_formula():
