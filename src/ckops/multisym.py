@@ -16,9 +16,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from operator import add, itemgetter, sub
+from operator import mul
 
-from .series import Q, Z, RationalRing, TruncSeries, all_zero, b_map, lg_series
+from .series import Q, Z, ProfiniteRing, RationalRing, TruncSeries, all_zero, b_map, lg_series
 
 
 class NotIntegrable(ArithmeticError):
@@ -96,23 +96,30 @@ class MultiSeries:
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
             return self.scale(other)
+        if other.nvars != self.nvars or self.ring != other.ring:
+            raise ValueError("incompatible operands")
         T = min(self.trunc, other.trunc)
-        out = MultiSeries(self.ring, self.nvars, T)
-        acc = out.coeffs
+        # an exponent tuple packs into one int in base T + 1: a kept product
+        # has total degree <= T, so no exponent of a sum exceeds T and adding
+        # two packed keys never carries
+        powers = [(T + 1) ** i for i in range(self.nvars)]
+        right = sorted((sum(k), sum(map(mul, k, powers)), v)
+                       for k, v in other.coeffs.items() if sum(k) <= T)
+        acc = {}
         for k1, v1 in self.coeffs.items():
-            d1 = sum(k1)
-            if d1 > T:
-                continue
-            for k2, v2 in other.coeffs.items():
-                if d1 + sum(k2) > T:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
-                cur = acc.get(key)
-                prod = v1 * v2
-                acc[key] = cur + prod if cur is not None else prod
+            room, p1 = T - sum(k1), sum(map(mul, k1, powers))
+            for d2, p2, v2 in right:  # by degree: stop at the first that does not fit
+                if d2 > room:
+                    break
+                p = p1 + p2
+                cur = acc.get(p)
+                acc[p] = v1 * v2 if cur is None else cur + v1 * v2
+        out = MultiSeries(self.ring, self.nvars, T)
         is_zero = self.ring.is_zero
-        for key in [k for k, v in acc.items() if is_zero(v, k)]:
-            del acc[key]
+        for p, v in acc.items():
+            key = tuple(map((T + 1).__rmod__, map(p.__floordiv__, powers)))
+            if not is_zero(v, key):
+                out.coeffs[key] = v
         return out
 
     def __eq__(self, other):
@@ -234,7 +241,7 @@ def partial_derivative(G) -> MultiSeries:
 
 
 def iter_partial(G, m: int) -> MultiSeries:
-    """m-th iterated partial derivative by the subset-sum formula
+    """m-th iterated partial derivative, the subset sum
     (partial^m G)(x_1..x_{m+n}) =
         sum_{I in [1, m+1]} (-1)^(m+1-|I|) G(x_I, x_{m+2}, ...).
 
@@ -244,11 +251,19 @@ def iter_partial(G, m: int) -> MultiSeries:
     derivative and the sum with one substitution per subset (both
     cross-checked in the tests).
 
-    The derivative is Z-linear, so over Q the sum runs on the integer
-    numerators L*G, L the lcm of G's denominators, and each coefficient is
-    divided by L at the end.  G(x_I, tail) is G(x_1..x_r, tail) with x_i
-    renamed x_(I[i]), r = |I|: one substitution per subset size.  The sum
-    is pruned once, where a coefficient without digits raises naming its key.
+    One substitution gives the whole sum: it is the monomials of
+    G(x_1 * ... * x_(m+1), tail) with every head exponent >= 1.  A
+    monomial whose head support is S lies in G(x_I, tail) only for I
+    containing S, with the same coefficient in each, so the sum counts
+    it sum_{S <= I <= head} (-1)^|head - I| times: once if S is the whole
+    head, else zero times.  The subset sum cancels every input value to a
+    zero at some key with a smaller support, and one without digits at a
+    prime to an unknown zero, so such a value raises PrecisionError naming
+    its input degree or key.
+
+    The derivative is Z-linear, so over Q the substitution runs on the
+    integer numerators L*G, L the lcm of G's denominators, and each
+    coefficient is divided by L at the end.
     """
     M = _as_multi(G)
     n, T = M.nvars, M.trunc
@@ -256,25 +271,17 @@ def iter_partial(G, m: int) -> MultiSeries:
         out = MultiSeries(M.ring, n, T)
         out.coeffs = {k: v for k, v in M.coeffs.items() if k[0] > 0}
         return out
-    out_n = n + m
-    head, tail = range(m + 1), list(range(m + 1, out_n))
     ring = M.ring
+    if isinstance(ring, ProfiniteRing):  # v - v is an unknown zero where v lacks digits
+        for k, v in M.coeffs.items():
+            ring.is_zero(v - v, k[0] if isinstance(G, TruncSeries) else k)
     if isinstance(ring, RationalRing):
         L = math.lcm(*(v.denominator for v in M.coeffs.values()))
         M = MultiSeries(Z, n, T, {k: v.numerator * (L // v.denominator) for k, v in M.coeffs.items()})
-    zero, acc = M.ring.zero(), {}
-    for r in range(m + 2):
-        S = subst_first(M, star_sum(head[:r], out_n, T, M.ring), out_n, tail).coeffs
-        op = sub if (m + 1 - r) % 2 else add
-        for I in combinations(head, r):
-            # x_i moves to position I[i]; x_r..x_m, zero in S, fill the rest of the head
-            order = I + tuple(j for j in head if j not in I)
-            relabel = itemgetter(*sorted(head, key=order.__getitem__), *tail)
-            for key, v in S.items():
-                k = relabel(key)
-                acc[k] = op(acc.get(k, zero), v)
+    out_n = n + m
+    S = subst_first(M, star_sum(range(m + 1), out_n, T, M.ring), out_n, range(m + 1, out_n))
     out = MultiSeries(ring, out_n, T)
-    out.coeffs = {k: v for k, v in acc.items() if not M.ring.is_zero(v, k)}
+    out.coeffs = {k: v for k, v in S.coeffs.items() if 0 not in k[:m + 1]}
     if ring is not M.ring:
         out.coeffs = {k: Fraction(v, L) for k, v in out.coeffs.items()}
     return out

@@ -3,8 +3,9 @@ brute-force row span, the binomial-Vandermonde determinant in closed form
 (the Vandermonde-ratio route to d_n), lg_r by series powers, the lg-basis
 reassembly, the term-by-term integer combination, the scaled-sum
 composition, Phi^n one step at a time, the validating profinite binary
-kernel, the twisted-Adams integrality rule and the iterated partial
-derivative with one substitution per subset."""
+kernel, the twisted-Adams integrality rule, the iterated partial
+derivative with one substitution per subset and the MultiSeries product
+on exponent tuples."""
 
 import math
 from fractions import Fraction
@@ -152,4 +153,31 @@ def iter_partial_by_subsets(G, m: int) -> MultiSeries:
         for sub in combinations(range(m + 1), r):
             star = star_sum(list(sub), out_n, T, M.ring)
             out = out + subst_first(M, star, out_n, tail).scale((-1) ** (m + 1 - r))
+    return out
+
+
+def multi_mul_by_terms(A: MultiSeries, B) -> MultiSeries:
+    """A * B with tuple keys: every pair of terms within the truncation adds
+    its exponent tuples, and the sum is pruned once at the end (a scalar B
+    scales).  The route the packed-integer kernel of MultiSeries.__mul__
+    replaced."""
+    if not isinstance(B, MultiSeries):
+        return A.scale(B)
+    T = min(A.trunc, B.trunc)
+    out = MultiSeries(A.ring, A.nvars, T)
+    acc = out.coeffs
+    for k1, v1 in A.coeffs.items():
+        d1 = sum(k1)
+        if d1 > T:
+            continue
+        for k2, v2 in B.coeffs.items():
+            if d1 + sum(k2) > T:
+                continue
+            key = tuple(a + b for a, b in zip(k1, k2))
+            cur = acc.get(key)
+            prod = v1 * v2
+            acc[key] = cur + prod if cur is not None else prod
+    is_zero = A.ring.is_zero
+    for key in [k for k, v in acc.items() if is_zero(v, k)]:
+        del acc[key]
     return out

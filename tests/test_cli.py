@@ -296,6 +296,9 @@ _HALF = {"ring": "Q", "trunc": 3, "coeffs": ["1/2", "0", "0", "0"]}
 _SHORT = {"ring": "Q", "trunc": 2, "coeffs": ["0", "1/2", "1/3"]}
 _BLIND = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
           "coeffs": [{"primes": [[2, 1, 0]]}, {"primes": [[2, 0, 0]]}, {"primes": [[2, 1, 0]]}]}
+_BLIND_NONZERO = {"ring": {"profinite": [[2, 1], [3, 1]]}, "trunc": 3,
+                  "coeffs": [{"primes": [[2, 1, 0], [3, 1, 0]]}, {"primes": [[2, 0, 0], [3, 1, 1]]},
+                             {"primes": [[2, 1, 1], [3, 1, 0]]}, {"primes": [[2, 1, 0], [3, 1, 0]]}]}
 _BLIND_0 = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
             "coeffs": [{"primes": [[2, 0, 0]]}, {"primes": [[2, 1, 1]]}, {"primes": [[2, 1, 0]]}]}
 
@@ -347,6 +350,10 @@ _BLIND_0 = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
         # routes need (the Phi route never reads it: see the test below)
         (_BLIND_0, ["qn", "--n", "1"], "coefficient 0 has no digits at p=2"),
         (_BLIND_0, ["qnm", "--n", "2", "--m", "1"], "coefficient 0 has no digits at p=2"),
+        # a nonzero coefficient with no digits at p = 2 is named by its input
+        # degree, not by a key of the derivative
+        (_BLIND_NONZERO, ["qnm", "--n", "2", "--m", "1"], "coefficient 1 has no digits at p=2"),
+        (_BLIND_NONZERO, ["qn", "--n", "3"], "coefficient 1 has no digits at p=2"),
     ],
 )
 def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):

@@ -1,6 +1,7 @@
 """Differential tests: each production route against the slower route it
 replaced, on unconstrained hypothesis draws over Q, Z and Zhat."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from ckops import MultiSeries, PrecisionError, PrimeBudget, ProfiniteApprox, ProfiniteRing, Q
 from ckops import TruncSeries, TruncationExhausted, Z, in_Opnm_phi, iter_partial, phi, series
-from oracles import iter_partial_by_subsets, phi_by_steps
+from ckops.suites import random_membership_witness
+from oracles import iter_partial_by_subsets, multi_mul_by_terms, phi_by_steps
 
 _BUDGET = PrimeBudget.uniform((2, 3, 5), 4)
 _ZHAT = ProfiniteRing(_BUDGET)
@@ -176,3 +178,59 @@ def test_iter_partial_equals_subset_sum_oracle(data):
         # oracle's G - G(0, ...) cancels an x_1-free one to an unknown zero
         return
     assert _exact(iter_partial(G, m)) == _exact(iter_partial_by_subsets(G, m))
+
+
+@pytest.mark.parametrize("T,n", [(10, 3), (10, 4), (12, 3), (12, 4)])
+def test_iter_partial_at_benchmark_sizes_equals_subset_sum_oracle(T, n):
+    # the membership workload's slowest checks: partial^(n-1) at T = 10..12
+    G, _ = random_membership_witness(random.Random(T * 10 + n), T, n)
+    assert _exact(iter_partial(G, n - 1)) == _exact(iter_partial_by_subsets(G, n - 1))
+
+
+def _key(n: int, d: int):
+    """An n-variable exponent tuple of total degree d."""
+    cuts = st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1).map(sorted)
+    return cuts.map(lambda c: tuple(b - a for a, b in zip([0, *c], [*c, d])))
+
+
+@st.composite
+def product_factor(draw, ring, n):
+    """An n-variable MultiSeries with T <= 6 and up to 6 terms of any degree
+    up to T, plus up to 2 keys of degree T + 1..T + 3 put straight into
+    ``coeffs``.  A Zhat value may lack digits at some primes, and half of
+    them are 0 or 1 at each prime, so that sums of products cancel; the
+    unknown zeros the constructor rejects are left out."""
+    R, T = _RINGS[ring], draw(st.integers(0, 6))
+    coeff = _COEFFS[ring]
+    if ring == "Zhat":
+        bits = coeff.map(lambda v: ProfiniteApprox(
+            _BUDGET, {p: min(r, 1) for p, r in v.residue.items()}, v.prec))
+        coeff = st.one_of(coeff, bits)
+    terms = st.integers(0, T).flatmap(lambda d: _key(n, d))
+    above = st.integers(T + 1, T + 3).flatmap(lambda d: _key(n, d))
+    M = MultiSeries(R, n, T, _known(draw(st.dictionaries(terms, coeff, min_size=1, max_size=6))))
+    M.coeffs.update(_known(draw(st.dictionaries(above, coeff, max_size=2))))
+    return M
+
+
+def _known(coeffs: dict) -> dict:
+    return {k: v for k, v in coeffs.items() if not _unknown(v)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_multiseries_mul_equals_tuple_key_oracle(data):
+    # the packed-integer kernel against the tuple-key double loop: equal
+    # coefficient dicts, or both raise on a Zhat sum that is an unknown zero
+    ring = data.draw(st.sampled_from(sorted(_RINGS)))
+    n = data.draw(st.integers(1, 4))
+    A = data.draw(product_factor(ring, n))
+    scalar = st.one_of(_COEFFS[ring], st.integers(-3, 3))
+    B = data.draw(scalar if data.draw(st.integers(0, 3)) == 0 else product_factor(ring, n))
+    try:
+        want = _exact(multi_mul_by_terms(A, B))
+    except PrecisionError:
+        with pytest.raises(PrecisionError, match="has no digits at p="):
+            A * B
+        return
+    assert _exact(A * B) == want

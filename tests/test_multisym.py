@@ -210,6 +210,17 @@ def test_multiseries_eq_needs_equal_ring_arity_and_truncation():
     assert TruncSeries(Q, 3, [0, 1]) != TruncSeries(Q, 5, [0, 1, 0, 0, 7])
 
 
+def test_multiseries_mul_rejects_incompatible_operands():
+    # as + and -: a product of these would drop the third variable or put
+    # 3/2 into a Z series
+    with pytest.raises(ValueError, match="incompatible operands"):
+        MultiSeries(Q, 2, 4, {(1, 0): 1}) * MultiSeries(Q, 3, 4, {(0, 1, 1): 1})
+    with pytest.raises(ValueError, match="incompatible operands"):
+        MultiSeries(Z, 1, 4, {(1,): 3}) * MultiSeries(Q, 1, 4, {(1,): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="incompatible operands"):
+        MultiSeries(Q, 1, 4, {(1,): Fraction(1, 2)}) * MultiSeries(Z, 1, 4, {(1,): 3})
+
+
 def test_is_symmetric_unknown_difference_raises():
     # a and b agree mod 3^4 but have no digits at p = 2: whether they are
     # equal is unknown, so the symmetry verdict raises instead of True
@@ -253,9 +264,9 @@ def test_iter_partial_equals_folded():
             assert it == fold
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_iter_partial_substitutes_once_per_subset_size(monkeypatch, m):
-    # one subst_first per subset size 0..m+1, not one per subset
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_iter_partial_substitutes_once(monkeypatch, m):
+    # one subst_first for m >= 1, whatever the number of subsets; m = 0 only filters
     calls = []
 
     def counting(*args):
@@ -266,7 +277,7 @@ def test_iter_partial_substitutes_once_per_subset_size(monkeypatch, m):
     for G in (lg_series(3, 7), MultiSeries(Q, 2, 5, {(1, 1): Fraction(1, 2), (2, 0): 3})):
         calls.clear()
         iter_partial(G, m)
-        assert len(calls) == m + 2
+        assert len(calls) == (1 if m else 0)
 
 
 def test_iter_partial_lg_product_formula():
