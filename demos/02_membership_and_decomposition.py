@@ -32,7 +32,8 @@ G_int = TruncSeries(Q, T, [0] + [rng.randint(-9, 9) for _ in range(T)])
 print("integer series in level 4:", in_Qn(G_int, 4))
 print("lg_2 in level 3:", in_Qn(lg_series(2, T), 3), " in level 2:", in_Qn(lg_series(2, T), 2))
 
-# The Phi route tests the same membership through powers of (x-1) d/dx.
+# The Phi route, through powers of (x-1) d/dx, tests a group containing
+# this one; the two agree on integer series.
 print("Phi route agrees:", in_Opnm_phi(G_int, 3, 3) == in_Qn(G_int, 3))
 
 # A profinite number c is realized inside a rational series by an integer

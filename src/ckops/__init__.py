@@ -21,7 +21,7 @@ _EXPORTS = {
     "series": "Composer ProfiniteRing Q SeqWindow TruncSeries TruncationExhausted Z adams_series"
     " b_map compose_op desuspend lg_decompose lg_series phi valuation weighted_lg",
     "multisym": "MultiSeries NotIntegrable aformula_check integrate_symmetric"
-    " is_double_symmetric is_symmetric iter_partial partial_derivative star_sum",
+    " is_double_symmetric is_symmetric iter_partial star_sum",
     "classify": "N33_sequence NotInGroup classical_approx decompose_Qn_hat in_Opnm_phi in_Qn"
     " in_Qnm rho_n",
     "stable": "BasisSeries DnRecord a_min construct_Fn construct_Gn decompose_S0 dn dn_tilde"

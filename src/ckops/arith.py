@@ -534,7 +534,7 @@ def compatible_lift(b: Mapping[int, ProfiniteApprox], m: int, primes=None) -> in
             raise PrecisionError(f"prime {p} <= {m} is outside the budget")
         r, q = largest_prime_power(p, m, budget.exponent(p))
         pairs.append((b[q].residue_mod(p, r), q))
-    return crt_lift(pairs)[0] if pairs else 0
+    return crt_lift(pairs)[0]
 
 
 def set_primes_upto(n: int) -> list[int]:

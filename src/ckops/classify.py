@@ -123,21 +123,6 @@ def _component_step(cur: TruncSeries, r: int) -> tuple[int, dict]:
     return window, {i: -(c * i) for i, c in enumerate(phi(cur, r - 1).coeffs) if i}
 
 
-def _component_from_family(fam, budget: PrimeBudget, window: int):
-    """Residues of the component modulo the maximal prime powers <= window."""
-    # validates congruence compatibility; lifts over the budget primes only
-    t = compatible_lift(fam, window, primes=budget.primes)
-    residues = {}
-    modulus = 1
-    for p in set_primes_upto(window):
-        if p not in budget.primes:
-            continue
-        k, q = largest_prime_power(p, window, budget.exponent(p))
-        residues[p] = (k, t % q)
-        modulus *= q
-    return residues, modulus, t % modulus if modulus > 1 else 0
-
-
 def decompose_Qn_hat(G: TruncSeries, n: int, budget: PrimeBudget | None = None):
     """Split G into profinite lg-components c_1..c_(n-1) and a remainder
     with budget-integral coefficients: G = sum c_r lg_r + remainder.
@@ -145,7 +130,9 @@ def decompose_Qn_hat(G: TruncSeries, n: int, budget: PrimeBudget | None = None):
     Components are extracted top-down: apply Phi^(r-1), read the lg_1
     component through the congruences c = -i a_i (mod i), subtract the
     integer representative, recurse.  Each component carries the modulus
-    it is determined to; the remainder reassembles G exactly.
+    it is determined to; the remainder reassembles G exactly.  A Zhat input
+    has zero components and is its own remainder (each b_i is i times a
+    profinite value, so 0 mod i, or else lacks digits: PrecisionError).
     """
     if isinstance(G.ring, ProfiniteRing):
         budget = G.ring.budget
@@ -153,7 +140,6 @@ def decompose_Qn_hat(G: TruncSeries, n: int, budget: PrimeBudget | None = None):
         raise ValueError("a prime budget is required for rational input")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rational = isinstance(G.ring, RationalRing)
     cur = G
     components = []
     ring = ProfiniteRing(budget)
@@ -161,35 +147,20 @@ def decompose_Qn_hat(G: TruncSeries, n: int, budget: PrimeBudget | None = None):
         window, bvals = _component_step(cur, r)
         try:
             fam = {i: ring.coerce(b) for i, b in bvals.items()}
-            residues, modulus, t = _component_from_family(fam, budget, window)
+            # validates congruence compatibility; lifts over the budget primes only
+            t = compatible_lift(fam, window, primes=budget.primes)
         except (IncompatibleCongruences, ValueError) as exc:
             raise NotInGroup(f"component {r}: {exc}") from None
-        cand = Fraction(t)
-        components.append(Component(r, residues, modulus, cand))
-        lg = lg_series(r, G.trunc)
-        if rational:
-            cur = cur - lg.scale(cand)
-        else:
-            cur = _sub_rational_profinite(cur, lg.scale(cand))
+        powers = {p: largest_prime_power(p, window, budget.exponent(p))
+                  for p in set_primes_upto(window) if p in budget.full_prec}
+        residues = {p: (k, t % q) for p, (k, q) in powers.items()}
+        modulus = math.prod(q for _, q in powers.values())
+        components.append(Component(r, residues, modulus, Fraction(t)))
+        if t:  # only for rational input
+            cur = cur - lg_series(r, G.trunc).scale(t)
     components.reverse()
     _check_remainder_integral(cur, budget)
     return components, cur
-
-
-def _sub_rational_profinite(cur: TruncSeries, rat: TruncSeries) -> TruncSeries:
-    """cur - rat for profinite cur and rational rat whose denominators are
-    absorbed by matching divisibility in cur (degreewise exact division)."""
-    ring = cur.ring
-    out = []
-    for i, (a, q) in enumerate(zip(cur.coeffs, rat.coeffs)):
-        q = Fraction(q)
-        if q == 0:
-            out.append(a)
-            continue
-        den = q.denominator
-        num = (a * den) - q.numerator
-        out.append(num.divide_exact(den))
-    return TruncSeries(ring, cur.trunc, out)
 
 
 def _check_remainder_integral(rem: TruncSeries, budget: PrimeBudget):
@@ -197,7 +168,7 @@ def _check_remainder_integral(rem: TruncSeries, budget: PrimeBudget):
         for i, c in enumerate(rem.coeffs):
             c = Fraction(c)
             for p in budget.primes:
-                if c != 0 and vp(c.denominator, p) > 0:
+                if c.denominator % p == 0:
                     raise NotInGroup(
                         f"remainder coefficient {i} = {c} is not integral at p={p}"
                     )
@@ -234,18 +205,17 @@ def rho_n(G: TruncSeries, n: int, budget: PrimeBudget) -> list[ComponentClass]:
             if k == 0:
                 continue
             val = bvals[q]
-            if val == 0 or vp_fraction(val, p) >= 0:
-                rres = rational_mod(val, p**k) if val != 0 else 0
-                residues[p] = (k, rres)
-                pairs.append((rres, p**k))
+            if val.denominator % p:
+                residues[p] = (k, rational_mod(val, q))
+                pairs.append((residues[p][1], q))
             else:
                 obstructions[p] = vp_fraction(val, p)
-        cand = None
+        # x is also the integer representative a nonzero class subtracts
+        x, M = crt_lift(pairs)
         if pairs:
-            x, M = crt_lift(pairs)
             cand = rational_reconstruct(x, M)
-        elif not obstructions:
-            cand = Fraction(0)
+        else:
+            cand = None if obstructions else Fraction(0)
         if cand is not None and obstructions:
             # the reconstruction must also explain every denominator seen
             for p, v in obstructions.items():
@@ -254,7 +224,7 @@ def rho_n(G: TruncSeries, n: int, budget: PrimeBudget) -> list[ComponentClass]:
                     break
         witness = None
         if cand is not None:
-            # verify the full congruence family: cand = -b_i (mod i)
+            # verify the full congruence family: cand = b_i (mod i)
             ok = True
             for i in range(2, window + 1):
                 delta = cand - bvals[i]
@@ -280,8 +250,7 @@ def rho_n(G: TruncSeries, n: int, budget: PrimeBudget) -> list[ComponentClass]:
                 witness = (p0, obstructions.get(p0), None)
         out.append(ComponentClass(r, False, None, witness, residues))
         # subtract an integer representative so deeper components stay readable
-        t = crt_lift(pairs)[0] if pairs else 0
-        cur = cur - lg_series(r, G.trunc).scale(Fraction(t))
+        cur = cur - lg_series(r, G.trunc).scale(x)
     out.reverse()
     return out
 
@@ -353,20 +322,18 @@ def classical_approx(G: TruncSeries, n: int, d: int) -> TruncSeries:
             if need <= 0:
                 continue
             q = p**need
-            kmax_avail, _ = largest_prime_power(p, window)
-            if need > kmax_avail:
+            if q > window:
                 raise PrecisionError(
                     f"component {r} needs c mod {p}^{need}, window {window} "
-                    f"only determines {p}^{kmax_avail}"
+                    f"only determines {p}^{largest_prime_power(p, window)[0]}"
                 )
-            val = bvals[p**need]
-            if val != 0 and vp_fraction(val, p) < 0:
+            val = bvals[q]
+            if val.denominator % p == 0:
                 raise NotInGroup(
                     f"component {r} has a rational obstruction at p={p}"
                 )
-            pairs.append((rational_mod(val, q) if val != 0 else 0, q))
-        t = crt_lift(pairs)[0] if pairs else 0
-        cur = cur - lg.scale(Fraction(t))
+            pairs.append((rational_mod(val, q), q))
+        cur = cur - lg.scale(crt_lift(pairs)[0])
     out = []
     for i in range(d + 1):
         ci = Fraction(cur.coeffs[i])
@@ -391,7 +358,7 @@ def _residue_of(x: ProfiniteApprox, m: int) -> int:
         if p not in x.budget.primes:
             raise PrecisionError(f"prime {p} of modulus {m} is outside the budget")
         pairs.append((x.residue_mod(p, v), p**v))
-    return crt_lift(pairs)[0] if pairs else 0
+    return crt_lift(pairs)[0]
 
 
 def _gk_coeff(c: ProfiniteApprox, cs: list[int], k: int, m: int) -> ProfiniteApprox:

@@ -63,11 +63,12 @@ class MultiSeries:
         ):
             raise ValueError("incompatible operands")
         T = min(self.trunc, other.trunc)
+        a, b, zero = self.coeffs, other.coeffs, self.ring.zero()
         out = {}
-        for key in set(self.coeffs) | set(other.coeffs):
+        for key in set(a) | set(b):
             if sum(key) > T:
                 continue
-            v = fn(self.get(key), other.get(key))
+            v = fn(a.get(key, zero), b.get(key, zero))
             if not self.ring.is_zero(v, key):
                 out[key] = v
         res = MultiSeries(self.ring, self.nvars, T)
@@ -232,21 +233,14 @@ def subst_first(
     return out
 
 
-def partial_derivative(G) -> MultiSeries:
-    """The formal-group-law partial derivative in the first variable:
-    G(x1*x2, x3, ...) - G(x1, x3, ...) - G(x2, x3, ...) + G(0, x3, ...),
-    which is iter_partial(G, 1), the m = 1 subset sum.
-    """
-    return iter_partial(G, 1)
-
-
 def iter_partial(G, m: int) -> MultiSeries:
     """m-th iterated partial derivative, the subset sum
     (partial^m G)(x_1..x_{m+n}) =
         sum_{I in [1, m+1]} (-1)^(m+1-|I|) G(x_I, x_{m+2}, ...).
 
     For m = 0 this is G - G(0, x_2, ..., x_n): the monomials of G whose
-    x_1 exponent is positive.  For m = 1 it is partial_derivative.  This is
+    x_1 exponent is positive.  For m = 1 it is the formal-group-law partial
+    derivative G(x1*x2, ...) - G(x1, ...) - G(x2, ...) + G(0, ...).  This is
     the production route; its oracles are the m-fold nested partial
     derivative and the sum with one substitution per subset (both
     cross-checked in the tests).
@@ -294,7 +288,7 @@ def is_double_symmetric(G) -> bool:
         return True
     if not is_symmetric(M):
         return False
-    return is_symmetric(partial_derivative(M))
+    return is_symmetric(iter_partial(M, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from ckops import (
     N33_sequence,
     NotInGroup,
     PrecisionError,
+    PrimeBudget,
     ProfiniteApprox,
     ProfiniteRing,
     Q,
@@ -224,6 +225,30 @@ def test_decompose_profinite_input(wide_budget):
     assert isinstance(rem.ring, ProfiniteRing)
     for a, b in zip(rem.coeffs, W.coeffs):
         assert a.eq_within(b)
+    # seeded sweep: every component of a Zhat series is exactly 0 and the
+    # remainder is the input, unless some coefficient lacks the digits a
+    # congruence reads (PrecisionError); precisions run over 0..e
+    outcomes = []
+    for bud in (wide_budget, PrimeBudget((3, 2), (2, 3))):
+        for _ in range(25):
+            T, n = rng.randint(2, 12), rng.randint(2, 5)
+            coeffs = []
+            for _ in range(T + 1):
+                full = rng.random() < 0.6
+                prec = {p: e if full else rng.randint(0, e) for p, e in bud.full_prec.items()}
+                coeffs.append(ProfiniteApprox(bud, {p: rng.randrange(p**e) for p, e in
+                                                    bud.full_prec.items()}, prec))
+            S = TruncSeries(ProfiniteRing(bud), T, coeffs)
+            try:
+                comps, rem = decompose_Qn_hat(S, n)
+            except PrecisionError:
+                outcomes.append(False)
+                continue
+            outcomes.append(True)
+            assert [cc.candidate for cc in comps] == [0] * (n - 1)
+            assert rem.trunc == T
+            assert all(a.eq_within(b) for a, b in zip(rem.coeffs, S.coeffs))
+    assert 10 <= sum(outcomes) <= len(outcomes) - 10
 
 
 def test_decompose_weighted_sequence(wide_budget):

@@ -25,7 +25,6 @@ from ckops import (
     is_symmetric,
     iter_partial,
     lg_series,
-    partial_derivative,
     phi,
     star_sum,
 )
@@ -70,12 +69,12 @@ def test_star_sum_empty():
 
 
 def test_partial_of_x():
-    D = partial_derivative(TruncSeries(Q, 6, [0, 1]))
+    D = iter_partial(TruncSeries(Q, 6, [0, 1]), 1)
     assert D.coeffs == {(1, 1): Fraction(-1)}
 
 
 def test_partial_kills_lg1():
-    assert partial_derivative(lg_series(1, 9)).is_zero()
+    assert iter_partial(lg_series(1, 9), 1).is_zero()
 
 
 def test_partial0_convention():
@@ -84,7 +83,7 @@ def test_partial0_convention():
 
 
 def _partial_by_definition(M):
-    """Oracle for partial_derivative: the four substitutions
+    """Oracle for iter_partial(G, 1): the four substitutions
     G(x1*x2, x3, ...) - G(x1, x3, ...) - G(x2, x3, ...) + G(0, x3, ...)."""
     n = M.nvars + 1
     tail = list(range(2, n))
@@ -137,7 +136,7 @@ def test_partial_derivative_matches_definition():
     budget = PrimeBudget.uniform([2, 3], 4)
     for trial in range(30):
         M = _random_multi(rng, budget)
-        assert _exact(partial_derivative(M)) == _exact(_partial_by_definition(M)), trial
+        assert _exact(iter_partial(M, 1)) == _exact(_partial_by_definition(M)), trial
 
 
 def test_partial0_matches_definition():
@@ -252,15 +251,15 @@ def test_is_symmetric_known_difference_decides_in_any_order():
 
 def test_iter_partial_equals_folded():
     # production route iter_partial (one subset sum) against its oracle,
-    # the m-fold nested partial_derivative
+    # the m-fold nested iter_partial(G, 1)
     rng = random.Random(0)
     for _ in range(4):
         G = rand_series(rng, 7)
         for m in (1, 2, 3):
             it = iter_partial(G, m)
-            fold = partial_derivative(G)
+            fold = iter_partial(G, 1)
             for _ in range(m - 1):
-                fold = partial_derivative(fold)
+                fold = iter_partial(fold, 1)
             assert it == fold
 
 
@@ -304,7 +303,7 @@ def test_first_block_symmetry_always():
     # partial^m G is symmetric in the first m+1 variables for every G,
     # symmetric or not; check on an asymmetric multivariate input
     G = MultiSeries(Q, 2, 6, {(2, 1): 1, (1, 3): 2})
-    D = partial_derivative(G)
+    D = iter_partial(G, 1)
     for (a, b, c), v in D.coeffs.items():
         assert D.get((b, a, c)) == v
 
@@ -397,7 +396,7 @@ def test_integration_lg_product():
 def test_integration_minus_x1x2():
     G = MultiSeries(Q, 2, 8, {(1, 1): Fraction(-1)})
     L = integrate_symmetric(G)
-    D = partial_derivative(L)
+    D = iter_partial(L, 1)
     assert D == G
 
 
@@ -454,7 +453,7 @@ def test_partial_preserves_integer_coefficients():
     rng = random.Random(7)
     for _ in range(5):
         G = TruncSeries(Z, 7, [rng.randint(-9, 9) for _ in range(8)])
-        D = partial_derivative(G)
+        D = iter_partial(G, 1)
         assert integer_coefficients(D)
         DD = iter_partial(G, 2)
         assert integer_coefficients(DD)
@@ -463,7 +462,7 @@ def test_partial_preserves_integer_coefficients():
 def test_partial_over_profinite(budget):
     ring = ProfiniteRing(budget)
     G = adams_series(3, 6).map_coeffs(lambda v: ProfiniteApprox.from_int(budget, 1) * v, ring)
-    D = partial_derivative(G)
+    D = iter_partial(G, 1)
     assert integer_coefficients(D)
 
 
