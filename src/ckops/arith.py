@@ -59,7 +59,10 @@ def vp_factorial(n: int, p: int) -> int:
 
 
 def largest_prime_power(p: int, m: int, cap: int | None = None) -> tuple[int, int]:
-    """(k, p**k) for the largest k with p**k <= m, k at most ``cap``."""
+    """(k, p**k) for the largest k with p**k <= m, k at most ``cap``;
+    p < 2 has no largest power and raises ValueError."""
+    if p < 2:
+        raise ValueError(f"largest_prime_power needs p >= 2, got {p}")
     k, q = 0, 1
     while q * p <= m and (cap is None or k < cap):
         q *= p

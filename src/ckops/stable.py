@@ -23,6 +23,7 @@ from .arith import (
     Struct,
     crt_lift,
     gen_binomial,
+    is_prime,
     is_unit,
     largest_prime_power,
     modinv,
@@ -116,37 +117,65 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
     j < m divisible by p (j = 0 included),
         sum_{i=j}^{m-1} C(i,j) a_i = 0  (mod p^n).
 
-    Instances whose modulus exceeds a profinite coefficient's precision are
-    reported in ``skipped``, never silently passed.
+    As C(i, j) = 0 for i < j, the sum at j = kp is the running sum
+    acc[k] = sum_{i<m} C(i, kp) a_i, the same for every n: one pass per p
+    reads each a_i once, mod the largest p^n <= T+1 (or with the digits it
+    has), and keeps acc at every multiple m of p, which each (n, m) tests
+    mod p^n.  That is O(T^2/p) multiply-adds per prime, so at most that
+    per prime power, where summing each window afresh costs ~T^3/p^2.
+    Instances are tested in ascending (p, n, m, j); the first failure is
+    the ``witness``.  A coefficient below m without n digits at p skips
+    (p, n, m) and every later m: such instances are reported in
+    ``skipped``, never silently passed.  ``primes`` must be primes, within
+    the budget of a profinite G; anything else raises ValueError.
 
     This is the production route for stable membership; s_oracle is its
     oracle (cross-checked in the tests and in the ``s-dual-route`` suite).
     """
     T = G.trunc
-    if not isinstance(G.ring, ProfiniteRing):  # a non-integer is an error, never a witness
+    profinite = isinstance(G.ring, ProfiniteRing)
+    if not profinite:  # a non-integer is an error, never a witness
         for i, c in enumerate(G.coeffs):
             exact_int(c, i)
     if primes is None:
-        if isinstance(G.ring, ProfiniteRing):
-            primes = list(G.ring.budget.primes)
-        else:
-            primes = set_primes_upto(T + 1)
+        primes = G.ring.budget.primes if profinite else set_primes_upto(T + 1)
+    else:
+        primes = list(primes)
+        for p in primes:
+            if type(p) is not int or not is_prime(p):
+                raise ValueError(f"s_criterion prime {p!r} is not a prime")
+            if profinite and p not in G.ring.budget.moduli:
+                raise ValueError(
+                    f"s_criterion prime {p} is outside the budget primes {G.ring.budget.primes}"
+                )
     skipped = []
     for p in sorted(primes):
         nmax, _ = largest_prime_power(p, T + 1)
+        end = (T + 1) // p * p
+        digits = []  # digits[i]: how many p-adic digits of a_i are read, <= nmax
+        acc = [0] * (end // p)
+        sums = {}  # sums[m]: the running sums acc[k], k < m/p, at window m
+        for m in range(p, end + 1, p):
+            for i in range(m - p, m):
+                d = min(nmax, G.coeffs[i].prec[p]) if profinite else nmax
+                digits.append(d)
+                r = _coeff_residue(G, i, p, d)
+                if r:
+                    acc[: i // p + 1] = [
+                        a + math.comb(i, j) * r for a, j in zip(acc, range(0, i + 1, p))
+                    ]
+            sums[m] = acc[: m // p]
         for n in range(1, nmax + 1):
             q = p**n
+            # a window is readable mod q while every coefficient below it is
+            readable = next((i for i, d in enumerate(digits) if d < n), end)
             for m in range(q, T + 2, q):
-                for j in range(0, m, p):
-                    try:
-                        s = 0
-                        for i in range(j, m):
-                            s += math.comb(i, j) * _coeff_residue(G, i, p, n)
-                        if s % q:
-                            return CriterionReport(False, (p, n, m, j), skipped)
-                    except PrecisionError:
-                        skipped.append((p, n, m))
-                        break
+                if m > readable:
+                    skipped.extend((p, n, rest) for rest in range(m, T + 2, q))
+                    break
+                for k, s in enumerate(sums[m]):
+                    if s % q:
+                        return CriterionReport(False, (p, n, m, k * p), skipped)
     return CriterionReport(True, None, skipped)
 
 

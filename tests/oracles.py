@@ -4,8 +4,9 @@ brute-force row span, the binomial-Vandermonde determinant in closed form
 reassembly, the term-by-term integer combination, the scaled-sum
 composition, Phi^n one step at a time, the validating profinite binary
 kernel, the twisted-Adams integrality rule, the iterated partial
-derivative with one substitution per subset and the MultiSeries product
-on exponent tuples."""
+derivative with one substitution per subset, the MultiSeries product
+on exponent tuples and the stable-membership congruences summed window by
+window."""
 
 import math
 from fractions import Fraction
@@ -13,9 +14,11 @@ from itertools import combinations
 from typing import Sequence
 
 from ckops import ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
-from ckops.arith import rational_mod
+from ckops.arith import PrecisionError, largest_prime_power, rational_mod, set_primes_upto
 from ckops.linalg import ModMatrix
 from ckops.multisym import MultiSeries, _as_multi, star_sum, subst_first
+from ckops.series import ProfiniteRing, exact_int
+from ckops.stable import CriterionReport, _coeff_residue
 
 
 def span_enumerate(A: ModMatrix) -> set[tuple[int, ...]]:
@@ -181,3 +184,36 @@ def multi_mul_by_terms(A: MultiSeries, B) -> MultiSeries:
     for key in [k for k, v in acc.items() if is_zero(v, k)]:
         del acc[key]
     return out
+
+
+def s_criterion_by_windows(G: TruncSeries, primes=None) -> CriterionReport:
+    """The congruences of s_criterion, each window sum
+    sum_{i=j}^{m-1} C(i,j) a_i mod p^n formed afresh with one coefficient
+    read per term: the route s_criterion's running sums replaced.  Takes
+    only valid ``primes``."""
+    T = G.trunc
+    if not isinstance(G.ring, ProfiniteRing):  # a non-integer is an error, never a witness
+        for i, c in enumerate(G.coeffs):
+            exact_int(c, i)
+    if primes is None:
+        if isinstance(G.ring, ProfiniteRing):
+            primes = list(G.ring.budget.primes)
+        else:
+            primes = set_primes_upto(T + 1)
+    skipped = []
+    for p in sorted(primes):
+        nmax, _ = largest_prime_power(p, T + 1)
+        for n in range(1, nmax + 1):
+            q = p**n
+            for m in range(q, T + 2, q):
+                for j in range(0, m, p):
+                    try:
+                        s = 0
+                        for i in range(j, m):
+                            s += math.comb(i, j) * _coeff_residue(G, i, p, n)
+                        if s % q:
+                            return CriterionReport(False, (p, n, m, j), skipped)
+                    except PrecisionError:
+                        skipped.append((p, n, m))
+                        break
+    return CriterionReport(True, None, skipped)

@@ -20,7 +20,7 @@ from ckops import (
     vp,
     vp_factorial,
 )
-from ckops.arith import is_prime, rational_reconstruct, set_primes_upto
+from ckops.arith import is_prime, largest_prime_power, rational_reconstruct, set_primes_upto
 from oracles import validating_zip
 
 
@@ -28,6 +28,20 @@ def test_vp_examples():
     assert vp(12, 2) == 2
     assert vp(12, 5) == 0
     assert vp(4032, 7) == 1
+
+
+def test_largest_prime_power_examples():
+    assert largest_prime_power(2, 25) == (4, 16)
+    assert largest_prime_power(5, 25) == (2, 25)
+    assert largest_prime_power(7, 6) == (0, 1)
+    assert largest_prime_power(3, 100, 2) == (2, 9)
+
+
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_largest_prime_power_rejects_p_below_two(p):
+    # p = 1 and 0 once looped for ever
+    with pytest.raises(ValueError, match=f"needs p >= 2, got {p}"):
+        largest_prime_power(p, 10)
 
 
 def test_vp_zero_signals_infinite_valuation():

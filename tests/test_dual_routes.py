@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckops import MultiSeries, PrecisionError, PrimeBudget, ProfiniteApprox, ProfiniteRing, Q
-from ckops import TruncSeries, TruncationExhausted, Z, in_Opnm_phi, iter_partial, phi, series
+from ckops import TruncSeries, TruncationExhausted, Z, adams_series, dn, in_Opnm_phi, iter_partial
+from ckops import phi, s_criterion, s_oracle, series, tower_member
 from ckops.suites import random_membership_witness
-from oracles import iter_partial_by_subsets, multi_mul_by_terms, phi_by_steps
+from oracles import iter_partial_by_subsets, multi_mul_by_terms, phi_by_steps, s_criterion_by_windows
 
 _BUDGET = PrimeBudget.uniform((2, 3, 5), 4)
 _ZHAT = ProfiniteRing(_BUDGET)
@@ -234,3 +235,121 @@ def test_multiseries_mul_equals_tuple_key_oracle(data):
             A * B
         return
     assert _exact(A * B) == want
+
+
+@st.composite
+def criterion_input(draw):
+    """(G, primes) with T <= 24 over Z, integral Q, or Zhat at a budget
+    (2,3,5)^e, e <= 4, where up to three (coefficient, prime) pairs keep
+    0..e digits.  G is zero, small random values or a combination of Adams
+    series, perhaps perturbed at the top degree; ``primes`` is None, one
+    prime or several, unsorted."""
+    T = draw(st.integers(0, 24))
+    shape = draw(st.sampled_from(["zero", "random", "adams"]))
+    vals = [0] * (T + 1)
+    if shape == "random":
+        vals = draw(st.lists(st.integers(-3, 3), min_size=T + 1, max_size=T + 1))
+    elif shape == "adams":
+        terms = st.tuples(st.sampled_from([1, -1, 2, 3, 6, 7, 11, 13, 29]), st.integers(-5, 5))
+        for r, c in draw(st.lists(terms, min_size=1, max_size=3)):
+            vals = [v + c * a for v, a in zip(vals, adams_series(r, T).coeffs)]
+    vals[T] += draw(st.sampled_from([0, 0, 1, 2, 3, 4, 8]))
+    ring = draw(st.sampled_from(["Z", "Q", "Zhat"]))
+    pool = [2, 3, 5] if ring == "Zhat" else [2, 3, 5, 7, 11, 13]
+    primes = draw(st.one_of(st.none(), st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                                                  unique=True)))
+    if ring != "Zhat":
+        coerce = Fraction if ring == "Q" else int
+        return TruncSeries(_RINGS[ring], T, [coerce(v) for v in vals]), primes
+    e = draw(st.integers(1, 4))
+    budget = PrimeBudget.uniform((2, 3, 5), e)
+    prec = [dict(budget.full_prec) for _ in vals]
+    lossy = st.tuples(st.integers(0, T), st.sampled_from(budget.primes), st.integers(0, e))
+    for i, p, k in draw(st.lists(lossy, max_size=3)):
+        prec[i][p] = k
+    coeffs = [ProfiniteApprox(budget, {p: v % p**k for p, k in pr.items()}, pr)
+              for v, pr in zip(vals, prec)]
+    return TruncSeries(ProfiniteRing(budget), T, coeffs), primes
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_s_criterion_equals_window_sums_exactly(data):
+    # the running sums against every window summed afresh: the same
+    # verdict, the same first witness and the same skipped instances
+    G, primes = data.draw(criterion_input())
+    assert s_criterion(G, primes) == s_criterion_by_windows(G, primes)
+
+
+# -- oracle-free: every membership test decides a group ----------------------
+
+_GROUP_T = 10
+_GROUP_BUDGET = PrimeBudget.uniform((2, 3), 3)
+
+
+def _z_draw(rng: random.Random, T: int, units) -> TruncSeries:
+    """A Z series: small random values, perhaps zero in degrees 1..k - 1, a
+    multiple of d_j x^j, or a combination of unit Adams series, perhaps
+    bumped at one degree."""
+    kind = rng.choice(["random", "tail", "dn", "adams", "bumped"])
+    if kind in ("random", "tail"):
+        k = rng.randint(1, T + 1) if kind == "tail" else 1
+        vals = [rng.randint(-3, 3) for _ in range(T + 1)]
+        return TruncSeries(Z, T, vals[:1] + [0] * (k - 1) + vals[k:])
+    if kind == "dn":
+        j = rng.randint(0, T)
+        return TruncSeries(Z, T, [0] * j + [dn(j).value * rng.randint(-3, 3)])
+    G = TruncSeries.zero(Z, T)
+    for _ in range(rng.randint(1, 3)):
+        G = G + adams_series(rng.choice(units), T).scale(rng.randint(-9, 9))
+    if kind == "bumped":
+        G = G + TruncSeries.monomial(Z, T, rng.randint(0, T)).scale(rng.randint(1, 9))
+    return G
+
+
+def _criterion_member(G: TruncSeries) -> bool:
+    rep = s_criterion(G, primes=list(_GROUP_BUDGET.primes))
+    assert not rep.skipped
+    return rep.ok
+
+
+_GROUP_TESTS = {
+    "s_criterion": _criterion_member,
+    "tower_member": lambda G: tower_member(G, 2, _GROUP_BUDGET),
+    "in_Opnm_phi": lambda G: in_Opnm_phi(G, 2, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROUP_TESTS))
+def test_membership_is_a_group(name):
+    # member + member is a member and member + non-member is not, at one
+    # truncation, budget and set of primes; no second route is consulted
+    member = _GROUP_TESTS[name]
+    rng = random.Random(name)
+    draws = [_z_draw(rng, _GROUP_T, [1, -1, 5, 7, 11, 13, -5]) for _ in range(60)]
+    members = [G for G in draws if member(G)]
+    others = [G for G in draws if not member(G)]
+    assert len(members) >= 10 and len(others) >= 10
+    for a, b in zip(members, members[1:] + members[:1]):
+        assert member(a + b)
+    for a in members:
+        for b in others[:10]:
+            assert not member(a + b)
+
+
+def test_s_oracle_domain_against_tower_member():
+    # both test windows of the Phi-image lattices mod p^e; they decide the
+    # same set when p^e divides T + 1, and elsewhere the tower's is smaller
+    rng = random.Random(6)
+    within, beyond = set(), 0
+    for trial in range(400):
+        p, e, T = rng.choice([2, 3, 5]), rng.randint(1, 3), rng.randint(0, 10)
+        G = _z_draw(rng, T, [u for u in (1, -1, 7, 11, 13, 17, 19, 23) if u % p])
+        tower, oracle = tower_member(G, 1, PrimeBudget((p,), (e,))), s_oracle(G, p, e, T)
+        if (T + 1) % p**e == 0:
+            assert tower == oracle, (trial, p, e, T)
+            within.add(tower)
+        else:
+            assert oracle or not tower, (trial, p, e, T)
+            beyond += oracle and not tower
+    assert within == {True, False} and beyond

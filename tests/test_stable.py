@@ -33,7 +33,7 @@ from ckops import (
     vp_factorial,
 )
 from ckops import stable
-from ckops.arith import crt_lift, gbinom
+from ckops.arith import crt_lift, gbinom, largest_prime_power, set_primes_upto
 from ckops.linalg import ModMatrix, howell_form, in_row_span
 from oracles import phi_by_steps, twisted_rule, vdm_value
 
@@ -161,6 +161,49 @@ def test_criterion_reports_skipped_instances():
     coeffs[3] = ProfiniteApprox(B, {2: c.residue[2] % 2, 3: c.residue[3]}, {2: 1, 3: 4})
     rep = s_criterion(TruncSeries(R, 8, coeffs))
     assert rep == stable.CriterionReport(True, None, [(2, 2, 4), (2, 2, 8), (2, 3, 8)])
+
+
+@pytest.mark.parametrize("bad", [1, 0, 4, -2, 2.0, True])
+def test_criterion_rejects_a_non_prime(bad):
+    # 1 and 0 once looped for ever in largest_prime_power; 4 and -2 passed
+    with pytest.raises(ValueError, match=f"s_criterion prime {bad!r} is not a prime"):
+        s_criterion(adams_series(3, 6), primes=[2, bad])
+
+
+def test_criterion_rejects_a_prime_outside_the_budget():
+    # once a bare KeyError: 3 from the coefficient residues
+    A = to_profinite(adams_series(5, 6), PrimeBudget.uniform([2, 5], 4))
+    with pytest.raises(ValueError, match=r"prime 3 is outside the budget primes \(2, 5\)"):
+        s_criterion(A, primes=[3])
+    assert s_criterion(A, primes=[2]).ok
+
+
+@pytest.mark.parametrize("ring", ["Z", "Zhat"])
+def test_criterion_reads_each_coefficient_once_per_prime_power(monkeypatch, ring):
+    # the running sums read each [x^i] G at most once per prime power: at
+    # most (T+1) * sum_p n_max(p) reads, where summing each window afresh
+    # reads ~T^3/p^2 per prime
+    T = 24
+    G = adams_series(29, T)  # 29 is a unit at every prime <= T + 1
+    primes = set_primes_upto(T + 1)
+    if ring == "Zhat":
+        G = to_profinite(G, PrimeBudget.uniform(primes, 5))
+    reads = []
+    real = stable._coeff_residue
+
+    def counted(G, i, p, k):
+        reads.append((i, p, k))
+        return real(G, i, p, k)
+
+    monkeypatch.setattr(stable, "_coeff_residue", counted)
+    counts = []
+    for _ in range(2):
+        reads.clear()
+        assert s_criterion(G).ok
+        assert len(set(reads)) == len(reads)
+        counts.append(len(reads))
+    bound = (T + 1) * sum(largest_prime_power(p, T + 1)[0] for p in primes)
+    assert counts[0] == counts[1] <= bound
 
 
 def test_criterion_Fn(budget):
