@@ -561,7 +561,9 @@ _MR_BOUND = 318665857834031151167461
 
 def is_prime(n: int) -> bool:
     """Exact primality for n below 3.18e23 (deterministic Miller-Rabin);
-    larger n raise ValueError rather than get a probable answer."""
+    larger n raise ValueError rather than get a probable answer, a non-int TypeError."""
+    if type(n) is not int:
+        raise TypeError(f"is_prime needs an int, not {n!r}")
     if n >= _MR_BOUND:
         raise ValueError(f"primality of {n} is not decided above {_MR_BOUND}")
     if n < 2:

@@ -5,9 +5,11 @@ The derivative here is the second difference with respect to the
 multiplicative formal group law x+y-xy of connective K-theory, not a
 calculus derivative.  Total-degree truncation throughout.
 
-Storage discipline: every multivariate series is a plain MultiSeries keyed
-by full exponent tuples, so a symmetry test reads every coefficient and the
-data structure cannot assume the answer.
+Storage discipline: every multivariate series that goes in or comes out is
+a plain MultiSeries keyed by full exponent tuples, so a symmetry test reads
+every coefficient and the data structure cannot assume the answer.  Inside
+a product and a substitution the keys are packed into ints, bucketed by
+total degree (``_Packing``), and only the kept keys are unpacked, once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
+from .arith import PrecisionError
 from .series import Q, Z, ProfiniteRing, RationalRing, TruncSeries, all_zero, b_map, lg_series
 
 
@@ -35,10 +38,7 @@ class MultiSeries:
     __slots__ = ("ring", "nvars", "trunc", "coeffs")
 
     def __init__(self, ring, nvars: int, trunc: int, coeffs=None):
-        self.ring = ring
-        self.nvars = nvars
-        self.trunc = trunc
-        self.coeffs = {}
+        self.ring, self.nvars, self.trunc, self.coeffs = ring, nvars, trunc, {}
         if coeffs:
             for key, val in coeffs.items():
                 if len(key) != nvars:
@@ -56,11 +56,7 @@ class MultiSeries:
         return not self.coeffs
 
     def _binop(self, other, fn):
-        if (
-            not isinstance(other, MultiSeries)
-            or other.nvars != self.nvars
-            or self.ring != other.ring
-        ):
+        if not isinstance(other, MultiSeries) or other.nvars != self.nvars or self.ring != other.ring:
             raise ValueError("incompatible operands")
         T = min(self.trunc, other.trunc)
         a, b, zero = self.coeffs, other.coeffs, self.ring.zero()
@@ -99,29 +95,8 @@ class MultiSeries:
             return self.scale(other)
         if other.nvars != self.nvars or self.ring != other.ring:
             raise ValueError("incompatible operands")
-        T = min(self.trunc, other.trunc)
-        # an exponent tuple packs into one int in base T + 1: a kept product
-        # has total degree <= T, so no exponent of a sum exceeds T and adding
-        # two packed keys never carries
-        powers = [(T + 1) ** i for i in range(self.nvars)]
-        right = sorted((sum(k), sum(map(mul, k, powers)), v)
-                       for k, v in other.coeffs.items() if sum(k) <= T)
-        acc = {}
-        for k1, v1 in self.coeffs.items():
-            room, p1 = T - sum(k1), sum(map(mul, k1, powers))
-            for d2, p2, v2 in right:  # by degree: stop at the first that does not fit
-                if d2 > room:
-                    break
-                p = p1 + p2
-                cur = acc.get(p)
-                acc[p] = v1 * v2 if cur is None else cur + v1 * v2
-        out = MultiSeries(self.ring, self.nvars, T)
-        is_zero = self.ring.is_zero
-        for p, v in acc.items():
-            key = tuple(map((T + 1).__rmod__, map(p.__floordiv__, powers)))
-            if not is_zero(v, key):
-                out.coeffs[key] = v
-        return out
+        pk = _Packing(self.ring, self.nvars, min(self.trunc, other.trunc))
+        return pk.series(pk.mul(pk.buckets(self.coeffs), pk.buckets(other.coeffs)))
 
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
@@ -138,9 +113,7 @@ class MultiSeries:
 
     def total_valuation(self) -> int | None:
         """Smallest total degree of a nonzero monomial; None beyond trunc."""
-        if not self.coeffs:
-            return None
-        return min(sum(k) for k in self.coeffs)
+        return min((sum(k) for k in self.coeffs), default=None)
 
 
 def is_symmetric(M: MultiSeries) -> bool:
@@ -185,52 +158,95 @@ def star_sum(positions, nvars: int, trunc: int, ring=Q) -> MultiSeries:
     The law is x * y = x + y - xy, so the iterated sum over I is
     1 - prod_{i in I} (1 - x_i).
     """
-    positions = sorted(positions)
     out = MultiSeries(ring, nvars, trunc)
-    for r in range(1, len(positions) + 1):
-        sign = (-1) ** (r + 1)
-        for sub in combinations(positions, r):
+    for r in range(1, min(len(positions), trunc) + 1):
+        for sub in combinations(sorted(positions), r):
             key = [0] * nvars
             for i in sub:
                 key[i] = 1
-            if r <= trunc:
-                out.coeffs[tuple(key)] = ring.coerce(sign)
+            out.coeffs[tuple(key)] = ring.coerce((-1) ** (r + 1))
     return out
 
 
-def subst_first(
-    G: MultiSeries, P: MultiSeries, out_nvars: int, tail_positions
-) -> MultiSeries:
+class _Packing:
+    """A series as T + 1 dicts, one per total degree, keyed by exponent
+    tuples packed into ints in base T + 1: a product adds only keys whose
+    degrees sum to at most T, so no exponent exceeds T and no addition
+    carries.  Pruning asks ``ring.is_zero(v)``; a key is unpacked to name an
+    unknown value."""
+
+    def __init__(self, ring, nvars: int, T: int):
+        self.ring, self.T, self.powers = ring, T, [(T + 1) ** i for i in range(nvars)]
+
+    def buckets(self, coeffs) -> list[dict]:
+        out = [{} for _ in range(self.T + 1)]
+        for key, v in coeffs.items():
+            if sum(key) <= self.T:
+                out[sum(key)][sum(map(mul, key, self.powers))] = v
+        return out
+
+    def key(self, p: int) -> tuple:
+        return tuple(map((self.T + 1).__rmod__, map(p.__floordiv__, self.powers)))
+
+    def series(self, buckets) -> MultiSeries:
+        out = MultiSeries(self.ring, len(self.powers), self.T)
+        out.coeffs = {self.key(p): v for b in buckets for p, v in b.items()}
+        return out
+
+    def prune(self, acc: dict, keys) -> None:
+        is_zero = self.ring.is_zero
+        for p in keys:
+            try:
+                if is_zero(acc[p]):
+                    del acc[p]
+            except PrecisionError:
+                is_zero(acc[p], self.key(p))  # raises again, naming the tuple key
+
+    def mul(self, A, B) -> list[dict]:
+        """A * B, each sum of products pruned once, at the end."""
+        out = [{} for _ in A]
+        for d1, a in enumerate(A):
+            for d2, b in enumerate(B[:len(A) - d1]):
+                acc = out[d1 + d2]
+                get = acc.get
+                small, big = (a, b) if len(a) <= len(b) else (b, a)
+                for p1, v1 in small.items():
+                    for p2, v2 in big.items():
+                        cur = get(p := p1 + p2)
+                        acc[p] = v1 * v2 if cur is None else cur + v1 * v2
+        for acc in out:
+            self.prune(acc, list(acc))
+        return out
+
+
+def subst_first(G: MultiSeries, P: MultiSeries, out_nvars: int, tail_positions) -> MultiSeries:
     """G with its first variable replaced by the series P (same output
-    arity) and variables 2..n of G mapped to ``tail_positions``."""
-    T = min(G.trunc, P.trunc)
-    ring = G.ring
-    slices: dict[int, MultiSeries] = {}
+    arity) and variables 2..n of G mapped to ``tail_positions``: the sum
+    over k of P^k, each P^(k-1) * P, times the slice of G at x_1^k, all on
+    packed keys (``_Packing``)."""
+    if P.nvars != out_nvars or P.ring != G.ring:
+        raise ValueError("incompatible operands")
+    pk = _Packing(G.ring, out_nvars, min(G.trunc, P.trunc))
+    slices: dict[int, dict] = {}
     for key, val in G.coeffs.items():
-        k = key[0]
-        sl = slices.get(k)
-        if sl is None:
-            sl = MultiSeries(ring, out_nvars, T)
-            slices[k] = sl
         out_key = [0] * out_nvars
         for e, pos in zip(key[1:], tail_positions):
             out_key[pos] = e
-        if sum(out_key) <= T:
-            cur = sl.coeffs.get(tuple(out_key))
-            sl.coeffs[tuple(out_key)] = val if cur is None else cur + val
-    out = MultiSeries(ring, out_nvars, T)
-    if not slices:
-        return out
-    kmax = max(slices)
-    power = MultiSeries(ring, out_nvars, T, {(0,) * out_nvars: 1})
-    for k in range(kmax + 1):
+        sl, out_key = slices.setdefault(key[0], {}), tuple(out_key)
+        sl[out_key] = sl[out_key] + val if out_key in sl else val  # buckets() drops degrees > T
+    out = pk.buckets({})
+    power, step = pk.buckets({(0,) * out_nvars: G.ring.coerce(1)}), pk.buckets(P.coeffs)
+    for k in range(max(slices, default=-1) + 1):
         if k > 0:
-            power = power * P
-            if power.is_zero():
+            power = pk.mul(power, step)
+            if not any(power):
                 break
-        if k in slices:
-            out = out + power * slices[k]
-    return out
+        if k in slices:  # out += power * slice; only the keys both have are pruned
+            for acc, b in zip(out, pk.mul(power, pk.buckets(slices[k]))):
+                both = acc.keys() & b.keys()
+                acc.update({p: acc[p] + v if p in both else v for p, v in b.items()})
+                pk.prune(acc, both)
+    return pk.series(out)
 
 
 def iter_partial(G, m: int) -> MultiSeries:

@@ -111,6 +111,14 @@ def _coeff_residue(G: TruncSeries, i: int, p: int, k: int) -> int:
     return exact_int(c, i) % p**k
 
 
+def _check_prime(G: TruncSeries, p, caller: str) -> None:
+    """ValueError naming p unless it is a prime, a budget prime for Zhat G."""
+    if type(p) is not int or not is_prime(p):
+        raise ValueError(f"{caller} prime {p!r} is not a prime")
+    if isinstance(G.ring, ProfiniteRing) and p not in G.ring.budget.moduli:
+        raise ValueError(f"{caller} prime {p} is outside the budget primes {G.ring.budget.primes}")
+
+
 def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
     """Finite check of the stable-membership congruences: for every prime p,
     every n with p^n <= m, every multiple m of p^n with m <= T+1, and every
@@ -142,12 +150,7 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
     else:
         primes = list(primes)
         for p in primes:
-            if type(p) is not int or not is_prime(p):
-                raise ValueError(f"s_criterion prime {p!r} is not a prime")
-            if profinite and p not in G.ring.budget.moduli:
-                raise ValueError(
-                    f"s_criterion prime {p} is outside the budget primes {G.ring.budget.primes}"
-                )
+            _check_prime(G, p, "s_criterion")
     skipped = []
     for p in sorted(primes):
         nmax, _ = largest_prime_power(p, T + 1)
@@ -219,9 +222,11 @@ def s_oracle(G: TruncSeries, p: int, e: int, T: int) -> bool:
 
     The oracle for the production route s_criterion, which it must agree
     with (cross-checked in the tests and in the ``s-dual-route`` suite).
+    ``p`` must be a prime, a budget prime for a profinite G: ValueError.
     """
     from .linalg import in_howell_span
 
+    _check_prime(G, p, "s_oracle")
     if T > G.trunc:
         raise PrecisionError("oracle window exceeds the stored truncation")
     for n in range(1, e + 1):

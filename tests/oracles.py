@@ -3,10 +3,10 @@ brute-force row span, the binomial-Vandermonde determinant in closed form
 (the Vandermonde-ratio route to d_n), lg_r by series powers, the lg-basis
 reassembly, the term-by-term integer combination, the scaled-sum
 composition, Phi^n one step at a time, the validating profinite binary
-kernel, the twisted-Adams integrality rule, the iterated partial
-derivative with one substitution per subset, the MultiSeries product
-on exponent tuples and the stable-membership congruences summed window by
-window."""
+kernel, the twisted-Adams integrality rule, the substitution with one
+MultiSeries per power, the iterated partial derivative with one
+substitution per subset, the MultiSeries product on exponent tuples and
+the stable-membership congruences summed window by window."""
 
 import math
 from fractions import Fraction
@@ -16,7 +16,7 @@ from typing import Sequence
 from ckops import ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
 from ckops.arith import PrecisionError, largest_prime_power, rational_mod, set_primes_upto
 from ckops.linalg import ModMatrix
-from ckops.multisym import MultiSeries, _as_multi, star_sum, subst_first
+from ckops.multisym import MultiSeries, _as_multi, star_sum
 from ckops.series import ProfiniteRing, exact_int
 from ckops.stable import CriterionReport, _coeff_residue
 
@@ -142,10 +142,47 @@ def twisted_rule(b: ProfiniteApprox, c: ProfiniteApprox) -> bool:
     )
 
 
+def subst_first_by_powers(
+    G: MultiSeries, P: MultiSeries, out_nvars: int, tail_positions
+) -> MultiSeries:
+    """multisym.subst_first with one MultiSeries per step: each slice of G
+    at x_1^k a tuple-keyed series, each power P^(k-1) * P through
+    ``MultiSeries.__mul__`` and each power times its slice added with
+    ``MultiSeries.__add__``.  The route the packed power chain replaced."""
+    T = min(G.trunc, P.trunc)
+    ring = G.ring
+    slices: dict[int, MultiSeries] = {}
+    for key, val in G.coeffs.items():
+        k = key[0]
+        sl = slices.get(k)
+        if sl is None:
+            sl = MultiSeries(ring, out_nvars, T)
+            slices[k] = sl
+        out_key = [0] * out_nvars
+        for e, pos in zip(key[1:], tail_positions):
+            out_key[pos] = e
+        if sum(out_key) <= T:
+            cur = sl.coeffs.get(tuple(out_key))
+            sl.coeffs[tuple(out_key)] = val if cur is None else cur + val
+    out = MultiSeries(ring, out_nvars, T)
+    if not slices:
+        return out
+    kmax = max(slices)
+    power = MultiSeries(ring, out_nvars, T, {(0,) * out_nvars: 1})
+    for k in range(kmax + 1):
+        if k > 0:
+            power = power * P
+            if power.is_zero():
+                break
+        if k in slices:
+            out = out + power * slices[k]
+    return out
+
+
 def iter_partial_by_subsets(G, m: int) -> MultiSeries:
     """The subset sum of multisym.iter_partial in G's own ring (at m = 0
-    it is G - G(0, x_2, ...)): one subst_first per subset of the m + 1 head
-    variables, each added signed to a running series, so
+    it is G - G(0, x_2, ...)): one ``subst_first_by_powers`` per subset of
+    the m + 1 head variables, each added signed to a running series, so
     ``MultiSeries.__add__`` prunes every partial sum.  The route that the
     integer numerators and the one substitution per subset size replaced."""
     M = _as_multi(G)
@@ -155,7 +192,7 @@ def iter_partial_by_subsets(G, m: int) -> MultiSeries:
     for r in range(m + 2):
         for sub in combinations(range(m + 1), r):
             star = star_sum(list(sub), out_n, T, M.ring)
-            out = out + subst_first(M, star, out_n, tail).scale((-1) ** (m + 1 - r))
+            out = out + subst_first_by_powers(M, star, out_n, tail).scale((-1) ** (m + 1 - r))
     return out
 
 

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,13 @@ def test_is_prime_matches_sieve_and_rejects_strong_pseudoprimes():
     # the least composite passing every base: beyond the decided range
     with pytest.raises(ValueError, match="not decided"):
         is_prime(318665857834031151167461)
+
+
+@pytest.mark.parametrize("bad", [2.0, 29.0, 43.0, 7.5, True, Fraction(5), "5"])
+def test_is_prime_names_a_non_int(bad):
+    # 2.0 and 29.0 once passed the trial divisions, 43.0 reached pow()
+    with pytest.raises(TypeError, match=f"is_prime needs an int, not {re.escape(repr(bad))}"):
+        is_prime(bad)
 
 
 # -- the validating constructors ------------------------------------------

@@ -2,6 +2,7 @@
 replaced, on unconstrained hypothesis draws over Q, Z and Zhat."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckops import MultiSeries, PrecisionError, PrimeBudget, ProfiniteApprox, ProfiniteRing, Q
-from ckops import TruncSeries, TruncationExhausted, Z, adams_series, dn, in_Opnm_phi, iter_partial
-from ckops import phi, s_criterion, s_oracle, series, tower_member
+from ckops import TruncSeries, TruncationExhausted, Z, adams_series, dn, in_Opnm_phi, in_Qn, in_Qnm
+from ckops import iter_partial, lg_series, phi, s_criterion, s_oracle, series, star_sum, tower_member
+from ckops.multisym import subst_first
 from ckops.suites import random_membership_witness
 from oracles import iter_partial_by_subsets, multi_mul_by_terms, phi_by_steps, s_criterion_by_windows
+from oracles import subst_first_by_powers
 
 _BUDGET = PrimeBudget.uniform((2, 3, 5), 4)
 _ZHAT = ProfiniteRing(_BUDGET)
@@ -194,19 +197,25 @@ def _key(n: int, d: int):
     return cuts.map(lambda c: tuple(b - a for a, b in zip([0, *c], [*c, d])))
 
 
-@st.composite
-def product_factor(draw, ring, n):
-    """An n-variable MultiSeries with T <= 6 and up to 6 terms of any degree
-    up to T, plus up to 2 keys of degree T + 1..T + 3 put straight into
-    ``coeffs``.  A Zhat value may lack digits at some primes, and half of
-    them are 0 or 1 at each prime, so that sums of products cancel; the
-    unknown zeros the constructor rejects are left out."""
-    R, T = _RINGS[ring], draw(st.integers(0, 6))
+def _cancelling(ring: str):
+    """Values of ``ring``; a Zhat value may lack digits at some primes, and
+    half of them are 0 or 1 at each prime, so that sums of products cancel."""
     coeff = _COEFFS[ring]
     if ring == "Zhat":
         bits = coeff.map(lambda v: ProfiniteApprox(
             _BUDGET, {p: min(r, 1) for p, r in v.residue.items()}, v.prec))
         coeff = st.one_of(coeff, bits)
+    return coeff
+
+
+@st.composite
+def product_factor(draw, ring, n):
+    """An n-variable MultiSeries with T <= 6 and up to 6 terms of any degree
+    up to T, plus up to 2 keys of degree T + 1..T + 3 put straight into
+    ``coeffs``.  Values are ``_cancelling``; the unknown zeros the
+    constructor rejects are left out."""
+    R, T = _RINGS[ring], draw(st.integers(0, 6))
+    coeff = _cancelling(ring)
     terms = st.integers(0, T).flatmap(lambda d: _key(n, d))
     above = st.integers(T + 1, T + 3).flatmap(lambda d: _key(n, d))
     M = MultiSeries(R, n, T, _known(draw(st.dictionaries(terms, coeff, min_size=1, max_size=6))))
@@ -216,6 +225,10 @@ def product_factor(draw, ring, n):
 
 def _known(coeffs: dict) -> dict:
     return {k: v for k, v in coeffs.items() if not _unknown(v)}
+
+
+# an unknown zero is named by its exponent tuple, never as a bare value
+_NAMED = r"coefficient \([\d, ]+\) has no digits at p=\d+: zero or not is unknown"
 
 
 @settings(max_examples=100, deadline=None)
@@ -231,10 +244,53 @@ def test_multiseries_mul_equals_tuple_key_oracle(data):
     try:
         want = _exact(multi_mul_by_terms(A, B))
     except PrecisionError:
-        with pytest.raises(PrecisionError, match="has no digits at p="):
+        with pytest.raises(PrecisionError, match=_NAMED):
             A * B
         return
     assert _exact(A * B) == want
+
+
+@st.composite
+def substitution(draw, ring):
+    """(G, P, out_nvars, tail) for subst_first: G univariate with T <= 7,
+    or with 1-2 tail variables and T <= 4, 1 to 6 terms; 1-3 head
+    variables, so out_nvars is 1-5; P the star sum of the head or up to 5
+    terms of degree 1..T + 1 with integer values, and over Zhat also
+    ``_cancelling`` ones.  Unknown zeros are left out of both."""
+    R, nvars = _RINGS[ring], draw(st.integers(1, 3))
+    T, head = draw(st.integers(0, 7 if nvars == 1 else 4)), draw(st.integers(1, 3))
+    out_n = head + nvars - 1
+    terms = st.integers(0, T).flatmap(lambda d: _key(nvars, d))
+    G = MultiSeries(R, nvars, T, _known(draw(st.dictionaries(terms, _cancelling(ring), min_size=1,
+                                                              max_size=6))))
+    if draw(st.booleans()):
+        return G, star_sum(range(head), out_n, T, R), out_n, range(head, out_n)
+    value = st.integers(-3, 3).filter(bool)
+    if ring == "Zhat":
+        value = st.one_of(value, _cancelling(ring))
+    terms = st.integers(1, T + 1).flatmap(lambda d: _key(out_n, d))
+    P = MultiSeries(R, out_n, T, _known(draw(st.dictionaries(terms, value, min_size=1, max_size=5))))
+    return G, P, out_n, range(head, out_n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_subst_first_equals_power_chain_oracle(data):
+    # the packed power chain against one MultiSeries per step: equal
+    # coefficient dicts, residues and precisions included, or both raise
+    # naming a tuple key.  Where one sum cancels to unknown zeros at several
+    # keys, the oracle names the first in its tuple-set order and the packed
+    # chain the first in its own, so the two may name different keys
+    ring = data.draw(st.sampled_from(sorted(_RINGS)))
+    G, P, out_n, tail = data.draw(substitution(ring))
+    try:
+        want = _exact(subst_first_by_powers(G, P, out_n, tail))
+    except PrecisionError as e:
+        assert re.fullmatch(_NAMED, str(e))
+        with pytest.raises(PrecisionError, match=_NAMED):
+            subst_first(G, P, out_n, tail)
+        return
+    assert _exact(subst_first(G, P, out_n, tail)) == want
 
 
 @st.composite
@@ -307,6 +363,24 @@ def _z_draw(rng: random.Random, T: int, units) -> TruncSeries:
     return G
 
 
+def _q_draw(rng: random.Random, T: int, units) -> TruncSeries:
+    """A Q series without constant term: the sum of one to three of a Z
+    draw less its constant, an integer multiple of x^j, lg_1 or lg_2, and
+    x^j/2 or x^j/3."""
+    G = TruncSeries.zero(Q, T)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["z", "monomial", "lg", "fraction"])
+        if kind == "z":
+            atom = TruncSeries(Q, T, [0, *_z_draw(rng, T, units).coeffs[1:]])
+        elif kind == "lg":
+            atom = lg_series(rng.randint(1, 2), T).scale(rng.randint(-3, 3))
+        else:
+            scale = rng.randint(-3, 3) if kind == "monomial" else Fraction(1, rng.choice([2, 3]))
+            atom = TruncSeries.monomial(Q, T, rng.randint(1, T)).scale(scale)
+        G = G + atom
+    return G
+
+
 def _criterion_member(G: TruncSeries) -> bool:
     rep = s_criterion(G, primes=list(_GROUP_BUDGET.primes))
     assert not rep.skipped
@@ -317,16 +391,21 @@ _GROUP_TESTS = {
     "s_criterion": _criterion_member,
     "tower_member": lambda G: tower_member(G, 2, _GROUP_BUDGET),
     "in_Opnm_phi": lambda G: in_Opnm_phi(G, 2, 4),
+    "in_Qn": lambda G: in_Qn(G, 2),
+    "in_Qnm": lambda G: in_Qnm(G, 3, 4),
 }
+# the derivative routes need a zero constant term, and over Z every series
+# is in Q^n: they draw from Q
+_GROUP_DRAWS = {"in_Qn": _q_draw, "in_Qnm": _q_draw}
 
 
 @pytest.mark.parametrize("name", sorted(_GROUP_TESTS))
 def test_membership_is_a_group(name):
     # member + member is a member and member + non-member is not, at one
     # truncation, budget and set of primes; no second route is consulted
-    member = _GROUP_TESTS[name]
+    member, draw = _GROUP_TESTS[name], _GROUP_DRAWS.get(name, _z_draw)
     rng = random.Random(name)
-    draws = [_z_draw(rng, _GROUP_T, [1, -1, 5, 7, 11, 13, -5]) for _ in range(60)]
+    draws = [draw(rng, _GROUP_T, [1, -1, 5, 7, 11, 13, -5]) for _ in range(60)]
     members = [G for G in draws if member(G)]
     others = [G for G in draws if not member(G)]
     assert len(members) >= 10 and len(others) >= 10

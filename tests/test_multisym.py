@@ -190,10 +190,30 @@ def test_multiseries_unknown_coefficient_raises():
         M == M
     with pytest.raises(PrecisionError, match="no digits at p=2"):
         M.scale(81)
-    with pytest.raises(PrecisionError, match="no digits at p=2"):
+    with pytest.raises(PrecisionError, match=r"coefficient \(1, 1\) has no digits at p=2"):
         M * MultiSeries(R, 2, 3, {(0, 1): 81})
     # a zero known at every prime is still pruned
     assert MultiSeries(R, 2, 3, {(1, 0): ProfiniteApprox(B, {2: 0, 3: 0}, {2: 1, 3: 4})}).is_zero()
+
+
+def test_subst_first_names_an_unknown_zero_by_its_key():
+    # the packed chain prunes a product and a colliding sum as the per-step
+    # MultiSeries did, and names an unknown zero by its exponent tuple
+    B = PrimeBudget.uniform([2, 3], 2)
+    R = ProfiniteRing(B)
+    a = ProfiniteApprox(B, {2: 0, 3: 1}, {2: 0, 3: 1})
+    G = MultiSeries(R, 1, 3, {(1,): a})
+    with pytest.raises(PrecisionError, match=r"^coefficient \(1, 1\) has no digits at p=2"):
+        subst_first(G, MultiSeries(R, 2, 3, {(1, 1): 3}), 2, [])
+    # G(x, x) with G = a x_1 - a x_2: the sum a - a at (1,) is unknown
+    G = MultiSeries(R, 2, 3, {(1, 0): a, (0, 1): -a})
+    with pytest.raises(PrecisionError, match=r"^coefficient \(1,\) has no digits at p=2"):
+        subst_first(G, MultiSeries(R, 1, 3, {(1,): 1}), 1, [0])
+    # with a digit at p = 2 the same sum is a known zero and is pruned
+    b = ProfiniteApprox(B, {2: 0, 3: 1}, {2: 1, 3: 1})
+    G = MultiSeries(R, 2, 3, {(1, 0): b, (0, 1): -b, (2, 0): b})
+    S = subst_first(G, MultiSeries(R, 1, 3, {(1,): 1}), 1, [0])
+    assert {k: v.to_json() for k, v in S.coeffs.items()} == {(2,): b.to_json()}
 
 
 def test_multiseries_eq_needs_equal_ring_arity_and_truncation():

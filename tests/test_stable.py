@@ -178,6 +178,21 @@ def test_criterion_rejects_a_prime_outside_the_budget():
     assert s_criterion(A, primes=[2]).ok
 
 
+@pytest.mark.parametrize("bad", [4, 1, -3, 2.0, True])
+def test_oracle_rejects_a_non_prime(bad):
+    # s_oracle(adams_series(3, 6), 4, 2, 6) once answered True
+    with pytest.raises(ValueError, match=f"s_oracle prime {bad!r} is not a prime"):
+        s_oracle(adams_series(3, 6), bad, 2, 6)
+
+
+def test_oracle_rejects_a_prime_outside_the_budget():
+    # once a bare KeyError: 3 from the coefficient residues
+    A = to_profinite(adams_series(3, 6), PrimeBudget.uniform([2], 4))
+    with pytest.raises(ValueError, match=r"s_oracle prime 3 is outside the budget primes \(2,\)"):
+        s_oracle(A, 3, 1, 6)
+    assert s_oracle(A, 2, 1, 6)
+
+
 @pytest.mark.parametrize("ring", ["Z", "Zhat"])
 def test_criterion_reads_each_coefficient_once_per_prime_power(monkeypatch, ring):
     # the running sums read each [x^i] G at most once per prime power: at
