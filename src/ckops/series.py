@@ -61,12 +61,20 @@ class RationalRing:
         return [Fraction(sum(map(mul, row, nums)), L) for row in rows]
 
     @staticmethod
-    def matvec(values, cols):
-        Lv = math.lcm(*(v.denominator for v in values))
+    def prepare(cols):
+        """The matrix half of the bilinear kernel (see ProfiniteRing.prepare):
+        its rows as integer numerators over one common denominator Lc."""
         Lc = math.lcm(*(c.denominator for col in cols for c in col))
-        nums = [v.numerator * (Lv // v.denominator) for v in values]
         mat = [[c.numerator * (Lc // c.denominator) for c in col] for col in cols]
-        return [Fraction(sum(map(mul, nums, row)), Lv * Lc) for row in zip(*mat)]
+        return Lc, tuple(zip(*mat))
+
+    @staticmethod
+    def apply(values, prepared):
+        Lc, rows = prepared
+        Lv = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (Lv // v.denominator) for v in values]
+        den = Lv * Lc
+        return [Fraction(sum(map(mul, nums, row)), den) for row in rows]
 
     @staticmethod
     def coeff_to_json(x):
@@ -112,8 +120,12 @@ class IntegerRing:
         return [sum(map(mul, row, values)) for row in rows]
 
     @staticmethod
-    def matvec(values, cols):
-        return [sum(map(mul, values, row)) for row in zip(*cols)]
+    def prepare(cols):
+        return tuple(zip(*cols))
+
+    @staticmethod
+    def apply(values, rows):
+        return [sum(map(mul, values, row)) for row in rows]
 
     @staticmethod
     def coeff_to_json(x):
@@ -181,21 +193,33 @@ class ProfiniteRing:
                 r[p] = sum(map(mul, row, res)) % p**least
         return [ProfiniteApprox._trusted(self.budget, r, k) for r, k in out]
 
-    def matvec(self, values, cols):
-        """[sum_i values[i] * cols[i][d] for each d], both factors ring values:
-        the one bilinear kernel (Q's sums integer numerators, values and
-        matrix each over one common denominator; Z's plain ints).
-        Precision: at each prime an output has the least precision of every
-        value and every matrix entry in its sum, the budget exponent if there
-        are none.  No term is skipped."""
+    def prepare(self, cols):
+        """The matrix half of the one bilinear kernel
+        apply(values, prepare(cols))[d] = sum_i values[i] * cols[i][d], both
+        factors ring values: prepared once for a matrix, applied to many
+        vectors.  Here, per prime, the residue rows and each row's least
+        precision (Q's rows are integer numerators over one common
+        denominator, Z's plain ints)."""
         rows = list(zip(*cols))
-        out = [({}, {}) for _ in rows]
+        per_prime = []
         for p, e in self.budget.full_prec.items():
+            residues = [tuple([c.residue[p] for c in row]) for row in rows]
+            least = [min([c.prec[p] for c in row], default=e) for row in rows]
+            per_prime.append((p, e, tuple(zip(residues, least))))
+        return len(rows), tuple(per_prime)
+
+    def apply(self, values, prepared):
+        """The vector half: at each prime an output has the least precision
+        of every value and every matrix entry in its sum, the budget
+        exponent if there are none.  No term is skipped."""
+        n, primes = prepared
+        out = [({}, {}) for _ in range(n)]
+        for p, e, rows in primes:
             res = [v.residue[p] for v in values]
             low = min((v.prec[p] for v in values), default=e)
-            for (r, k), row in zip(out, rows):
-                k[p] = least = min(low, *[c.prec[p] for c in row])
-                r[p] = sum(map(mul, res, [c.residue[p] for c in row])) % p**least
+            for (r, k), (row, row_prec) in zip(out, rows):
+                k[p] = least = min(low, row_prec)
+                r[p] = sum(map(mul, res, row)) % p**least
         return [ProfiniteApprox._trusted(self.budget, r, k) for r, k in out]
 
     @staticmethod
@@ -602,8 +626,12 @@ class Composer:
     profinite coefficients.  Precision is ring.combine's: [x^d] U_i has
     the least precision of the b_k whose integer multiplier is nonzero.
 
-    compose(H') is one ring.matvec of H'.coeffs (coerced into H's ring
-    first) against the columns U_0..U_T, at T the lesser truncation.  Its
+    The table is prepared for the ring's bilinear kernel once, here
+    (ring.prepare: Q's integer numerators over one denominator, profinite
+    residue rows with their least precisions), so compose(H') is one
+    ring.apply of H'.coeffs (coerced into H's ring first) to it.  A right
+    factor of lower truncation T' composes at T', against the leading
+    (T'+1) x (T'+1) block of the table, prepared during that call.  Its
     precision rule: a profinite [x^d] of the result has, at each prime, the
     least precision of every a_i and every [x^d] U_i, whatever their value.
     """
@@ -626,12 +654,15 @@ class Composer:
         U = self.ring.combine(adams_coordinates(H), rows)
         self.U = [TruncSeries(self.ring, T, [H.coeffs[0]])] + [
             TruncSeries(self.ring, T, U[j:j + T + 1]) for j in range(0, len(U), T + 1)]
+        self._table = self.ring.prepare([U.coeffs for U in self.U])
 
     def compose(self, H2: TruncSeries) -> TruncSeries:
         T = min(self.H.trunc, H2.trunc)
         a = [self.ring.coerce(c) for c in H2.coeffs[:T + 1]]
-        cols = [U.coeffs[:T + 1] for U in self.U[:T + 1]]
-        return TruncSeries(self.ring, T, self.ring.matvec(a, cols))
+        table = self._table
+        if T < self.H.trunc:
+            table = self.ring.prepare([U.coeffs[:T + 1] for U in self.U[:T + 1]])
+        return TruncSeries._trusted(self.ring, T, self.ring.apply(a, table))
 
 
 def compose_op(H: TruncSeries, H2: TruncSeries) -> TruncSeries:
@@ -654,18 +685,25 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
+@lru_cache(maxsize=128)
+def _stirling_band(N: int, T: int) -> tuple[tuple[int, ...], ...]:
+    """rows[n][k] = (-1)^k k! S(n, k) for n <= N, k <= min(n, T): b_map's
+    integer band.  The bound keeps a long session from growing."""
+    return tuple(tuple((-1) ** k * math.factorial(k) * stirling2(n, k) for k in range(min(n, T) + 1))
+                 for n in range(N + 1))
+
+
 def b_map(G: TruncSeries, N: int) -> SeqWindow:
     """Sequence image of G under the lg-basis isomorphism, computed by the
     division-free Stirling transform b(G)_n = sum_k (-1)^k k! S(n,k) c_k.
 
     The production route, valid over every coefficient ring.  Its oracle
     is lg_decompose, which it must agree with over Q (cross-checked in the
-    tests).  One ring.combine, whose precision rule applies.  Entries
-    beyond the truncation describe the truncated polynomial.
+    tests).  One ring.combine of the cached band ``_stirling_band(N, T)``,
+    whose precision rule applies.  Entries beyond the truncation describe
+    the truncated polynomial.
     """
-    rows = [[(-1) ** k * math.factorial(k) * stirling2(n, k) for k in range(min(n, G.trunc) + 1)]
-            for n in range(N + 1)]
-    return SeqWindow(0, G.ring.combine(G.coeffs, rows))
+    return SeqWindow(0, G.ring.combine(G.coeffs, _stirling_band(N, G.trunc)))
 
 
 def lg_decompose(G: TruncSeries) -> SeqWindow:

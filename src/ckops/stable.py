@@ -268,7 +268,13 @@ def tower_member(G: TruncSeries, n: int, budget: PrimeBudget) -> bool:
     here; a test checks it at every j with p | d_j for p = 2 (j <= 16),
     p = 3 (j <= 20), p = 5 and 7 (j <= 22) and p = 11 (j <= 24).  It does
     not extend to d_j/p^k for k >= 2.
+
+    A Q or Z coefficient that is not an integer raises ValueError
+    (``exact_int``) at every level, n < 1 (always a member) included.
     """
+    if not isinstance(G.ring, ProfiniteRing):
+        for i, c in enumerate(G.coeffs):
+            exact_int(c, i)
     if n < 1:
         return True
     from .linalg import in_howell_span

@@ -1,23 +1,25 @@
 """Reference implementations that only the tests compare against: a
 brute-force row span, the binomial-Vandermonde determinant in closed form
 (the Vandermonde-ratio route to d_n), lg_r by series powers, the lg-basis
-reassembly, the term-by-term integer combination, the scaled-sum
-composition, Phi^n one step at a time, the validating profinite binary
-kernel, the twisted-Adams integrality rule, the substitution with one
-MultiSeries per power, the iterated partial derivative with one
-substitution per subset, the MultiSeries product on exponent tuples and
-the stable-membership congruences summed window by window."""
+reassembly, the term-by-term integer combination, the one-shot bilinear
+kernel, the scaled-sum composition, Phi^n one step at a time, the
+validating profinite binary kernel, the twisted-Adams integrality rule,
+the substitution with one MultiSeries per power, the iterated partial
+derivative with one substitution per subset, the MultiSeries product on
+exponent tuples and the stable-membership congruences summed window by
+window."""
 
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from ckops import ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
 from ckops.arith import PrecisionError, largest_prime_power, rational_mod, set_primes_upto
 from ckops.linalg import ModMatrix
 from ckops.multisym import MultiSeries, _as_multi, star_sum
-from ckops.series import ProfiniteRing, exact_int
+from ckops.series import IntegerRing, ProfiniteRing, RationalRing, exact_int
 from ckops.stable import CriterionReport, _coeff_residue
 
 
@@ -87,6 +89,39 @@ def combine_by_terms(ring, values, rows) -> list:
                 acc = acc + v * w
         out.append(acc)
     return out
+
+
+def matvec(ring, values, cols) -> list:
+    """[sum_i values[i] * cols[i][d] for each d] in one call, the matrix
+    read afresh: the kernel that ring.prepare and ring.apply split.  Q sums
+    integer numerators, values and matrix each over one common denominator;
+    a profinite output has, per prime, the least precision of every value
+    and every matrix entry in its sum."""
+    if isinstance(ring, RationalRing):
+        Lv = math.lcm(*(v.denominator for v in values))
+        Lc = math.lcm(*(c.denominator for col in cols for c in col))
+        nums = [v.numerator * (Lv // v.denominator) for v in values]
+        mat = [[c.numerator * (Lc // c.denominator) for c in col] for col in cols]
+        return [Fraction(sum(map(mul, nums, row)), Lv * Lc) for row in zip(*mat)]
+    if isinstance(ring, IntegerRing):
+        return [sum(map(mul, values, row)) for row in zip(*cols)]
+    rows = list(zip(*cols))
+    out = [({}, {}) for _ in rows]
+    for p, e in ring.budget.full_prec.items():
+        res = [v.residue[p] for v in values]
+        low = min((v.prec[p] for v in values), default=e)
+        for (r, k), row in zip(out, rows):
+            k[p] = least = min(low, *[c.prec[p] for c in row])
+            r[p] = sum(map(mul, res, [c.residue[p] for c in row])) % p**least
+    return [ProfiniteApprox._trusted(ring.budget, r, k) for r, k in out]
+
+
+def compose_by_matvec(C, H2) -> TruncSeries:
+    """Composer.compose with the one-shot kernel: H2's coefficients, coerced
+    into C's ring, against the table's leading columns, read afresh."""
+    T = min(C.H.trunc, H2.trunc)
+    a = [C.ring.coerce(c) for c in H2.coeffs[:T + 1]]
+    return TruncSeries(C.ring, T, matvec(C.ring, a, [U.coeffs[:T + 1] for U in C.U[:T + 1]]))
 
 
 def compose_by_scaling(C, H2) -> TruncSeries:

@@ -354,6 +354,8 @@ _BLIND_0 = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
         # degree, not by a key of the derivative
         (_BLIND_NONZERO, ["qnm", "--n", "2", "--m", "1"], "coefficient 1 has no digits at p=2"),
         (_BLIND_NONZERO, ["qn", "--n", "3"], "coefficient 1 has no digits at p=2"),
+        # a level below 1 is always a member, but the input is read first
+        (_HALF, ["tower", "--n", "0"], "coefficient 0 = 1/2 is not an integer"),
     ],
 )
 def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):

@@ -11,21 +11,25 @@ from hypothesis import strategies as st
 
 from ckops import MultiSeries, PrecisionError, PrimeBudget, ProfiniteApprox, ProfiniteRing, Q
 from ckops import TruncSeries, TruncationExhausted, Z, adams_series, dn, in_Opnm_phi, in_Qn, in_Qnm
-from ckops import iter_partial, lg_series, phi, s_criterion, s_oracle, series, star_sum, tower_member
+from ckops import Composer, b_map, interval_in_N, iter_partial, lg_decompose, lg_series, phi
+from ckops import s_criterion, s_oracle, series, star_sum, tower_member
+from ckops.arith import crt_lift
 from ckops.multisym import subst_first
 from ckops.suites import random_membership_witness
-from oracles import iter_partial_by_subsets, multi_mul_by_terms, phi_by_steps, s_criterion_by_windows
-from oracles import subst_first_by_powers
+from oracles import compose_by_matvec, compose_by_scaling, iter_partial_by_subsets, multi_mul_by_terms
+from oracles import phi_by_steps, s_criterion_by_windows, subst_first_by_powers
 
 _BUDGET = PrimeBudget.uniform((2, 3, 5), 4)
 _ZHAT = ProfiniteRing(_BUDGET)
 
 
 @st.composite
-def profinite(draw, least=0):
+def profinite(draw, least=0, most=None):
     """A Zhat value whose precision at each prime is anywhere from ``least``
-    digits to the budget's, its residue anything below that modulus."""
-    prec = {p: draw(st.integers(least, e)) for p, e in _BUDGET.full_prec.items()}
+    digits to ``most``, the budget's by default, its residue anything below
+    that modulus."""
+    prec = {p: draw(st.integers(least, e if most is None else most))
+            for p, e in _BUDGET.full_prec.items()}
     res = {p: draw(st.integers(0, p**k - 1)) for p, k in prec.items()}
     return ProfiniteApprox(_BUDGET, res, prec)
 
@@ -337,6 +341,78 @@ def test_s_criterion_equals_window_sums_exactly(data):
     assert s_criterion(G, primes) == s_criterion_by_windows(G, primes)
 
 
+def _exact_series(S: TruncSeries):
+    """Ring, truncation and every coefficient with its type, a profinite
+    one as residues and precisions."""
+    return S.ring, S.trunc, [(c.residue, c.prec) if isinstance(c, ProfiniteApprox) else (type(c), c)
+                             for c in S.coeffs]
+
+
+def _composition_coeff(ring: str):
+    """Values of ``ring``, a fifth of them zero; a Zhat value has any
+    precision, or none or one digit at every prime."""
+    coeff = _COEFFS[ring]
+    if ring == "Zhat":
+        coeff = st.one_of(coeff, profinite(0, 0), profinite(1, 1))
+    return st.one_of(coeff, coeff, coeff, coeff, st.just(_RINGS[ring].zero()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compose_equals_one_shot_kernel_and_scaling_oracles(data):
+    # the table prepared once in Composer.__init__ against the kernel that
+    # reads it afresh and against one scaled series per term: right factors
+    # of truncation below, at and above the left one's, several on one
+    # Composer in any order, and the first composed again at the end, so a
+    # prepared table changed by any call would show
+    ring = data.draw(st.sampled_from(sorted(_RINGS)))
+    R, coeff, T = _RINGS[ring], _composition_coeff(ring), data.draw(st.integers(0, 8))
+    C = Composer(TruncSeries(R, T, data.draw(st.lists(coeff, min_size=T + 1, max_size=T + 1))))
+    truncs = data.draw(st.permutations([max(T - 1, 0), T, T + 1]))
+    truncs += data.draw(st.lists(st.integers(0, T + 2), max_size=2))
+    rights = [TruncSeries(R, t, data.draw(st.lists(coeff, min_size=t + 1, max_size=t + 1)))
+              for t in truncs]
+    table = C._table
+    got = [_exact_series(C.compose(H2)) for H2 in rights]
+    assert _exact_series(C.compose(rights[0])) == got[0]
+    assert C._table is table and C._table == C.ring.prepare([U.coeffs for U in C.U])
+    for H2, g in zip(rights, got):
+        assert g[1] == min(T, H2.trunc)
+        assert g == _exact_series(compose_by_matvec(C, H2)) == _exact_series(compose_by_scaling(C, H2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_b_map_equals_lg_decompose_on_q(data):
+    # the cached Stirling band against back substitution; a window past the
+    # truncation reads G as a polynomial, G at truncation N padded with zeros
+    assert series._stirling_band.cache_info().maxsize is not None
+    T = data.draw(st.integers(0, 9))
+    G = TruncSeries(Q, T, data.draw(st.lists(_COEFFS["Q"], min_size=T + 1, max_size=T + 1)))
+    N = data.draw(st.integers(0, T + 3))
+    want = lg_decompose(TruncSeries(Q, max(N, T), G.coeffs)).values[:N + 1]
+    got = b_map(G, N).values
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_b_map_on_zhat_agrees_with_an_integer_lift(data):
+    # b is an integer combination, so any integer lift of G maps to a lift
+    # of b(G): every output agrees with it modulo its own precision
+    T, N = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 12))
+    coeffs = data.draw(st.lists(_composition_coeff("Zhat"), min_size=T + 1, max_size=T + 1))
+    lifts = []
+    for c in coeffs:
+        x, m = crt_lift([(c.residue[p], p**k) for p, k in c.prec.items()])
+        lifts.append(x + m * data.draw(st.integers(-3, 3)))
+    got = b_map(TruncSeries(_ZHAT, T, coeffs), N).values
+    want = b_map(TruncSeries(Z, T, lifts), N).values
+    assert len(got) == len(want) == N + 1
+    for v, w in zip(got, want):
+        assert all(v.residue[p] == w % p**k for p, k in v.prec.items())
+
+
 # -- oracle-free: every membership test decides a group ----------------------
 
 _GROUP_T = 10
@@ -414,6 +490,39 @@ def test_membership_is_a_group(name):
     for a in members:
         for b in others[:10]:
             assert not member(a + b)
+
+
+def test_interval_membership_is_a_group():
+    # at the budgets of test_interval_matches_all_units_oracle, vectors of
+    # length 1..5 drawn as there (a combination of unit power rows, half of
+    # them with one entry moved): members are closed under sums and
+    # negation, and a member plus a non-member is not a member.  Below
+    # length p every vector is a member, so only p = 2, 3, 5 see others
+    rng, mixed = random.Random("interval group"), 0
+    for p, e in ((2, 8), (3, 5), (5, 3), (7, 3)):
+        q, bud = p**e, PrimeBudget.uniform([p], e)
+        units = [r for r in range(1, q) if r % p]
+        for n in range(1, 6):
+            draws = []
+            for _ in range(12):
+                v = [0] * n
+                for r in rng.sample(units, 3):
+                    c = rng.randrange(q)
+                    v = [x + c * pow(r, j, q) for j, x in enumerate(v)]
+                if rng.random() < 0.5:
+                    v[rng.randrange(n)] += rng.randrange(1, q)
+                draws.append(v)
+            members = [v for v in draws if interval_in_N(v, bud)]
+            others = [v for v in draws if not interval_in_N(v, bud)]
+            assert members, (p, n)
+            for a, b in zip(members, members[1:] + members[:1]):
+                assert interval_in_N([x + y for x, y in zip(a, b)], bud), (p, a, b)
+                assert interval_in_N([-x for x in a], bud), (p, a)
+            for a in members:
+                for b in others:
+                    assert not interval_in_N([x + y for x, y in zip(a, b)], bud), (p, a, b)
+            mixed += len(members) * len(others)
+    assert mixed >= 100
 
 
 def test_s_oracle_domain_against_tower_member():

@@ -573,7 +573,7 @@ def test_kernels_make_no_validating_constructions(monkeypatch):
 
 def test_kernel_outputs_pass_the_public_constructor_unchanged(budget):
     # every value a kernel builds without checks is one the constructor
-    # accepts and leaves as it is: combine, matvec, adams_series,
+    # accepts and leaves as it is: combine, prepare + apply, adams_series,
     # divide_exact, construct_Gn and construct_Fn, at precision 0 too
     R = ProfiniteRing(_BUDGET)
     rng = random.Random("trusted round trip")
@@ -583,7 +583,7 @@ def test_kernel_outputs_pass_the_public_constructor_unchanged(budget):
         values = _values(rng, R, n)
         outputs += R.combine(values, [[rng.randint(-40, 40) for _ in range(n)] for _ in range(4)])
         cols = [_values(rng, R, 5) for _ in range(n)]
-        outputs += R.matvec(values, cols)
+        outputs += R.apply(values, R.prepare(cols))
         for v in values:
             d = rng.choice([1, -2, 3, 25, 12])
             try:
@@ -603,7 +603,7 @@ def test_kernel_outputs_pass_the_public_constructor_unchanged(budget):
         assert all(type(v) is int for v in (*x.residue.values(), *x.prec.values()))
 
 
-# Composer.compose (one ring.matvec) against the scaled-sum loop it
+# Composer.compose (one ring.apply) against the scaled-sum loop it
 # replaced: values and types over Q and Z, residue and precision dicts
 # over Zhat, with digit-less and one-digit coefficients, zero coefficients
 # and the right factor's truncation above and below the left one's.

@@ -35,6 +35,7 @@ from ckops import (
 from ckops import stable
 from ckops.arith import crt_lift, gbinom, largest_prime_power, set_primes_upto
 from ckops.linalg import ModMatrix, howell_form, in_row_span
+from ckops.series import exact_int
 from oracles import phi_by_steps, twisted_rule, vdm_value
 
 
@@ -647,7 +648,11 @@ def test_tower_cross_checks_oracle(budget):
 def _oracle_tower(G, n, budget):
     """tower_member by the per-level loop: G's window must lie in the image
     lattice of Phi^r mod (p^e, x^D) for every r from n to max(n, e) + 1,
-    each lattice spanned by Phi^r(x^k), k < D + r, computed with phi_by_steps."""
+    each lattice spanned by Phi^r(x^k), k < D + r, computed with phi_by_steps.
+    A Q or Z coefficient must be an integer at every level."""
+    if not isinstance(G.ring, ProfiniteRing):
+        for i, c in enumerate(G.coeffs):
+            exact_int(c, i)
     if n < 1:
         return True
     D = G.trunc + 1
