@@ -169,11 +169,18 @@ def fseq(
 
 def _basis_window(n: int, lo: int, hi: int, T: int, budget: PrimeBudget) -> SeqWindow:
     """Window [lo, hi] of the n-th basis sequence: shift^(-i) reflect f^(2i)
-    for n = 2i, shift^i f^(2i+1) for n = 2i+1."""
+    for n = 2i, shift^i f^(2i+1) for n = 2i+1.  Its entry at the pivot -i
+    or i+1 is n! d_n; a window holding the pivot checks that, and a budget
+    whose modulus cannot hold n! d_n raises PrecisionError naming n."""
     i = n // 2
     if n % 2:
-        return shift(fseq(n, lo + i, hi + i + 1, T, budget), i)
-    return shift(reflect(fseq(n, i - hi, i - lo + 1, T, budget)), -i)
+        f, pivot = shift(fseq(n, lo + i, hi + i + 1, T, budget), i), i + 1
+    else:
+        f, pivot = shift(reflect(fseq(n, i - hi, i - lo + 1, T, budget)), -i), -i
+    if lo <= pivot <= hi and f[pivot] != dn_tilde(n):
+        raise PrecisionError(f"basis sequence {n} reads {f[pivot]} at its pivot {pivot}, not {n}! "
+                             f"d_{n} = {dn_tilde(n)}: budget {budget.to_json()} is too small")
+    return f
 
 
 def decompose_TZ(a: SeqWindow, m: int, T: int, budget: PrimeBudget) -> list[int]:
@@ -183,7 +190,8 @@ def decompose_TZ(a: SeqWindow, m: int, T: int, budget: PrimeBudget) -> list[int]
     peel the pivots of [-m, m+1] in turn, then verify reassembly.
 
     A nonintegral quotient or a nonzero residual raises: the window is not
-    in the lattice the basis spans.
+    in the lattice the basis spans.  A budget that cannot hold some n! d_n
+    raises PrecisionError (``_basis_window``).
     """
     if a.start > -m or a.stop < m + 2:
         raise ValueError(f"window must cover [{-m}, {m + 1}]")

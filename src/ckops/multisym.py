@@ -60,16 +60,8 @@ class MultiSeries:
             raise ValueError("incompatible operands")
         T = min(self.trunc, other.trunc)
         a, b, zero = self.coeffs, other.coeffs, self.ring.zero()
-        out = {}
-        for key in set(a) | set(b):
-            if sum(key) > T:
-                continue
-            v = fn(a.get(key, zero), b.get(key, zero))
-            if not self.ring.is_zero(v, key):
-                out[key] = v
-        res = MultiSeries(self.ring, self.nvars, T)
-        res.coeffs = out
-        return res
+        return MultiSeries(self.ring, self.nvars, T,
+                           {key: fn(a.get(key, zero), b.get(key, zero)) for key in set(a) | set(b)})
 
     def __add__(self, other):
         return self._binop(other, lambda a, b: a + b)
@@ -81,14 +73,10 @@ class MultiSeries:
         return self.scale(-1)
 
     def scale(self, c):
-        out = MultiSeries(self.ring, self.nvars, self.trunc)
         if isinstance(c, int) and c == 0:
-            return out
-        for key, val in self.coeffs.items():
-            v = val * c
-            if not self.ring.is_zero(v, key):
-                out.coeffs[key] = v
-        return out
+            return MultiSeries(self.ring, self.nvars, self.trunc)
+        return MultiSeries(self.ring, self.nvars, self.trunc,
+                           {key: val * c for key, val in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):

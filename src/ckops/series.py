@@ -36,7 +36,31 @@ class TruncationExhausted(ArithmeticError):
 # coefficient rings
 
 
-class RationalRing:
+class _ExactRing:
+    """Q and Z, named by ``tag``: exact coefficients, so zero is zero."""
+
+    @staticmethod
+    def is_zero(x, at=None):
+        return x == 0
+
+    is_exact_zero = is_zero
+
+    def to_json(self):
+        return self.tag
+
+    def __eq__(self, other):
+        return isinstance(other, type(self))
+
+    def __hash__(self):
+        return hash(self.tag)
+
+    def __repr__(self):
+        return self.tag
+
+
+class RationalRing(_ExactRing):
+    tag = "Q"
+
     @staticmethod
     def coerce(x):
         if type(x) is Fraction:
@@ -47,18 +71,6 @@ class RationalRing:
 
     zero = staticmethod(lambda: Fraction(0))
     one = staticmethod(lambda: Fraction(1))
-
-    @staticmethod
-    def is_zero(x, at=None):
-        return x == 0
-
-    is_exact_zero = is_zero
-
-    @staticmethod
-    def combine(values, rows):
-        L = math.lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (L // v.denominator) for v in values]
-        return [Fraction(sum(map(mul, row, nums)), L) for row in rows]
 
     @staticmethod
     def prepare(cols):
@@ -77,6 +89,11 @@ class RationalRing:
         return [Fraction(sum(map(mul, nums, row)), den) for row in rows]
 
     @staticmethod
+    def combine(values, rows):
+        """Integer rows are a prepared table over the denominator 1."""
+        return RationalRing.apply(values, (1, rows))
+
+    @staticmethod
     def coeff_to_json(x):
         return rational_to_str(x)
 
@@ -84,20 +101,10 @@ class RationalRing:
     def coeff_from_json(s):
         return rational_from_str(s) if isinstance(s, str) else RationalRing.coerce(s)
 
-    def to_json(self):
-        return "Q"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
+class IntegerRing(_ExactRing):
+    tag = "Z"
 
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "Q"
-
-
-class IntegerRing:
     @staticmethod
     def coerce(x):
         if isinstance(x, int):
@@ -110,16 +117,6 @@ class IntegerRing:
     one = staticmethod(lambda: 1)
 
     @staticmethod
-    def is_zero(x, at=None):
-        return x == 0
-
-    is_exact_zero = is_zero
-
-    @staticmethod
-    def combine(values, rows):
-        return [sum(map(mul, row, values)) for row in rows]
-
-    @staticmethod
     def prepare(cols):
         return tuple(zip(*cols))
 
@@ -127,23 +124,13 @@ class IntegerRing:
     def apply(values, rows):
         return [sum(map(mul, values, row)) for row in rows]
 
+    combine = apply  # integer rows need no preparing
+
     @staticmethod
     def coeff_to_json(x):
         return x
 
     coeff_from_json = coerce  # a JSON integer; a float or string is a TypeError
-
-    def to_json(self):
-        return "Z"
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("Z")
-
-    def __repr__(self):
-        return "Z"
 
 
 class ProfiniteRing:
@@ -179,7 +166,7 @@ class ProfiniteRing:
     def combine(self, values, rows):
         """[sum_k row[k] * values[k] for row in rows], rows of plain integers:
         every integer combination of coefficients goes through this kernel
-        (Q's sums numerators over one common denominator, Z's plain ints).
+        (Q's and Z's are their ``apply`` on the integer rows).
         Precision: at each prime an output has the least precision of the
         values with a nonzero weight, the budget exponent if none has one.
         Only a zero weight skips a value, never a value that tests as zero."""
@@ -400,11 +387,17 @@ class TruncSeries:
 
     @classmethod
     def from_json(cls, data) -> "TruncSeries":
+        if not isinstance(data, dict):
+            raise ValueError(f"a series is a JSON object, not {data!r}")
         ring = ring_from_json(data["ring"])
+        if not isinstance(data["coeffs"], list):
+            raise ValueError(f"coeffs {data['coeffs']!r} is not a list")
         # JSON true/false load as bool, an int subclass: rejected here, not in Z.coerce
         for i, c in enumerate(data["coeffs"]):
             if isinstance(c, bool):
                 raise ValueError(f"coefficient {i} is the boolean {c}, not a number")
+            if isinstance(ring, ProfiniteRing) and not isinstance(c, dict):
+                raise ValueError(f"coefficient {i} = {c!r} is not a JSON object")
         coeffs = [ring.coeff_from_json(c) for c in data["coeffs"]]
         if type(data["trunc"]) is not int:
             raise ValueError(f"truncation {data['trunc']!r} is not an integer")
@@ -629,11 +622,11 @@ class Composer:
     The table is prepared for the ring's bilinear kernel once, here
     (ring.prepare: Q's integer numerators over one denominator, profinite
     residue rows with their least precisions), so compose(H') is one
-    ring.apply of H'.coeffs (coerced into H's ring first) to it.  A right
-    factor of lower truncation T' composes at T', against the leading
-    (T'+1) x (T'+1) block of the table, prepared during that call.  Its
-    precision rule: a profinite [x^d] of the result has, at each prime, the
-    least precision of every a_i and every [x^d] U_i, whatever their value.
+    ring.apply of H'.coeffs (coerced into H's ring first) to it, padded
+    with ring.zero() to the table's size; the first T'+1 outputs are kept
+    (the padding meets only [x^d] U_i with i > d, exact zeros at full
+    precision).  Precision rule: a profinite [x^d] of the result has, at
+    each prime, the least precision of every a_i and every [x^d] U_i.
     """
 
     def __init__(self, H: TruncSeries):
@@ -659,10 +652,8 @@ class Composer:
     def compose(self, H2: TruncSeries) -> TruncSeries:
         T = min(self.H.trunc, H2.trunc)
         a = [self.ring.coerce(c) for c in H2.coeffs[:T + 1]]
-        table = self._table
-        if T < self.H.trunc:
-            table = self.ring.prepare([U.coeffs[:T + 1] for U in self.U[:T + 1]])
-        return TruncSeries._trusted(self.ring, T, self.ring.apply(a, table))
+        a += [self.ring.zero() for _ in range(self.H.trunc - T)]
+        return TruncSeries._trusted(self.ring, T, self.ring.apply(a, self._table)[:T + 1])
 
 
 def compose_op(H: TruncSeries, H2: TruncSeries) -> TruncSeries:

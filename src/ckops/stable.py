@@ -403,25 +403,16 @@ def _adams_table(nodes: list[int], T: int, budget: PrimeBudget) -> list[dict]:
     return table
 
 
-def _adams_coeff(weights: dict, row: dict) -> dict:
-    """Per-prime residues (unreduced) of [x^k] sum_j w_j A_(a_j), from the
+def _adams_coeff(weights: dict, row: dict, mods: dict) -> dict:
+    """Per-prime residues mod p^e_p of [x^k] sum_j w_j A_(a_j), from the
     table row of degree k."""
-    return {p: sum(map(operator.mul, w, row[p])) for p, w in weights.items()}
+    return {p: sum(map(operator.mul, w, row[p])) % mods[p] for p, w in weights.items()}
 
 
-def _weighted_adams(weights: dict, nodes: list[int], table: list[dict], budget: PrimeBudget):
-    """sum_j w_j A_(a_j) as a profinite series, with its combination
-    [(w_j, a_j), ...] over the weighted prefix of the nodes."""
-    full, mods = budget.full_prec, budget.moduli
-    coeffs = []
-    for row in table:
-        res = {p: s % mods[p] for p, s in _adams_coeff(weights, row).items()}
-        coeffs.append(ProfiniteApprox._trusted(budget, res, full))
-    comb = [
-        (ProfiniteApprox._trusted(budget, dict(zip(weights, col)), full), a)
-        for col, a in zip(zip(*weights.values()), nodes)
-    ]
-    return TruncSeries._trusted(ProfiniteRing(budget), len(table) - 1, coeffs), comb
+def _combination(weights: dict, nodes: list[int], budget: PrimeBudget) -> list:
+    """[(w_j, a_j), ...] over the weighted prefix of the nodes."""
+    return [(ProfiniteApprox._trusted(budget, dict(zip(weights, col)), budget.full_prec), a)
+            for col, a in zip(zip(*weights.values()), nodes)]
 
 
 def _require_leading_term(kind: str, n: int, T: int) -> None:
@@ -443,8 +434,11 @@ def construct_Gn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     _require_leading_term("G", n, T)
     nodes = _glued_nodes(budget, n + 1)
     weights = _NodeWeights(nodes, budget).weights(n, dn(n))
-    G, comb = _weighted_adams(weights, nodes, _adams_table(nodes, T, budget), budget)
-    return BasisSeries("G", n, G, combination=comb)
+    full, mods = budget.full_prec, budget.moduli
+    coeffs = [ProfiniteApprox._trusted(budget, _adams_coeff(weights, row, mods), full)
+              for row in _adams_table(nodes, T, budget)]
+    G = TruncSeries._trusted(ProfiniteRing(budget), T, coeffs)
+    return BasisSeries("G", n, G, combination=_combination(weights, nodes, budget))
 
 
 def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
@@ -456,26 +450,19 @@ def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     glued nodes, so F = sum_j c_j A_(a_j) is one weight vector mod p^e_p
     per prime, starting at G_n's.  Step i > n reads
     [x^i]F = (-1)^i sum_j c_j C(a_j, i), lifts its correction multiplier
-    b_i by CRT to an integer and subtracts b_i x_ij from c_j, so F_n keeps
-    the full budget precision; the x_ij come from one ``_NodeWeights``
-    table per call, extended node by node.  ``combination`` holds the final weights of
-    the nodes used, sorted by node.
+    b_i by CRT to an integer and subtracts b_i x_ij from c_j; the x_ij come
+    from one ``_NodeWeights`` table per call, extended node by node.  Step i
+    fixes [x^i]F = ints[i] mod p^e_p, and the later G_j (j > i) vanish below
+    degree j, so F_n's series is its integer vector at full budget
+    precision.  ``combination`` holds the final weights of the nodes used,
+    sorted by node.
     """
     _require_leading_term("F", n, T)
-    ring = ProfiniteRing(budget)
-    one = ProfiniteApprox.from_int(budget, 1)
-    if n == 0:
-        ints = [1, -1] + [0] * (T - 1)
-        return BasisSeries(
-            "F", 0, TruncSeries(ring, T, ints[: T + 1]), ints[: T + 1],
-            combination=[(one, 1)],
-        )
-    if n == 1:
-        ints = [0, 2] + [1] * (T - 1)
-        return BasisSeries(
-            "F", 1, TruncSeries(ring, T, ints[: T + 1]), ints[: T + 1],
-            combination=[(one, -1), (-one, 1)],
-        )
+    ring, one = ProfiniteRing(budget), ProfiniteApprox.from_int(budget, 1)
+    if n < 2:
+        ints = ([1, -1] + [0] * (T - 1) if n == 0 else [0, 2] + [1] * (T - 1))[:T + 1]
+        comb = [(one, 1)] if n == 0 else [(one, -1), (-one, 1)]
+        return BasisSeries("F", n, TruncSeries(ring, T, ints), ints, combination=comb)
     e, mods = budget.full_prec, budget.moduli
     nodes = _glued_nodes(budget, max(n, T) + 1)
     lagrange = _NodeWeights(nodes, budget)
@@ -484,7 +471,7 @@ def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
     table = _adams_table(nodes, T, budget)
     ints = [0] * n + [dn_n.value] + [0] * (T - n)
     for i in range(n + 1, T + 1):
-        s = _adams_coeff(c, table[i])
+        s = _adams_coeff(c, table[i], mods)
         di = dn(i)
         v = {p: di.per_prime.get(p, 0) for p in e}
         # least-nonnegative representative modulo the *visible* part of d_i:
@@ -509,8 +496,8 @@ def construct_Fn(n: int, T: int, budget: PrimeBudget) -> BasisSeries:
             for p, m in mods.items():
                 cp = c[p] + [0] * (i + 1 - len(c[p]))
                 c[p] = [(cj - b_int * xj) % m for cj, xj in zip(cp, x[p])]
-    F, comb = _weighted_adams(c, nodes, table, budget)
-    return BasisSeries("F", n, F, ints, combination=sorted(comb, key=lambda t: t[1]))
+    comb = sorted(_combination(c, nodes, budget), key=lambda t: t[1])
+    return BasisSeries("F", n, TruncSeries(ring, T, ints), ints, combination=comb)
 
 
 def decompose_S0(G: TruncSeries, budget: PrimeBudget, family=None) -> list[int]:

@@ -356,6 +356,14 @@ _BLIND_0 = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
         (_BLIND_NONZERO, ["qn", "--n", "3"], "coefficient 1 has no digits at p=2"),
         # a level below 1 is always a member, but the input is read first
         (_HALF, ["tower", "--n", "0"], "coefficient 0 = 1/2 is not an integer"),
+        # coeffs is a list and the series and each profinite coefficient are
+        # JSON objects: a string or an object was read as its characters or keys
+        ({"ring": "Q", "trunc": 2, "coeffs": {"0": 1, "1": 5}}, ["opnm", "--n", "1", "--m", "0"],
+         "coeffs {'0': 1, '1': 5} is not a list"),
+        ({"ring": "Q", "trunc": 3, "coeffs": "0123"}, ["s", "--primes", "2"], "coeffs '0123' is not a list"),
+        ([1, 2], ["s"], "a series is a JSON object, not [1, 2]"),
+        ({"ring": {"profinite": [[2, 4]]}, "trunc": 1, "coeffs": [{"primes": [[2, 4, 1]]}, 5]},
+         ["opnm"], "coefficient 1 = 5 is not a JSON object"),
     ],
 )
 def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):

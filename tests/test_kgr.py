@@ -339,6 +339,27 @@ def test_decompose_TZ_rejects_outside_lattice(kgr_budget):
         decompose_TZ(win, 0, 16, kgr_budget)
 
 
+@pytest.mark.parametrize(
+    "primes,e,bs,m,T,n",
+    [
+        # 2^8 holds neither 4! d_4 = 5760 nor 5! d_5 = 11520: the windows read
+        # 128 and 0 at their pivots, and the round trip gave [3, 0, -2, 2, 0, 0]
+        ([2], 8, [3, 0, -2, 2, 0, 2], 2, 12, 5),
+        ([2], 8, [3, 0, -2, 2, 1, 0], 2, 12, 4),
+        # 6! d_6 = 2^10 3^4 5 7 is no residue mod 2^6 3^6: "entry at -3 = 10368
+        # not divisible by 2903040" before, at T = 12 and 16
+        ([2, 3], 6, [1, 0, 0, 0, 0, 0, 0, 0], 3, 12, 6),
+        ([2, 3], 6, [1, 0, 0, 0, 0, 0, 0, 0], 3, 16, 6),
+    ],
+)
+def test_basis_window_beyond_the_budget_raises(primes, e, bs, m, T, n):
+    B = PrimeBudget.uniform(primes, e)
+    with pytest.raises(PrecisionError, match=f"basis sequence {n} reads .* not {n}! d_{n} = {dn_tilde(n)}"):
+        decompose_TZ(assemble_TZ(bs, -m, m + 1, T, B), m, T, B)
+    with pytest.raises(PrecisionError, match=f"basis sequence {n} "):
+        _basis_window(n, -m, m + 1, T, B)
+
+
 def test_numerical_poly_rejects_a_non_integer_coefficient():
     with pytest.raises(ValueError, match="coefficient 0 = 1/2 is not an integer"):
         NumericalPoly((Fraction(1, 2), 3))

@@ -240,6 +240,19 @@ def test_multiseries_mul_rejects_incompatible_operands():
         MultiSeries(Q, 1, 4, {(1,): Fraction(1, 2)}) * MultiSeries(Z, 1, 4, {(1,): 3})
 
 
+def test_multiseries_scale_keeps_values_in_the_ring():
+    # a scaled value enters through the constructor like any other, so 3/2
+    # is no value of a Z series, and a zero product is pruned
+    M = MultiSeries(Z, 2, 3, {(1, 1): 3, (0, 2): 4})
+    for scaled in (lambda: M.scale(Fraction(1, 2)), lambda: M * Fraction(1, 2)):
+        with pytest.raises(TypeError, match=r"cannot coerce Fraction\(3, 2\) into Z"):
+            scaled()
+    assert M.scale(Fraction(2)).coeffs == {(1, 1): 6, (0, 2): 8}
+    assert (-M).coeffs == {(1, 1): -3, (0, 2): -4}
+    R = ProfiniteRing(PrimeBudget.uniform([2], 3))
+    assert MultiSeries(R, 1, 2, {(1,): 4}).scale(2).is_zero()
+
+
 def test_is_symmetric_unknown_difference_raises():
     # a and b agree mod 3^4 but have no digits at p = 2: whether they are
     # equal is unknown, so the symmetry verdict raises instead of True

@@ -670,6 +670,21 @@ def test_compose_mixed_rings_coerce_the_right_factor_first():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("ring", [Q, Z, ProfiniteRing(_COMPOSE_BUDGET)], ids=["Q", "Z", "Zhat"])
+def test_composer_prepares_its_table_once(monkeypatch, ring):
+    # Composer.__init__ prepares the table; a right factor of lower, equal or
+    # higher truncation is applied to that same table, never to a new one
+    calls = []
+    prepare = ring.prepare
+    monkeypatch.setattr(ring, "prepare", lambda cols: calls.append(cols) or prepare(cols))
+    rng = random.Random(f"prepare once {ring}")
+    C = Composer(TruncSeries(ring, 6, _compose_coeffs(rng, ring, 7)))
+    assert len(calls) == 1
+    for T2 in (2, 6, 9, 0):
+        C.compose(TruncSeries(ring, T2, _compose_coeffs(rng, ring, T2 + 1)))
+    assert len(calls) == 1
+
+
 def test_rational_coercion_shares_fractions():
     # a Fraction is immutable, so Q keeps the very object; any other
     # accepted value becomes a plain Fraction

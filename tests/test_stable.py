@@ -491,6 +491,23 @@ def test_construct_Fn_integer_consistent_and_stable(budget):
         assert s_criterion(F.series).ok
 
 
+def test_Fn_span_is_the_phi_image_lattice():
+    # ROADMAP item 15 on a grid: mod (p^e, x^(T+1)) the int_coeffs of
+    # F_0..F_T span exactly the image lattice of Phi^(e+1), which is the
+    # lattice of stable operations there (F_n built at a budget that holds
+    # every d_n below; at a one-prime budget (p)^e some F_n cannot be built)
+    B = PrimeBudget.uniform([2, 3, 5, 7], 8)
+    cases = 0
+    for T in range(11):
+        family = [construct_Fn(n, T, B).int_coeffs for n in range(T + 1)]
+        for p in (2, 3, 5):
+            for e in range(1, 5):
+                want = stable._phi_image_lattice(T + 1, e + 1, p**e)
+                assert howell_form(ModMatrix(p**e, family)) == want, (T, p, e)
+                cases += 1
+    assert cases == 132
+
+
 def test_construct_Fn_deterministic(budget):
     a = construct_Fn(3, 12, budget)
     b = construct_Fn(3, 12, budget)
