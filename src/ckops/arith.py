@@ -183,6 +183,8 @@ class PrimeBudget(Struct):
     __slots__ = ("primes", "exponents", "moduli", "full_prec")
 
     def __init__(self, primes: tuple[int, ...], exponents: tuple[int, ...]):
+        if not primes:  # else a value with no digits at all would test as zero
+            raise ValueError("budget names no prime")
         if len(set(primes)) != len(primes):
             raise ValueError("budget primes must be distinct")
         if len(primes) != len(exponents):
@@ -331,19 +333,23 @@ class ProfiniteApprox:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, ProfiniteApprox):
-            if other.budget != self.budget:
+    @classmethod
+    def _embed(cls, budget: PrimeBudget, x):
+        """x as a value over ``budget``, the one embedding into Zhat: a value
+        over another budget is a ValueError, an int or a Fraction is
+        embedded, and any other type is NotImplemented."""
+        if isinstance(x, ProfiniteApprox):
+            if x.budget != budget:
                 raise ValueError("mixed prime budgets")
-            return other
-        if isinstance(other, int):
-            return ProfiniteApprox.from_int(self.budget, other)
-        if isinstance(other, Fraction):
-            return ProfiniteApprox.from_rational(self.budget, other)
+            return x
+        if isinstance(x, int):
+            return cls.from_int(budget, x)
+        if isinstance(x, Fraction):
+            return cls.from_rational(budget, x)
         return NotImplemented
 
     def _zip(self, other, fn):
-        other = self._coerce(other)
+        other = self._embed(self.budget, other)
         if other is NotImplemented:
             return NotImplemented
         if self.prec is other.prec:
@@ -363,7 +369,7 @@ class ProfiniteApprox:
         return self._zip(other, sub)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = self._embed(self.budget, other)
         return NotImplemented if other is NotImplemented else other._zip(self, sub)
 
     def __mul__(self, other):
@@ -425,7 +431,7 @@ class ProfiniteApprox:
     def eq_within(self, other) -> bool:
         """Equal within the stored precision: the one comparison that counts
         a prime with no digits as agreeing."""
-        return not any((self - self._coerce(other)).residue.values())
+        return not any((self - self._embed(self.budget, other)).residue.values())
 
     def __eq__(self, other):
         """Through is_zero: PrecisionError when the answer is unknown."""
@@ -571,10 +577,8 @@ def is_prime(n: int) -> bool:
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = vp(n - 1, 2)
+    d = (n - 1) >> s
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):

@@ -5,19 +5,17 @@ lattices, the canonical basis windows f^(n), and the window decomposition.
 
 from __future__ import annotations
 
-import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import repeat, zip_longest
 
 from .arith import PrecisionError, PrimeBudget, Struct, crt_lift, gbinom
 from .linalg import ModMatrix, howell_form, in_howell_span
-from .series import Q, SeqWindow, TruncSeries, exact_int
+from .series import Q, SeqWindow, TruncSeries, _stirling_band, exact_int
 from .stable import a_min, construct_Fn, dn_tilde
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _fn_cached(n: int, T: int, budget: PrimeBudget):
     return construct_Fn(n, T, budget)
 
@@ -51,39 +49,26 @@ class NumericalPoly(Struct):
 
 def to_e_basis(mono_coeffs) -> NumericalPoly | None:
     """e-basis coefficients of a rational polynomial (monomial coefficients
-    in s), by finite differences; None when some coefficient is not an
+    in s), through s^j = sum_n (-1)^n n! S(j, n) e_n: one ``Q.combine`` of
+    b_map's transposed Stirling band.  None when some coefficient is not an
     integer, i.e. the polynomial is not numerical.  The inputs must be
     exact (``Q.coerce``): a float raises TypeError."""
     cs = [Q.coerce(c) for c in mono_coeffs]
-
-    def f(x: int) -> Fraction:
-        acc = Fraction(0)
-        for j, c in enumerate(cs):
-            acc += c * x**j
-        return acc
-
-    deg = len(cs) - 1
-    out = []
-    for n in range(deg + 1):
-        delta = sum((-1) ** (n - k) * math.comb(n, k) * f(k) for k in range(n + 1))
-        e_n = (-1) ** n * delta
-        if e_n.denominator != 1:
-            return None
-        out.append(int(e_n))
-    return NumericalPoly(tuple(out))
+    d = len(cs) - 1
+    es = Q.combine(cs, list(zip_longest(*_stirling_band(d, d), fillvalue=0)))
+    if any(e.denominator != 1 for e in es):
+        return None
+    return NumericalPoly(es)
 
 
 def pair(f: NumericalPoly, G: TruncSeries):
-    """<f, G> = sum_n f_n c_n under <e_n, x^m> = delta_{n,m}."""
+    """<f, G> = sum_n f_n c_n under <e_n, x^m> = delta_{n,m}: one
+    ``ring.combine`` row, so pairing with s^n is b_map's entry n."""
     if f.degree > G.trunc:
         raise ValueError(
             f"polynomial support {f.degree} exceeds truncation {G.trunc}"
         )
-    acc = G.ring.zero()
-    for n, c in enumerate(f.e_coeffs):
-        if c and n <= G.trunc:
-            acc = acc + G.coeffs[n] * c
-    return acc
+    return G.ring.combine(G.coeffs, [f.e_coeffs[: G.trunc + 1]])[0]
 
 
 def shift(a: SeqWindow, k: int) -> SeqWindow:
@@ -171,15 +156,21 @@ def _basis_window(n: int, lo: int, hi: int, T: int, budget: PrimeBudget) -> SeqW
     """Window [lo, hi] of the n-th basis sequence: shift^(-i) reflect f^(2i)
     for n = 2i, shift^i f^(2i+1) for n = 2i+1.  Its entry at the pivot -i
     or i+1 is n! d_n; a window holding the pivot checks that, and a budget
-    whose modulus cannot hold n! d_n raises PrecisionError naming n."""
+    whose modulus cannot hold n! d_n raises PrecisionError naming n.  A
+    window beside the pivot checks the modulus instead: the symmetric lift
+    of n! d_n needs 2 n! d_n <= modulus (f^(0) and f^(1) are exact)."""
     i = n // 2
     if n % 2:
         f, pivot = shift(fseq(n, lo + i, hi + i + 1, T, budget), i), i + 1
     else:
         f, pivot = shift(reflect(fseq(n, i - hi, i - lo + 1, T, budget)), -i), -i
-    if lo <= pivot <= hi and f[pivot] != dn_tilde(n):
-        raise PrecisionError(f"basis sequence {n} reads {f[pivot]} at its pivot {pivot}, not {n}! "
-                             f"d_{n} = {dn_tilde(n)}: budget {budget.to_json()} is too small")
+    if lo <= pivot <= hi:
+        if f[pivot] != dn_tilde(n):
+            raise PrecisionError(f"basis sequence {n} reads {f[pivot]} at its pivot {pivot}, not {n}! "
+                                 f"d_{n} = {dn_tilde(n)}: budget {budget.to_json()} is too small")
+    elif n > 1 and 2 * dn_tilde(n) > budget.modulus:
+        raise PrecisionError(f"basis sequence {n} needs a modulus of at least 2 * {n}! d_{n} = "
+                             f"{2 * dn_tilde(n)}: budget {budget.to_json()} is too small")
     return f
 
 

@@ -138,15 +138,10 @@ class ProfiniteRing:
         self.budget = budget
 
     def coerce(self, x):
-        if isinstance(x, ProfiniteApprox):
-            if x.budget != self.budget:
-                raise ValueError("mixed prime budgets")
-            return x
-        if isinstance(x, int):
-            return ProfiniteApprox.from_int(self.budget, x)
-        if isinstance(x, Fraction):
-            return ProfiniteApprox.from_rational(self.budget, x)
-        raise TypeError(f"cannot coerce {x!r} into Zhat")
+        y = ProfiniteApprox._embed(self.budget, x)
+        if y is NotImplemented:
+            raise TypeError(f"cannot coerce {x!r} into Zhat")
+        return y
 
     def zero(self):
         return ProfiniteApprox.from_int(self.budget, 0)
@@ -518,7 +513,7 @@ def adams_series(r, T: int) -> TruncSeries:
     raise TypeError("Adams exponent must be an integer or a ProfiniteApprox")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _lg_coeffs(r: int, T: int) -> tuple[Fraction, ...]:
     """[x^d] lg_r = (-1)^r c(d, r) / d! for d <= T, with c(d, j) the unsigned
     Stirling numbers of the first kind from the row recurrence
@@ -546,7 +541,7 @@ def lg_series(r: int, T: int) -> TruncSeries:
     return TruncSeries(Q, T, list(_lg_coeffs(r, T)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def chain_weights(r: int, T: int) -> tuple:
     """w[m][i] = sum over chains i = i_1 < ... < i_r = m of 1/(i_1...i_r)."""
     w = [[Fraction(0)] * (T + 1) for _ in range(T + 1)]
@@ -662,7 +657,7 @@ def compose_op(H: TruncSeries, H2: TruncSeries) -> TruncSeries:
     return Composer(H.truncate(T)).compose(H2.truncate(T))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k), from the row recurrence
     S(m, j) = j S(m-1, j) + S(m-1, j-1) iterated up to row n."""

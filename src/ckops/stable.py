@@ -207,6 +207,15 @@ def _phi_image_lattice(D: int, r: int, q: int):
     return howell_form(ModMatrix(q, _phi_image_rows(D, r, q), cols=D))
 
 
+def _in_phi_image(G: TruncSeries, D: int, r: int, p: int, k: int) -> bool:
+    """Does G mod (p^k, x^D) lie in the image lattice of Phi^r: the one
+    lattice read of s_oracle and tower_member."""
+    from .linalg import in_howell_span
+
+    target = [_coeff_residue(G, i, p, k) for i in range(D)]
+    return in_howell_span(_phi_image_lattice(D, r, p**k), target)
+
+
 def s_oracle(G: TruncSeries, p: int, e: int, T: int) -> bool:
     """Membership in every iterated Phi-image lattice, per quotient window.
 
@@ -224,8 +233,6 @@ def s_oracle(G: TruncSeries, p: int, e: int, T: int) -> bool:
     with (cross-checked in the tests and in the ``s-dual-route`` suite).
     ``p`` must be a prime, a budget prime for a profinite G: ValueError.
     """
-    from .linalg import in_howell_span
-
     _check_prime(G, p, "s_oracle")
     if T > G.trunc:
         raise PrecisionError("oracle window exceeds the stored truncation")
@@ -237,8 +244,7 @@ def s_oracle(G: TruncSeries, p: int, e: int, T: int) -> bool:
         r = 1
         while _phi_image_lattice(m, r + 1, q) != _phi_image_lattice(m, r, q):
             r += 1
-        target = [_coeff_residue(G, i, p, n) for i in range(m)]
-        if not in_howell_span(_phi_image_lattice(m, r, q), target):
+        if not _in_phi_image(G, m, r, p, n):
             return False
     return True
 
@@ -277,8 +283,6 @@ def tower_member(G: TruncSeries, n: int, budget: PrimeBudget) -> bool:
             exact_int(c, i)
     if n < 1:
         return True
-    from .linalg import in_howell_span
-
     D = G.trunc + 1
     for p in budget.primes:
         e = budget.exponent(p)
@@ -287,9 +291,7 @@ def tower_member(G: TruncSeries, n: int, budget: PrimeBudget) -> bool:
         if e < 1:
             i = next(i for i, c in enumerate(G.coeffs) if c.prec[p] == 0)
             raise PrecisionError(f"coefficient {i} has no digits at p={p}")
-        q = p**e
-        target = [_coeff_residue(G, i, p, e) for i in range(D)]
-        if not in_howell_span(_phi_image_lattice(D, e + 1, q), target):
+        if not _in_phi_image(G, D, e + 1, p, e):
             return False
     return True
 
@@ -360,10 +362,8 @@ class _NodeWeights:
                 val, unit = self.val[p], self.unit[p]
                 v_new, u_new = 0, (-1) ** self.size  # prod (a - b) = (-1)^size prod diffs
                 for j, d in enumerate(diffs):
-                    v = 0
-                    while d % p == 0:
-                        d //= p
-                        v += 1
+                    v = vp(d, p)  # d != 0: a repeated node returned above
+                    d //= p**v
                     val[j] += v
                     unit[j] = unit[j] * d % q
                     v_new += v

@@ -6,8 +6,8 @@ kernel, the scaled-sum composition, Phi^n one step at a time, the
 validating profinite binary kernel, the twisted-Adams integrality rule,
 the substitution with one MultiSeries per power, the iterated partial
 derivative with one substitution per subset, the MultiSeries product on
-exponent tuples and the stable-membership congruences summed window by
-window."""
+exponent tuples, the stable-membership congruences summed window by
+window and the e-basis coefficients by finite differences."""
 
 import math
 from fractions import Fraction
@@ -15,7 +15,7 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from ckops import ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
+from ckops import NumericalPoly, ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
 from ckops.arith import PrecisionError, largest_prime_power, rational_mod, set_primes_upto
 from ckops.linalg import ModMatrix
 from ckops.multisym import MultiSeries, _as_multi, star_sum
@@ -289,3 +289,24 @@ def s_criterion_by_windows(G: TruncSeries, primes=None) -> CriterionReport:
                         skipped.append((p, n, m))
                         break
     return CriterionReport(True, None, skipped)
+
+
+def to_e_basis_by_differences(mono_coeffs) -> NumericalPoly | None:
+    """to_e_basis by finite differences, e_n = (-1)^n (Delta^n f)(0) with f
+    evaluated at 0..n: the route its Stirling band replaced."""
+    cs = [Q.coerce(c) for c in mono_coeffs]
+
+    def f(x: int) -> Fraction:
+        acc = Fraction(0)
+        for j, c in enumerate(cs):
+            acc += c * x**j
+        return acc
+
+    out = []
+    for n in range(len(cs)):
+        delta = sum((-1) ** (n - k) * math.comb(n, k) * f(k) for k in range(n + 1))
+        e_n = (-1) ** n * delta
+        if e_n.denominator != 1:
+            return None
+        out.append(int(e_n))
+    return NumericalPoly(tuple(out))

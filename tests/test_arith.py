@@ -292,6 +292,8 @@ def test_profinite_constructor_reduces_and_keeps_precision():
     ((2, 3), (4, 0), "exponents must be >= 1"),
     ((2, 2), (4, 4), "distinct"),
     ((2, 3), (4,), "align"),
+    # a value over no prime has no digits, and was answered as zero
+    ((), (), "budget names no prime"),
 ])
 def test_budget_constructor_names_bad_input(primes, exponents, message):
     with pytest.raises(ValueError, match=message):

@@ -294,6 +294,7 @@ def _profinite_file(budget, *entries):
 
 _HALF = {"ring": "Q", "trunc": 3, "coeffs": ["1/2", "0", "0", "0"]}
 _SHORT = {"ring": "Q", "trunc": 2, "coeffs": ["0", "1/2", "1/3"]}
+_NO_PRIME = {"ring": {"profinite": []}, "trunc": 3, "coeffs": [{"primes": []}] * 4}
 _BLIND = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
           "coeffs": [{"primes": [[2, 1, 0]]}, {"primes": [[2, 0, 0]]}, {"primes": [[2, 1, 0]]}]}
 _BLIND_NONZERO = {"ring": {"profinite": [[2, 1], [3, 1]]}, "trunc": 3,
@@ -364,6 +365,10 @@ _BLIND_0 = {"ring": {"profinite": [[2, 1]]}, "trunc": 3,
         ([1, 2], ["s"], "a series is a JSON object, not [1, 2]"),
         ({"ring": {"profinite": [[2, 4]]}, "trunc": 1, "coeffs": [{"primes": [[2, 4, 1]]}, 5]},
          ["opnm"], "coefficient 1 = 5 is not a JSON object"),
+        # a budget of no prime carries no digit, and its series was a member
+        (_NO_PRIME, ["qn", "--n", "2"], "budget names no prime"),
+        (_NO_PRIME, ["qnm", "--n", "2", "--m", "3"], "budget names no prime"),
+        (_NO_PRIME, ["opnm", "--n", "1", "--m", "3"], "budget names no prime"),
     ],
 )
 def test_inexact_input_is_named_error(tmp_path, capsys, series, test, reason):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from ckops import (
     NumericalPoly,
     PrecisionError,
     PrimeBudget,
+    ProfiniteApprox,
+    Q,
     SeqWindow,
     TruncSeries,
     Z,
@@ -25,7 +28,8 @@ from ckops.arith import crt_lift
 from ckops.kgr import _basis_window, _fn_cached, assemble_TZ
 from ckops.linalg import ModMatrix, howell_form, in_howell_span
 from ckops.stable import a_min
-from oracles import span_enumerate
+from ckops.series import ProfiniteRing
+from oracles import combine_by_terms, span_enumerate, to_e_basis_by_differences
 
 
 # -- pairing -----------------------------------------------------------------------
@@ -71,6 +75,74 @@ def test_pair_is_b_map_dual():
         for n in range(9):
             sn = to_e_basis([0] * n + [1])
             assert pair(sn, G) == w[n]
+
+
+def _values(x):
+    """A ring value with everything that tells it apart: type, and residues
+    and precisions for a profinite one."""
+    if isinstance(x, ProfiniteApprox):
+        return type(x), x.residue, x.prec
+    return type(x), x
+
+
+def test_pair_is_one_combination_of_its_coefficients():
+    # production route: one ring.combine row; oracle: the term-by-term sum
+    # from ring.zero(), which skips only a zero weight
+    rng = random.Random(2)
+    B = PrimeBudget.uniform((2, 3), 3)
+    zhat = ProfiniteRing(B)
+    for trial in range(300):
+        T = rng.randint(0, 8)
+        ring = (Q, Z, zhat)[trial % 3]
+        if ring is zhat:
+            coeffs = [ProfiniteApprox(B, {p: rng.randrange(27) for p in B.primes},
+                                      {p: rng.randint(0, 3) for p in B.primes}) for _ in range(T + 1)]
+        elif ring is Q:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(T + 1)]
+        else:
+            coeffs = [rng.randint(-9, 9) for _ in range(T + 1)]
+        G = TruncSeries(ring, T, coeffs)
+        deg = rng.randint(-1, T)
+        # trailing zeros beyond T + 1 are allowed: the support is what counts
+        e = [rng.choice((0, rng.randint(-5, 5))) for _ in range(deg + 1)] + [0] * rng.randint(0, 3)
+        f = NumericalPoly(e)
+        want = combine_by_terms(ring, G.coeffs, [e[: T + 1]])[0]
+        assert _values(pair(f, G)) == _values(want), (trial, T, e)
+
+
+def _monomials(e_coeffs):
+    """Monomial coefficients in s of sum_n e_n (-1)^n C(s, n)."""
+    out = [Fraction(0)] * len(e_coeffs)
+    falling = [1]  # s (s - 1) ... (s - n + 1)
+    for n, c in enumerate(e_coeffs):
+        for j, a in enumerate(falling):
+            out[j] += Fraction(c * (-1) ** n * a, math.factorial(n))
+        falling = [(falling[j - 1] if j else 0) - (n * falling[j] if j < len(falling) else 0)
+                   for j in range(len(falling) + 1)]
+    return out
+
+
+def test_to_e_basis_matches_finite_differences():
+    # production route: b_map's transposed Stirling band; oracle: the
+    # finite differences it replaced, on numerical polynomials, on ones
+    # with one coefficient moved off the lattice, and on arbitrary ones
+    rng = random.Random(3)
+    for deg in range(-1, 13):
+        for _ in range(12):
+            e = [rng.randint(-6, 6) for _ in range(deg + 1)]
+            mono = _monomials(e)
+            assert to_e_basis(mono) == to_e_basis_by_differences(mono) == NumericalPoly(e)
+            if deg >= 0:
+                # s^j / k takes the value 1/k at s = 1: never numerical
+                mono[rng.randint(0, deg)] += Fraction(1, rng.choice((2, 3, 5, 7, 12)))
+                assert to_e_basis(mono) is None and to_e_basis_by_differences(mono) is None
+            wild = [rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 30))))
+                    for _ in range(deg + 1)]
+            assert to_e_basis(wild) == to_e_basis_by_differences(wild)
+    # s^n/n! is numerical only for n <= 1, so both routes answer None
+    for n in range(2, 13):
+        mono = [0] * n + [Fraction(1, math.factorial(n))]
+        assert to_e_basis(mono) is None and to_e_basis_by_differences(mono) is None
 
 
 # -- numerical polynomials ------------------------------------------------------------
@@ -358,6 +430,15 @@ def test_basis_window_beyond_the_budget_raises(primes, e, bs, m, T, n):
         decompose_TZ(assemble_TZ(bs, -m, m + 1, T, B), m, T, B)
     with pytest.raises(PrecisionError, match=f"basis sequence {n} "):
         _basis_window(n, -m, m + 1, T, B)
+
+
+def test_basis_window_beside_the_pivot_checks_the_modulus():
+    # (2)^8 holds no 4! d_4 = 5760, and this window beside the pivot -2 read
+    # (128, 128) for want of any check; a wide budget reads it exactly
+    wide = PrimeBudget.uniform((2, 3, 5, 7, 11, 13), 8)
+    assert assemble_TZ([0, 0, 0, 0, 1], -4, -3, 12, wide) == SeqWindow(-4, (846720, 51840))
+    with pytest.raises(PrecisionError, match=r"basis sequence 4 needs a modulus of at least 2 \* 4! d_4 = 11520"):
+        assemble_TZ([0, 0, 0, 0, 1], -4, -3, 12, PrimeBudget.uniform((2,), 8))
 
 
 def test_numerical_poly_rejects_a_non_integer_coefficient():

@@ -4,6 +4,7 @@ loads, and value semantics of the record classes."""
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -144,6 +145,19 @@ def test_demo_prints_its_recorded_output(demo):
     proc = subprocess.run([sys.executable, str(_DEMOS / f"{demo}.py")], capture_output=True,
                           env=env, cwd=_DEMOS.parent, check=True)
     assert proc.stdout == (_DEMOS / "expected" / f"{demo}.txt").read_bytes()
+
+
+def test_every_cache_is_bounded():
+    # a long session must not grow a table without bound; the four caches
+    # whose hit ratios the benchmark reads are among them
+    caches = {}
+    for info in pkgutil.iter_modules(ckops.__path__):
+        module = importlib.import_module(f"ckops.{info.name}")
+        caches.update((f"{info.name}.{name}", fn) for name, fn in vars(module).items()
+                      if hasattr(fn, "cache_info"))
+    assert {"series._lg_coeffs", "series.chain_weights", "series.stirling2", "kgr._fn_cached"} <= set(caches)
+    for name, fn in caches.items():
+        assert fn.cache_info().maxsize is not None, name
 
 
 # -- value semantics of the record classes -------------------------------------------
