@@ -27,16 +27,22 @@ class IncompatibleCongruences(ValueError):
     """A congruence system has no solution; the message names the clash."""
 
 
-def vp(n: int, p: int) -> int:
-    """Largest k with p**k dividing n.  Raises InfiniteValuation for n = 0."""
+def vp_split(n: int, p: int) -> tuple[int, int]:
+    """(k, n // p**k) for the largest k with p**k dividing n: the valuation
+    and the part of n prime to p, sign kept.  Raises InfiniteValuation for
+    n = 0."""
     if n == 0:
         raise InfiniteValuation(f"v_{p}(0) is infinite")
-    n = abs(n)
     k = 0
     while n % p == 0:
         n //= p
         k += 1
-    return k
+    return k, n
+
+
+def vp(n: int, p: int) -> int:
+    """Largest k with p**k dividing n (``vp_split``'s valuation)."""
+    return vp_split(n, p)[0]
 
 
 def vp_fraction(q: Fraction, p: int) -> int:
@@ -398,8 +404,7 @@ class ProfiniteApprox:
         n = abs(n)
         prec, res = {}, {}
         for p in self.budget.primes:
-            v = vp(n, p)
-            unit = n // p**v
+            v, unit = vp_split(n, p)
             k = self.prec[p] - v
             if k < 0:
                 raise PrecisionError(

@@ -10,6 +10,8 @@ a plain MultiSeries keyed by full exponent tuples, so a symmetry test reads
 every coefficient and the data structure cannot assume the answer.  Inside
 a product and a substitution the keys are packed into ints, bucketed by
 total degree (``_Packing``), and only the kept keys are unpacked, once.
+A Zhat zero known to fewer digits than the budget is kept (``_drops``), so
+every later sum keeps its precision instead of reading it as an exact 0.
 """
 
 from __future__ import annotations
@@ -28,32 +30,44 @@ class NotIntegrable(ArithmeticError):
     """The input was not double-symmetric within truncation."""
 
 
+def _drops(ring):
+    """The test by which a container drops a value: ``ring.is_zero`` (an
+    unknown value raises PrecisionError naming ``at``) and, over Zhat, the
+    full budget exponent at every prime."""
+    if not isinstance(ring, ProfiniteRing):
+        return ring.is_zero
+    full = ring.budget.full_prec
+    return lambda v, at=None: v.is_zero(at) and v.prec == full
+
+
 class MultiSeries:
     """Plain (unsorted-key) container: dict from exponent tuple to value,
     truncated by total degree; zero coefficients are not stored.  Pruning
-    asks ``ring.is_zero`` once per value: a profinite coefficient with no
-    digits at some prime is unknown and raises PrecisionError naming its
-    key, so no unknown coefficient is ever stored."""
+    asks ``_drops`` once per value: no unknown coefficient is ever stored,
+    and a profinite zero known to fewer digits is, which ``is_zero`` and
+    ``total_valuation`` read as zero."""
 
     __slots__ = ("ring", "nvars", "trunc", "coeffs")
 
     def __init__(self, ring, nvars: int, trunc: int, coeffs=None):
         self.ring, self.nvars, self.trunc, self.coeffs = ring, nvars, trunc, {}
         if coeffs:
+            drops = _drops(ring)
             for key, val in coeffs.items():
                 if len(key) != nvars:
                     raise ValueError(f"key {key} has arity {len(key)} != {nvars}")
                 if sum(key) > trunc:
                     continue
                 v = ring.coerce(val)
-                if not ring.is_zero(v, key):
+                if not drops(v, key):
                     self.coeffs[tuple(key)] = v
 
     def get(self, key):
         return self.coeffs.get(tuple(key), self.ring.zero())
 
     def is_zero(self):
-        return not self.coeffs
+        """Every stored value zero by ``ring.is_zero`` (``series.all_zero``)."""
+        return all_zero(self.ring, self.coeffs.items())
 
     def _binop(self, other, fn):
         if not isinstance(other, MultiSeries) or other.nvars != self.nvars or self.ring != other.ring:
@@ -100,34 +114,41 @@ class MultiSeries:
         return f"MultiSeries({self.nvars} vars, T={self.trunc}, {{{body}{more}}})"
 
     def total_valuation(self) -> int | None:
-        """Smallest total degree of a nonzero monomial; None beyond trunc."""
-        return min((sum(k) for k in self.coeffs), default=None)
+        """Smallest total degree of a nonzero monomial, skipping stored
+        values that are zero within their precision; None beyond trunc."""
+        is_zero = self.ring.is_zero
+        return min((sum(k) for k, v in self.coeffs.items() if not is_zero(v, k)), default=None)
 
 
 def is_symmetric(M: MultiSeries) -> bool:
-    """Coefficientwise symmetry under all variable permutations.  A stored
-    key whose permutation is missing, or a known nonzero difference within
-    an orbit, decides False; otherwise an unknown difference raises
+    """Coefficientwise symmetry under all variable permutations.  Each
+    stored value is compared with the first of its orbit, or with zero
+    where some permutation of its key is not stored (an exact zero, while a
+    stored value may be a zero known to fewer digits).  A known nonzero
+    difference decides False; otherwise an unknown difference raises
     PrecisionError naming its key (``series.all_zero``), whatever the
     order of the coefficients."""
     groups: dict[tuple, list] = {}
     for key, val in M.coeffs.items():
         groups.setdefault(tuple(sorted(key)), []).append((key, val))
+    diffs = []
     for skey, items in groups.items():
         nperms = math.factorial(M.nvars) // math.prod(map(math.factorial, Counter(skey).values()))
-        if len(items) != nperms:
-            return False
-    return all_zero(M.ring, ((key, v - items[0][1])
-                             for items in groups.values() for key, v in items[1:]))
+        if len(items) == nperms:
+            diffs += [(key, v - items[0][1]) for key, v in items[1:]]
+        else:
+            diffs += items
+    return all_zero(M.ring, diffs)
 
 
 def _as_multi(G) -> MultiSeries:
-    """G as a plain container.  A univariate G keeps every nonzero
-    coefficient; an unknown one raises PrecisionError (``ring.is_zero``)."""
+    """G as a plain container.  A univariate G keeps every coefficient that
+    ``_drops`` keeps; an unknown one raises PrecisionError naming its degree."""
     if isinstance(G, TruncSeries):
         M = MultiSeries(G.ring, 1, G.trunc)
+        drops = _drops(G.ring)
         for i, c in enumerate(G.coeffs):
-            if not G.ring.is_zero(c, i):
+            if not drops(c, i):
                 M.coeffs[(i,)] = c
         return M
     if isinstance(G, MultiSeries):
@@ -160,11 +181,12 @@ class _Packing:
     """A series as T + 1 dicts, one per total degree, keyed by exponent
     tuples packed into ints in base T + 1: a product adds only keys whose
     degrees sum to at most T, so no exponent exceeds T and no addition
-    carries.  Pruning asks ``ring.is_zero(v)``; a key is unpacked to name an
+    carries.  Pruning asks ``_drops(ring)(v)``; a key is unpacked to name an
     unknown value."""
 
     def __init__(self, ring, nvars: int, T: int):
         self.ring, self.T, self.powers = ring, T, [(T + 1) ** i for i in range(nvars)]
+        self.drops = _drops(ring)
 
     def buckets(self, coeffs) -> list[dict]:
         out = [{} for _ in range(self.T + 1)]
@@ -182,13 +204,13 @@ class _Packing:
         return out
 
     def prune(self, acc: dict, keys) -> None:
-        is_zero = self.ring.is_zero
+        drops = self.drops
         for p in keys:
             try:
-                if is_zero(acc[p]):
+                if drops(acc[p]):
                     del acc[p]
             except PrecisionError:
-                is_zero(acc[p], self.key(p))  # raises again, naming the tuple key
+                drops(acc[p], self.key(p))  # raises again, naming the tuple key
 
     def mul(self, A, B) -> list[dict]:
         """A * B, each sum of products pruned once, at the end."""

@@ -36,6 +36,14 @@ class TruncationExhausted(ArithmeticError):
 # coefficient rings
 
 
+def _trim(row: tuple) -> tuple:
+    """An integer row without its trailing zeros, where its sums stop."""
+    n = len(row)
+    while n and not row[n - 1]:
+        n -= 1
+    return row[:n]
+
+
 class _ExactRing:
     """Q and Z, named by ``tag``: exact coefficients, so zero is zero."""
 
@@ -78,7 +86,7 @@ class RationalRing(_ExactRing):
         its rows as integer numerators over one common denominator Lc."""
         Lc = math.lcm(*(c.denominator for col in cols for c in col))
         mat = [[c.numerator * (Lc // c.denominator) for c in col] for col in cols]
-        return Lc, tuple(zip(*mat))
+        return Lc, tuple(map(_trim, zip(*mat)))
 
     @staticmethod
     def apply(values, prepared):
@@ -118,7 +126,7 @@ class IntegerRing(_ExactRing):
 
     @staticmethod
     def prepare(cols):
-        return tuple(zip(*cols))
+        return tuple(map(_trim, zip(*cols)))
 
     @staticmethod
     def apply(values, rows):
@@ -181,11 +189,12 @@ class ProfiniteRing:
         factors ring values: prepared once for a matrix, applied to many
         vectors.  Here, per prime, the residue rows and each row's least
         precision (Q's rows are integer numerators over one common
-        denominator, Z's plain ints)."""
+        denominator, Z's plain ints), each without its trailing zeros
+        (``_trim``); the least precision is read over the whole row."""
         rows = list(zip(*cols))
         per_prime = []
         for p, e in self.budget.full_prec.items():
-            residues = [tuple([c.residue[p] for c in row]) for row in rows]
+            residues = [_trim(tuple([c.residue[p] for c in row])) for row in rows]
             least = [min([c.prec[p] for c in row], default=e) for row in rows]
             per_prime.append((p, e, tuple(zip(residues, least))))
         return len(rows), tuple(per_prime)
@@ -608,7 +617,10 @@ class Composer:
     H = sum_k b_k (1-x)^k (adams_coordinates), substituting [j](x) maps k
     to jk and the sum over j closes to U_0 = H(0), U_i = sum_{k>=1} b_k
     [k](x)^i: one ring.combine of the b_k with the integer tensor
-    [x^d] [k](x)^i.  Building the tensor by repeated products is Theta(T^4)
+    [x^d] [k](x)^i.  [k](x)^i has valuation i, so the table is
+    lower-triangular (a Jabotinsky matrix): the combine covers only the
+    T(T+1)/2 entries with d >= i, and U_i starts with i copies of one
+    ring.zero().  Building the tensor by repeated products is Theta(T^4)
     integer multiply-adds (9,996 at T = 16), the combine O(T^3); O(T^2)
     ring values, no substitution, division-free, hence valid over Z and
     profinite coefficients.  Precision is ring.combine's: [x^d] U_i has
@@ -616,20 +628,21 @@ class Composer:
 
     The table is prepared for the ring's bilinear kernel once, here
     (ring.prepare: Q's integer numerators over one denominator, profinite
-    residue rows with their least precisions), so compose(H') is one
-    ring.apply of H'.coeffs (coerced into H's ring first) to it, padded
-    with ring.zero() to the table's size; the first T'+1 outputs are kept
-    (the padding meets only [x^d] U_i with i > d, exact zeros at full
-    precision).  Precision rule: a profinite [x^d] of the result has, at
-    each prime, the least precision of every a_i and every [x^d] U_i.
+    residue rows with their least precisions; every row stops at its last
+    nonzero entry, so row d reads a_0..a_d at most), and compose(H') is one
+    ring.apply of H'.coeffs to it, coerced into H's ring only when H' is
+    over another ring.  A right factor of lower truncation T' is not
+    padded: the first T'+1 outputs are kept.  Precision rule: a profinite
+    [x^d] of the result has, at each prime, the least precision of every
+    a_i and every [x^d] U_i.
     """
 
     def __init__(self, H: TruncSeries):
         self.H = H
         self.ring = H.ring
         T = H.trunc
-        # rows[(i-1)(T+1) + d][k] = [x^d] [k](x)^i for i >= 1
-        rows = [[0] * (T + 1) for _ in range(T * (T + 1))]
+        # tensor[i - 1][d - i][k] = [x^d] [k](x)^i for 1 <= i <= d <= T
+        tensor = [[[0] * (T + 1) for _ in range(i, T + 1)] for i in range(1, T + 1)]
         for k in range(1, T + 1):
             arg = [0] + [(-1) ** (d + 1) * math.comb(k, d) for d in range(1, T + 1)]
             power = [1] + [0] * T
@@ -638,16 +651,19 @@ class Composer:
                 power = [sum(power[e] * arg[d - e] for e in range(max(i - 1, d - k), d))
                          for d in range(T + 1)]
                 for d in range(i, T + 1):
-                    rows[(i - 1) * (T + 1) + d][k] = power[d]
-        U = self.ring.combine(adams_coordinates(H), rows)
-        self.U = [TruncSeries(self.ring, T, [H.coeffs[0]])] + [
-            TruncSeries(self.ring, T, U[j:j + T + 1]) for j in range(0, len(U), T + 1)]
+                    tensor[i - 1][d - i][k] = power[d]
+        entries = iter(self.ring.combine(adams_coordinates(H), [row for rows in tensor for row in rows]))
+        zero = self.ring.zero()
+        self.U = [TruncSeries._trusted(self.ring, T, [H.coeffs[0]] + [zero] * T)] + [
+            TruncSeries._trusted(self.ring, T, [zero] * i + [next(entries) for _ in range(i, T + 1)])
+            for i in range(1, T + 1)]
         self._table = self.ring.prepare([U.coeffs for U in self.U])
 
     def compose(self, H2: TruncSeries) -> TruncSeries:
         T = min(self.H.trunc, H2.trunc)
-        a = [self.ring.coerce(c) for c in H2.coeffs[:T + 1]]
-        a += [self.ring.zero() for _ in range(self.H.trunc - T)]
+        a = H2.coeffs[:T + 1]
+        if H2.ring != self.ring:
+            a = [self.ring.coerce(c) for c in a]
         return TruncSeries._trusted(self.ring, T, self.ring.apply(a, self._table)[:T + 1])
 
 

@@ -30,6 +30,7 @@ from .arith import (
     set_primes_upto,
     vp,
     vp_factorial,
+    vp_split,
 )
 from .series import (
     ProfiniteRing,
@@ -276,8 +277,11 @@ def tower_member(G: TruncSeries, n: int, budget: PrimeBudget) -> bool:
     not extend to d_j/p^k for k >= 2.
 
     A Q or Z coefficient that is not an integer raises ValueError
-    (``exact_int``) at every level, n < 1 (always a member) included.
+    (``exact_int``) at every level, n < 1 (always a member) included, as
+    does a budget prime outside a profinite G's budget (``_check_prime``).
     """
+    for p in budget.primes:
+        _check_prime(G, p, "tower_member")
     if not isinstance(G.ring, ProfiniteRing):
         for i, c in enumerate(G.coeffs):
             exact_int(c, i)
@@ -362,8 +366,7 @@ class _NodeWeights:
                 val, unit = self.val[p], self.unit[p]
                 v_new, u_new = 0, (-1) ** self.size  # prod (a - b) = (-1)^size prod diffs
                 for j, d in enumerate(diffs):
-                    v = vp(d, p)  # d != 0: a repeated node returned above
-                    d //= p**v
+                    v, d = vp_split(d, p)  # d != 0: a repeated node returned above
                     val[j] += v
                     unit[j] = unit[j] * d % q
                     v_new += v

@@ -7,7 +7,8 @@ validating profinite binary kernel, the twisted-Adams integrality rule,
 the substitution with one MultiSeries per power, the iterated partial
 derivative with one substitution per subset, the MultiSeries product on
 exponent tuples, the stable-membership congruences summed window by
-window and the e-basis coefficients by finite differences."""
+window, the e-basis coefficients by finite differences, and the
+random-lift soundness check of a profinite route."""
 
 import math
 from fractions import Fraction
@@ -16,10 +17,10 @@ from operator import mul
 from typing import Sequence
 
 from ckops import NumericalPoly, ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
-from ckops.arith import PrecisionError, largest_prime_power, rational_mod, set_primes_upto
+from ckops.arith import PrecisionError, crt_lift, largest_prime_power, rational_mod, set_primes_upto
 from ckops.linalg import ModMatrix
 from ckops.multisym import MultiSeries, _as_multi, star_sum
-from ckops.series import IntegerRing, ProfiniteRing, RationalRing, exact_int
+from ckops.series import IntegerRing, ProfiniteRing, RationalRing, SeqWindow, Z, exact_int
 from ckops.stable import CriterionReport, _coeff_residue
 
 
@@ -310,3 +311,50 @@ def to_e_basis_by_differences(mono_coeffs) -> NumericalPoly | None:
             return None
         out.append(int(e_n))
     return NumericalPoly(tuple(out))
+
+
+def _lift(x, rng):
+    """x with each profinite value, alone or in a TruncSeries or MultiSeries,
+    replaced by a random integer consistent with its residues and
+    precisions; any other argument as it is."""
+    if isinstance(x, ProfiniteApprox):
+        r, m = crt_lift([(x.residue[p], p**k) for p, k in x.prec.items()])
+        return r + m * rng.randrange(-x.budget.modulus, x.budget.modulus)
+    if isinstance(x, TruncSeries) and isinstance(x.ring, ProfiniteRing):
+        return TruncSeries(Z, x.trunc, [_lift(c, rng) for c in x.coeffs])
+    if isinstance(x, MultiSeries) and isinstance(x.ring, ProfiniteRing):
+        return MultiSeries(Z, x.nvars, x.trunc, {k: _lift(v, rng) for k, v in x.coeffs.items()})
+    return x
+
+
+def _by_key(out) -> dict:
+    """A route's output as {key: value}: degrees, exponent tuples, sequence
+    indices or list positions."""
+    if isinstance(out, MultiSeries):
+        return dict(out.coeffs)
+    if isinstance(out, SeqWindow):
+        return dict(enumerate(out.values, out.start))
+    return dict(enumerate(out.coeffs if isinstance(out, TruncSeries) else out))
+
+
+def lift_check(route, args, budget, rng, lifts: int = 3) -> list | None:
+    """The random-lift soundness check of a route over Zhat: run ``route``
+    on ``args`` and, ``lifts`` times, on an integer lift of them (``_lift``).
+    Every profinite output value must agree with the lift's output modulo
+    p^(its precision) at each prime, and a key the profinite output does
+    not hold (a pruned MultiSeries key) is read as the exact 0, modulo the
+    full ``budget``.  Returns the disagreements as (key, prime, profinite
+    value, integer value); None when the profinite route raises
+    PrecisionError, which claims no digits."""
+    try:
+        got = _by_key(route(*args))
+    except PrecisionError:
+        return None
+    zero = ProfiniteApprox.from_int(budget, 0)
+    bad = []
+    for _ in range(lifts):
+        want = _by_key(route(*[_lift(a, rng) for a in args]))
+        for key in got.keys() | want.keys():
+            v, x = got.get(key, zero), want.get(key, 0)
+            bad += [(key, p, v, x) for p, k in v.prec.items() if (x - v.residue[p]) % p**k]
+    return bad

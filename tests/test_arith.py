@@ -21,7 +21,7 @@ from ckops import (
     vp,
     vp_factorial,
 )
-from ckops.arith import is_prime, largest_prime_power, rational_reconstruct, set_primes_upto
+from ckops.arith import is_prime, largest_prime_power, rational_reconstruct, set_primes_upto, vp_split
 from oracles import validating_zip
 
 
@@ -29,6 +29,20 @@ def test_vp_examples():
     assert vp(12, 2) == 2
     assert vp(12, 5) == 0
     assert vp(4032, 7) == 1
+    assert vp(-4032, 7) == 1
+
+
+def test_vp_split_is_valuation_and_unit_part():
+    # one loop gives both: n = p^v u with p not dividing u, sign in u
+    assert vp_split(12, 2) == (2, 3)
+    assert vp_split(-4032, 7) == (1, -576)
+    assert vp_split(5, 3) == (0, 5)
+    for n in [*range(-60, 0), *range(1, 61), 2**40 * 3**7]:
+        for p in (2, 3, 5, 7):
+            v, u = vp_split(n, p)
+            assert v == vp(n, p) and n == p**v * u and u % p, (n, p)
+    with pytest.raises(InfiniteValuation):
+        vp_split(0, 3)
 
 
 def test_largest_prime_power_examples():

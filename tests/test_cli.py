@@ -115,6 +115,17 @@ def test_check_qnm_coefficient_without_digits_is_error(tmp_path, capsys):
     assert "coefficient 1 has no digits at p=2" in json.loads(out)["error"]
 
 
+def test_check_qnm_keeps_a_zero_known_to_fewer_digits(tmp_path, capsys):
+    # G = -4x + a2 x^2 at budget 2^4 with a2 = 2 known mod 4: the x1 x2
+    # coefficient of partial G is 4 + 2 a2 = 0 mod 8, a member.  Read as an
+    # exact 0, the product 2 a2 (0 mod 2^2) made the route answer 1
+    f = tmp_path / "low.json"
+    f.write_text(json.dumps({"ring": {"profinite": [[2, 4]]}, "trunc": 2, "coeffs": [
+        {"primes": [[2, 4, 0]]}, {"primes": [[2, 4, 12]]}, {"primes": [[2, 2, 2]]}]}))
+    code, out = run(capsys, "check", "--input", str(f), "--test", "qnm", "--n", "2", "--m", "3")
+    assert (code, out) == (0, '{"member":true,"test":"qnm"}\n')
+
+
 def test_check_malformed_json(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text("{not json")

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from ckops import MultiSeries, PrecisionError, PrimeBudget, ProfiniteApprox, ProfiniteRing, Q
 from ckops import TruncSeries, TruncationExhausted, Z, adams_series, dn, in_Opnm_phi, in_Qn, in_Qnm
-from ckops import Composer, b_map, interval_in_N, iter_partial, lg_decompose, lg_series, phi
+from ckops import Composer, b_map, desuspend, interval_in_N, iter_partial, lg_decompose, lg_series, phi
 from ckops import s_criterion, s_oracle, series, star_sum, tower_member
 from ckops.arith import crt_lift
 from ckops.multisym import subst_first
+from ckops.series import adams_coordinates
 from ckops.suites import random_membership_witness
 from oracles import compose_by_matvec, compose_by_scaling, iter_partial_by_subsets, multi_mul_by_terms
-from oracles import phi_by_steps, s_criterion_by_windows, subst_first_by_powers
+from oracles import lift_check, phi_by_steps, s_criterion_by_windows, subst_first_by_powers
 
 _BUDGET = PrimeBudget.uniform((2, 3, 5), 4)
 _ZHAT = ProfiniteRing(_BUDGET)
@@ -185,7 +186,26 @@ def test_iter_partial_equals_subset_sum_oracle(data):
         # m = 0 only keeps the monomials with a positive x_1 exponent; the
         # oracle's G - G(0, ...) cancels an x_1-free one to an unknown zero
         return
-    assert _exact(iter_partial(G, m)) == _exact(iter_partial_by_subsets(G, m))
+    _agree_within_precision(iter_partial(G, m), iter_partial_by_subsets(G, m))
+
+
+def _agree_within_precision(got: MultiSeries, want: MultiSeries):
+    """Production against an oracle whose cancellations v - v keep zeros
+    known only to the digits of v, where production knows the cancellation
+    is exact: equal coefficients, types, residues and precisions at every
+    key where either side holds a value nonzero within its precision; at
+    any other key a value only the oracle holds is zero within its
+    precision, and production's precision is never below the oracle's.  A
+    key a side does not hold reads as the exact zero."""
+    assert (got.ring, got.nvars, got.trunc) == (want.ring, want.nvars, want.trunc)
+    R = got.ring
+    exact = _exact(got)[3], _exact(want)[3]
+    for key in got.coeffs.keys() | want.coeffs.keys():
+        g, w = got.coeffs.get(key, R.zero()), want.coeffs.get(key, R.zero())
+        if not (R.is_zero(g) and R.is_zero(w)):
+            assert exact[0].get(key) == exact[1].get(key), key
+        elif R is _ZHAT:
+            assert all(g.prec[p] >= k for p, k in w.prec.items()), key
 
 
 @pytest.mark.parametrize("T,n", [(10, 3), (10, 4), (12, 3), (12, 4)])
@@ -364,14 +384,20 @@ def test_compose_equals_one_shot_kernel_and_scaling_oracles(data):
     # reads it afresh and against one scaled series per term: right factors
     # of truncation below, at and above the left one's, several on one
     # Composer in any order, and the first composed again at the end, so a
-    # prepared table changed by any call would show
+    # prepared table changed by any call would show.  A Q Composer also
+    # takes a Z right factor, coerced into Q
     ring = data.draw(st.sampled_from(sorted(_RINGS)))
-    R, coeff, T = _RINGS[ring], _composition_coeff(ring), data.draw(st.integers(0, 8))
+    R, coeff, T = _RINGS[ring], _composition_coeff(ring), data.draw(st.integers(0, 24))
     C = Composer(TruncSeries(R, T, data.draw(st.lists(coeff, min_size=T + 1, max_size=T + 1))))
     truncs = data.draw(st.permutations([max(T - 1, 0), T, T + 1]))
+    truncs += data.draw(st.lists(st.integers(0, T), min_size=1, max_size=2))
     truncs += data.draw(st.lists(st.integers(0, T + 2), max_size=2))
     rights = [TruncSeries(R, t, data.draw(st.lists(coeff, min_size=t + 1, max_size=t + 1)))
               for t in truncs]
+    if ring == "Q":
+        t = data.draw(st.integers(0, T + 1))
+        rights.append(TruncSeries(Z, t, data.draw(st.lists(_composition_coeff("Z"), min_size=t + 1,
+                                                            max_size=t + 1))))
     table = C._table
     got = [_exact_series(C.compose(H2)) for H2 in rights]
     assert _exact_series(C.compose(rights[0])) == got[0]
@@ -411,6 +437,91 @@ def test_b_map_on_zhat_agrees_with_an_integer_lift(data):
     assert len(got) == len(want) == N + 1
     for v, w in zip(got, want):
         assert all(v.residue[p] == w % p**k for p, k in v.prec.items())
+
+
+# -- oracle-free: every Zhat route is sound on random integer lifts ---------
+
+
+def _lift_budget(rng: random.Random) -> PrimeBudget:
+    primes = rng.choice([(2,), (3,), (2, 3), (2, 3, 5)])
+    return PrimeBudget(primes, tuple(rng.randint(2, 5) for _ in primes))
+
+
+def _lift_value(rng: random.Random, B: PrimeBudget, exact: bool = False) -> ProfiniteApprox:
+    """A Zhat value; unless ``exact``, below full precision at a prime two
+    times in five and without digits one time in twenty.  Residues are
+    often 0 or divisible by p, so sums and products cancel to zeros known
+    to fewer digits."""
+    prec, res = {}, {}
+    for p, e in B.full_prec.items():
+        u = rng.random()
+        prec[p] = e if exact or u < 0.6 else (0 if u < 0.65 else rng.randint(1, e - 1))
+        res[p] = rng.choice([0, p * rng.randrange(p**e), rng.randrange(p**e)])
+    return ProfiniteApprox(B, res, prec)
+
+
+def _lift_series(rng: random.Random, B: PrimeBudget, T: int, exact: bool = False) -> TruncSeries:
+    return TruncSeries(ProfiniteRing(B), T, [_lift_value(rng, B, exact) for _ in range(T + 1)])
+
+
+def _lift_multi(rng: random.Random, B: PrimeBudget, nvars: int, T: int, least: int) -> MultiSeries:
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        d = rng.randint(least, T)
+        cuts = sorted(rng.randint(0, d) for _ in range(nvars - 1))
+        terms[tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))] = _lift_value(rng, B)
+    return MultiSeries(ProfiniteRing(B), nvars, T, _known(terms))
+
+
+def _subst_case(rng, B):
+    nvars, head = rng.randint(1, 2), rng.randint(1, 2)
+    out_n, T = head + nvars - 1, rng.randint(1, 7 if nvars == 1 else 4)
+    G, P = _lift_multi(rng, B, nvars, T, 0), _lift_multi(rng, B, out_n, T, 1)
+    return lambda G, P: subst_first(G, P, out_n, range(head, out_n)), (G, P)
+
+
+def _compose_case(rng, B):
+    # digits below full precision on the left, on the right, or on both
+    T, side = rng.randint(0, 7), rng.randrange(3)
+    H = _lift_series(rng, B, T, exact=side == 1)
+    H2 = _lift_series(rng, B, rng.randint(0, T + 1), exact=side == 0)
+    return lambda H, H2: Composer(H).compose(H2), (H, H2)
+
+
+def _univariate_case(route, least=0):
+    def case(rng, B):
+        return route, (_lift_series(rng, B, rng.randint(least, 7)),)
+    return case
+
+
+_LIFT_CASES = {
+    "iter_partial-1": _univariate_case(lambda G: iter_partial(G, 1)),
+    "iter_partial-2": _univariate_case(lambda G: iter_partial(G, 2)),
+    "subst_first": _subst_case,
+    "phi-1": _univariate_case(lambda G: phi(G, 1), 1),
+    "phi-2": _univariate_case(lambda G: phi(G, 2), 2),
+    "desuspend": _univariate_case(lambda G: desuspend(G, 2), 1),
+    "adams_coordinates": _univariate_case(adams_coordinates),
+    "b_map": _univariate_case(lambda G: b_map(G, G.trunc + 2)),
+    "compose": _compose_case,
+}
+
+
+@pytest.mark.parametrize("route", sorted(_LIFT_CASES))
+def test_zhat_route_is_sound_on_random_lifts(route):
+    # each output digit a route claims holds for every integer lift of its
+    # input (oracles.lift_check): no oracle route, so it covers every
+    # truncation, budget and precision the draws reach.  A route that
+    # raises PrecisionError claims nothing, but most draws must be checked
+    rng = random.Random(f"lift {route}")
+    checked = 0
+    for draw in range(60):
+        B = _lift_budget(rng)
+        fn, args = _LIFT_CASES[route](rng, B)
+        bad = lift_check(fn, args, B, rng)
+        assert not bad, (draw, args, bad[0])
+        checked += bad is not None
+    assert checked >= 20
 
 
 # -- oracle-free: every membership test decides a group ----------------------

@@ -174,6 +174,16 @@ def test_coefficient_without_digits_is_unknown_not_dropped():
     assert iter_partial(TruncSeries(ring, 3, [zero] * 4), 1).coeffs == {}
 
 
+def test_iter_partial_keeps_the_digits_of_a_low_precision_product():
+    # G = x + a2 x^2 at budget 2^4, a2 = 2 known mod 4: [x1 x2] partial G =
+    # -1 + 2 a2 = 3 mod 8.  The product 2 a2 is 0 mod 2^2, a zero known to
+    # two digits; read as an exact 0 it gave 15 mod 2^4
+    B = PrimeBudget.uniform([2], 4)
+    R = ProfiniteRing(B)
+    D = iter_partial(TruncSeries(R, 2, [0, 1, ProfiniteApprox(B, {2: 2}, {2: 2})]), 1)
+    assert {k: v.to_json() for k, v in D.coeffs.items()} == {(1, 1): {"primes": [[2, 2, 3]]}}
+
+
 def test_multiseries_unknown_coefficient_raises():
     # a zero without digits at p = 2 is unknown: the constructor, +/-, scale
     # and * raise instead of pruning it, as TruncSeries does
@@ -192,8 +202,11 @@ def test_multiseries_unknown_coefficient_raises():
         M.scale(81)
     with pytest.raises(PrecisionError, match=r"coefficient \(1, 1\) has no digits at p=2"):
         M * MultiSeries(R, 2, 3, {(0, 1): 81})
-    # a zero known at every prime is still pruned
-    assert MultiSeries(R, 2, 3, {(1, 0): ProfiniteApprox(B, {2: 0, 3: 0}, {2: 1, 3: 4})}).is_zero()
+    # a zero known at every prime is zero; known to fewer digits than the
+    # budget at p = 2, it is kept, and a full-precision zero is pruned
+    low = MultiSeries(R, 2, 3, {(1, 0): ProfiniteApprox(B, {2: 0, 3: 0}, {2: 1, 3: 4})})
+    assert low.is_zero() and list(low.coeffs) == [(1, 0)] and low.total_valuation() is None
+    assert MultiSeries(R, 2, 3, {(1, 0): ProfiniteApprox(B, {2: 0, 3: 0})}).coeffs == {}
 
 
 def test_subst_first_names_an_unknown_zero_by_its_key():
@@ -209,11 +222,14 @@ def test_subst_first_names_an_unknown_zero_by_its_key():
     G = MultiSeries(R, 2, 3, {(1, 0): a, (0, 1): -a})
     with pytest.raises(PrecisionError, match=r"^coefficient \(1,\) has no digits at p=2"):
         subst_first(G, MultiSeries(R, 1, 3, {(1,): 1}), 1, [0])
-    # with a digit at p = 2 the same sum is a known zero and is pruned
+    # with a digit at p = 2 the same sum is a known zero, but known to one
+    # digit of the budget's two at each prime, so it is kept as it is
     b = ProfiniteApprox(B, {2: 0, 3: 1}, {2: 1, 3: 1})
     G = MultiSeries(R, 2, 3, {(1, 0): b, (0, 1): -b, (2, 0): b})
     S = subst_first(G, MultiSeries(R, 1, 3, {(1,): 1}), 1, [0])
-    assert {k: v.to_json() for k, v in S.coeffs.items()} == {(2,): b.to_json()}
+    assert {k: v.to_json() for k, v in S.coeffs.items()} == {
+        (1,): {"primes": [[2, 1, 0], [3, 1, 0]]}, (2,): b.to_json()}
+    assert S.total_valuation() == 2
 
 
 def test_multiseries_eq_needs_equal_ring_arity_and_truncation():
@@ -266,6 +282,18 @@ def test_is_symmetric_unknown_difference_raises():
     five, six = ProfiniteApprox.from_int(B, 5), ProfiniteApprox.from_int(B, 6)
     assert is_symmetric(MultiSeries(R, 2, 3, {(1, 0): five, (0, 1): five}))
     assert not is_symmetric(MultiSeries(R, 2, 3, {(1, 0): five, (0, 1): six}))
+
+
+def test_is_symmetric_reads_a_kept_zero_as_zero():
+    # a zero known to one digit of two is kept, and its permutation, an
+    # exact zero, is not stored: symmetric, as a zero at full precision is
+    B = PrimeBudget.uniform([2, 3], 2)
+    R = ProfiniteRing(B)
+    low = ProfiniteApprox(B, {2: 0, 3: 0}, {2: 1, 3: 2})
+    M = MultiSeries(R, 2, 3, {(1, 0): low, (1, 1): 5})
+    assert list(M.coeffs) == [(1, 0), (1, 1)]
+    assert is_symmetric(M)
+    assert not is_symmetric(MultiSeries(R, 2, 3, {(1, 0): low, (2, 1): 5}))
 
 
 def test_is_symmetric_known_difference_decides_in_any_order():

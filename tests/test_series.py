@@ -549,14 +549,16 @@ def _count_constructions(monkeypatch) -> dict:
 
 
 def test_composer_makes_quadratically_many_ring_values(monkeypatch):
-    # the table is one combine of T+1 Adams coordinates: (T+1)(T+2) profinite
-    # values at most, where one ring operation per term made thousands; the
-    # combine alone makes T(T+1), so the hook sees every construction
+    # the table is one combine of T+1 Adams coordinates over the d >= i half
+    # of the tensor: (T+1)(T+2)/2 + T + 1 profinite values at most, where one
+    # ring operation per term made thousands; the combine alone makes
+    # T(T+1)/2, so the hook sees every construction
     T = 12
     H = adams_series(prof(PrimeBudget.uniform([2, 3, 5, 7], 12), 11), T)
     made = _count_constructions(monkeypatch)
     Composer(H)
-    assert T * (T + 1) <= made["validating"] + made["trusted"] <= (T + 1) * (T + 2)
+    total = made["validating"] + made["trusted"]
+    assert T * (T + 1) // 2 <= total <= (T + 1) * (T + 2) // 2 + T + 1
 
 
 def test_kernels_make_no_validating_constructions(monkeypatch):
@@ -683,6 +685,31 @@ def test_composer_prepares_its_table_once(monkeypatch, ring):
     for T2 in (2, 6, 9, 0):
         C.compose(TruncSeries(ring, T2, _compose_coeffs(rng, ring, T2 + 1)))
     assert len(calls) == 1
+
+
+def _prepared_rows(C) -> list:
+    """The integer rows of a Composer's prepared table: one list for Q and
+    Z, one per prime for Zhat."""
+    if isinstance(C.ring, ProfiniteRing):
+        return [[row for row, _ in rows] for _, _, rows in C._table[1]]
+    return [C._table[1] if C.ring == Q else C._table]
+
+
+@pytest.mark.parametrize("ring", [Q, Z, ProfiniteRing(_COMPOSE_BUDGET)], ids=["Q", "Z", "Zhat"])
+def test_composer_table_stops_at_the_diagonal(ring):
+    # U_i has valuation i, so [x^d] of a composition reads a_0..a_d only:
+    # row d of the prepared table holds at most d + 1 entries, at every
+    # prime over Zhat, and the left factors below reach the diagonal
+    rng = random.Random(f"diagonal {ring}")
+    full = 0
+    for T in (0, 1, 2, 5, 9, 16):
+        for H in (TruncSeries(ring, T, _compose_coeffs(rng, ring, T + 1)),
+                  (lg_series(1, T) if ring == Q else adams_series(-3, T)).map_coeffs(ring.coerce, ring)):
+            for rows in _prepared_rows(Composer(H)):
+                assert len(rows) == T + 1
+                assert all(len(row) <= d + 1 for d, row in enumerate(rows)), (T, H)
+                full += len(rows[T]) == T + 1
+    assert full >= 6
 
 
 def test_rational_coercion_shares_fractions():

@@ -179,6 +179,14 @@ def test_criterion_rejects_a_prime_outside_the_budget():
     assert s_criterion(A, primes=[2]).ok
 
 
+def test_tower_member_rejects_a_prime_outside_the_budget():
+    # once a bare KeyError: 2 from the coefficient precisions
+    G = TruncSeries(ProfiniteRing(PrimeBudget.uniform((3, 5), 2)), 3, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match=r"tower_member prime 2 is outside the budget primes \(3, 5\)"):
+        tower_member(G, 1, PrimeBudget.uniform((2, 3), 3))
+    assert tower_member(G, 1, PrimeBudget.uniform((3,), 2))
+
+
 @pytest.mark.parametrize("bad", [4, 1, -3, 2.0, True])
 def test_oracle_rejects_a_non_prime(bad):
     # s_oracle(adams_series(3, 6), 4, 2, 6) once answered True
