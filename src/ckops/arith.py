@@ -552,15 +552,8 @@ def compatible_lift(b: Mapping[int, ProfiniteApprox], m: int, primes=None) -> in
 
 
 def set_primes_upto(n: int) -> list[int]:
-    """Primes <= n by a small sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(range(i * i, n + 1, i))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    """Primes <= n, each decided by ``is_prime``."""
+    return [p for p in range(2, n + 1) if is_prime(p)]
 
 
 # Miller-Rabin with the primes up to 37 as bases decides every n below this

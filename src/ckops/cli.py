@@ -45,16 +45,6 @@ def _check_counts(args) -> None:
             raise ValueError(f"--{flag} must be >= 0, got {value}")
 
 
-def _require_primes(G, budget) -> None:
-    """A profinite input is unknown at primes outside its own budget, so it
-    must carry every --primes prime that the s and tower tests read."""
-    from .series import ProfiniteRing
-    if isinstance(G.ring, ProfiniteRing):
-        missing = [p for p in budget.primes if p not in G.ring.budget.primes]
-        if missing:
-            raise ValueError(f"input budget {G.ring.budget.to_json()} lacks --primes {missing}")
-
-
 def _emit(data) -> None:
     sys.stdout.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -86,7 +76,6 @@ def cmd_check(args) -> int:
     verdict: dict = {"test": args.test}
     if args.test in ("s", "tower"):
         from .stable import s_criterion, tower_member
-        _require_primes(G, budget)
     else:
         from .classify import in_Opnm_phi, in_Qn, in_Qnm
     if args.test == "qn":

@@ -51,8 +51,6 @@ class _ExactRing:
     def is_zero(x, at=None):
         return x == 0
 
-    is_exact_zero = is_zero
-
     def to_json(self):
         return self.tag
 
@@ -161,10 +159,6 @@ class ProfiniteRing:
     def is_zero(x, at=None):
         """Zero, nonzero, or PrecisionError naming ``at`` when unknown."""
         return x.is_zero(at)
-
-    # a profinite zero is zero only to its precision, which every product
-    # with it keeps: no term is ever skipped
-    is_exact_zero = staticmethod(lambda x: False)
 
     def combine(self, values, rows):
         """[sum_k row[k] * values[k] for row in rows], rows of plain integers:
@@ -349,8 +343,6 @@ class TruncSeries:
         T = self._align(other)
         out = [self.ring.zero() for _ in range(T + 1)]
         for i, a in enumerate(self.coeffs[: T + 1]):
-            if self.ring.is_exact_zero(a):
-                continue
             for j in range(T + 1 - i):
                 b = other.coeffs[j]
                 out[i + j] = out[i + j] + a * b

@@ -112,12 +112,17 @@ def _coeff_residue(G: TruncSeries, i: int, p: int, k: int) -> int:
     return exact_int(c, i) % p**k
 
 
-def _check_prime(G: TruncSeries, p, caller: str) -> None:
-    """ValueError naming p unless it is a prime, a budget prime for Zhat G."""
-    if type(p) is not int or not is_prime(p):
-        raise ValueError(f"{caller} prime {p!r} is not a prime")
-    if isinstance(G.ring, ProfiniteRing) and p not in G.ring.budget.moduli:
-        raise ValueError(f"{caller} prime {p} is outside the budget primes {G.ring.budget.primes}")
+def _check_primes(G: TruncSeries, primes, caller: str) -> None:
+    """ValueError naming the first entry of ``primes`` that is not a prime,
+    or else, for Zhat G, every one outside G's budget."""
+    for p in primes:
+        if type(p) is not int or not is_prime(p):
+            raise ValueError(f"{caller} prime {p!r} is not a prime")
+    if isinstance(G.ring, ProfiniteRing):
+        missing = [p for p in primes if p not in G.ring.budget.moduli]
+        if missing:
+            what = f"prime {missing[0]} is" if len(missing) == 1 else f"primes {missing} are"
+            raise ValueError(f"{caller} {what} outside the budget primes {G.ring.budget.primes}")
 
 
 def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
@@ -136,7 +141,8 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
     the ``witness``.  A coefficient below m without n digits at p skips
     (p, n, m) and every later m: such instances are reported in
     ``skipped``, never silently passed.  ``primes`` must be primes, within
-    the budget of a profinite G; anything else raises ValueError.
+    the budget of a profinite G; anything else raises ValueError, which
+    names every prime outside that budget.
 
     This is the production route for stable membership; s_oracle is its
     oracle (cross-checked in the tests and in the ``s-dual-route`` suite).
@@ -150,8 +156,7 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
         primes = G.ring.budget.primes if profinite else set_primes_upto(T + 1)
     else:
         primes = list(primes)
-        for p in primes:
-            _check_prime(G, p, "s_criterion")
+        _check_primes(G, primes, "s_criterion")
     skipped = []
     for p in sorted(primes):
         nmax, _ = largest_prime_power(p, T + 1)
@@ -234,7 +239,7 @@ def s_oracle(G: TruncSeries, p: int, e: int, T: int) -> bool:
     with (cross-checked in the tests and in the ``s-dual-route`` suite).
     ``p`` must be a prime, a budget prime for a profinite G: ValueError.
     """
-    _check_prime(G, p, "s_oracle")
+    _check_primes(G, [p], "s_oracle")
     if T > G.trunc:
         raise PrecisionError("oracle window exceeds the stored truncation")
     for n in range(1, e + 1):
@@ -278,10 +283,10 @@ def tower_member(G: TruncSeries, n: int, budget: PrimeBudget) -> bool:
 
     A Q or Z coefficient that is not an integer raises ValueError
     (``exact_int``) at every level, n < 1 (always a member) included, as
-    does a budget prime outside a profinite G's budget (``_check_prime``).
+    does a budget prime outside a profinite G's budget, each one named
+    (``_check_primes``).
     """
-    for p in budget.primes:
-        _check_prime(G, p, "tower_member")
+    _check_primes(G, budget.primes, "tower_member")
     if not isinstance(G.ring, ProfiniteRing):
         for i, c in enumerate(G.coeffs):
             exact_int(c, i)

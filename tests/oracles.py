@@ -7,8 +7,8 @@ validating profinite binary kernel, the twisted-Adams integrality rule,
 the substitution with one MultiSeries per power, the iterated partial
 derivative with one substitution per subset, the MultiSeries product on
 exponent tuples, the stable-membership congruences summed window by
-window, the e-basis coefficients by finite differences, and the
-random-lift soundness check of a profinite route."""
+window, the e-basis coefficients by finite differences, the random-lift
+soundness check of a profinite route, and the primes by a sieve."""
 
 import math
 from fractions import Fraction
@@ -17,7 +17,7 @@ from operator import mul
 from typing import Sequence
 
 from ckops import NumericalPoly, ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
-from ckops.arith import PrecisionError, crt_lift, largest_prime_power, rational_mod, set_primes_upto
+from ckops.arith import PrecisionError, crt_lift, largest_prime_power, rational_mod
 from ckops.linalg import ModMatrix
 from ckops.multisym import MultiSeries, _as_multi, star_sum
 from ckops.series import IntegerRing, ProfiniteRing, RationalRing, SeqWindow, Z, exact_int
@@ -127,14 +127,11 @@ def compose_by_matvec(C, H2) -> TruncSeries:
 
 def compose_by_scaling(C, H2) -> TruncSeries:
     """Composer.compose one scaled series per term: out + U_i.scale(a_i)
-    from the zero series, skipping only an exact zero a_i."""
+    from the zero series, no term skipped."""
     T = min(C.H.trunc, H2.trunc)
     out = TruncSeries.zero(C.ring, T)
     for i in range(T + 1):
-        a = H2.coeffs[i]
-        if C.ring.is_exact_zero(a):
-            continue
-        out = out + C.U[i].truncate(T).scale(a)
+        out = out + C.U[i].truncate(T).scale(H2.coeffs[i])
     return out
 
 
@@ -184,7 +181,8 @@ def subst_first_by_powers(
     """multisym.subst_first with one MultiSeries per step: each slice of G
     at x_1^k a tuple-keyed series, each power P^(k-1) * P through
     ``MultiSeries.__mul__`` and each power times its slice added with
-    ``MultiSeries.__add__``.  The route the packed power chain replaced."""
+    ``MultiSeries.__add__``, the chain stopping once a power stores no
+    coefficient.  The route the packed power chain replaced."""
     T = min(G.trunc, P.trunc)
     ring = G.ring
     slices: dict[int, MultiSeries] = {}
@@ -208,7 +206,7 @@ def subst_first_by_powers(
     for k in range(kmax + 1):
         if k > 0:
             power = power * P
-            if power.is_zero():
+            if not power.coeffs:
                 break
         if k in slices:
             out = out + power * slices[k]
@@ -234,9 +232,10 @@ def iter_partial_by_subsets(G, m: int) -> MultiSeries:
 
 def multi_mul_by_terms(A: MultiSeries, B) -> MultiSeries:
     """A * B with tuple keys: every pair of terms within the truncation adds
-    its exponent tuples, and the sum is pruned once at the end (a scalar B
-    scales).  The route the packed-integer kernel of MultiSeries.__mul__
-    replaced."""
+    its exponent tuples, and the sum is pruned once at the end: a value
+    goes when it is zero and, over Zhat, known to the full budget exponent
+    at every prime (a scalar B scales).  The route the packed-integer
+    kernel of MultiSeries.__mul__ replaced."""
     if not isinstance(B, MultiSeries):
         return A.scale(B)
     T = min(A.trunc, B.trunc)
@@ -253,8 +252,10 @@ def multi_mul_by_terms(A: MultiSeries, B) -> MultiSeries:
             cur = acc.get(key)
             prod = v1 * v2
             acc[key] = cur + prod if cur is not None else prod
-    is_zero = A.ring.is_zero
-    for key in [k for k, v in acc.items() if is_zero(v, k)]:
+    ring = A.ring
+    full = ring.budget.full_prec if isinstance(ring, ProfiniteRing) else None
+    for key in [k for k, v in acc.items()
+                if ring.is_zero(v, k) and (full is None or v.prec == full)]:
         del acc[key]
     return out
 
@@ -272,7 +273,7 @@ def s_criterion_by_windows(G: TruncSeries, primes=None) -> CriterionReport:
         if isinstance(G.ring, ProfiniteRing):
             primes = list(G.ring.budget.primes)
         else:
-            primes = set_primes_upto(T + 1)
+            primes = primes_by_sieve(T + 1)
     skipped = []
     for p in sorted(primes):
         nmax, _ = largest_prime_power(p, T + 1)
@@ -358,3 +359,16 @@ def lift_check(route, args, budget, rng, lifts: int = 3) -> list | None:
             v, x = got.get(key, zero), want.get(key, 0)
             bad += [(key, p, v, x) for p, k in v.prec.items() if (x - v.residue[p]) % p**k]
     return bad
+
+
+def primes_by_sieve(n: int) -> list[int]:
+    """Primes <= n by the sieve of Eratosthenes: the route
+    ``arith.set_primes_upto`` had before it read ``is_prime``."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(range(i * i, n + 1, i))
+    return [i for i in range(2, n + 1) if sieve[i]]

@@ -22,7 +22,7 @@ from ckops import (
     vp_factorial,
 )
 from ckops.arith import is_prime, largest_prime_power, rational_reconstruct, set_primes_upto, vp_split
-from oracles import validating_zip
+from oracles import primes_by_sieve, validating_zip
 
 
 def test_vp_examples():
@@ -244,8 +244,9 @@ def test_rational_reconstruct_round_trip():
 
 
 def test_is_prime_matches_sieve_and_rejects_strong_pseudoprimes():
-    primes = set(set_primes_upto(20000))
-    assert [n for n in range(-3, 20001) if is_prime(n)] == sorted(primes)
+    primes = set(primes_by_sieve(20000))
+    assert [n for n in range(-3, 20001) if is_prime(n)] == sorted(primes) == set_primes_upto(20000)
+    assert all(set_primes_upto(n) == primes_by_sieve(n) for n in range(-2, 40))
     # composites that pass Miller-Rabin to some of the bases, and Carmichael
     # numbers with no factor among the bases (41*61*101, 41*73*137)
     for n in (341, 561, 2047, 3215031751, 3825123056546413051, 10**18 + 1, 252601, 410041):

@@ -187,6 +187,19 @@ def test_tower_member_rejects_a_prime_outside_the_budget():
     assert tower_member(G, 1, PrimeBudget.uniform((3,), 2))
 
 
+def test_every_prime_outside_the_budget_is_named():
+    # one ValueError names all of them
+    G = to_profinite(adams_series(3, 6), PrimeBudget.uniform([2], 4))
+    missing = r"primes \[3, 5, 7\] are outside the budget primes \(2,\)$"
+    with pytest.raises(ValueError, match="s_criterion " + missing):
+        s_criterion(G, primes=[2, 3, 5, 7])
+    with pytest.raises(ValueError, match="tower_member " + missing):
+        tower_member(G, 1, PrimeBudget.uniform((2, 3, 5, 7), 4))
+    # a non-prime is named before any missing prime
+    with pytest.raises(ValueError, match=r"s_criterion prime 4 is not a prime$"):
+        s_criterion(G, primes=[3, 4])
+
+
 @pytest.mark.parametrize("bad", [4, 1, -3, 2.0, True])
 def test_oracle_rejects_a_non_prime(bad):
     # s_oracle(adams_series(3, 6), 4, 2, 6) once answered True
