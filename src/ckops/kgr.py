@@ -84,14 +84,18 @@ def reflect(a: SeqWindow) -> SeqWindow:
 def interval_in_N(v, budget: PrimeBudget) -> bool:
     """Membership of the tuple v in the lattice generated by the unit power
     rows (1, r, ..., r^(n-1)), n = len(v), per budget prime p with q = p^e.
+    The rows are b's image of the unit Adams series, b(A_r)_j = r^j: this
+    is the sequence-side transpose of ``stable._stable_lattice``.
 
     The n(p-1) units below n*p, ``a_min(p, n*(p-1))``, generate that
     lattice: a row depends on r mod q only, every unit is r0 + p*t with
     0 < r0 < p and t >= 0, and t -> row(r0 + p*t) is a polynomial of degree
     < n, so Newton's forward differences write it as an integer combination
     (weights C(t, k)) of its values at t = 0..n-1, the units r0 + p*t below
-    n*p.  One Howell form of their rows decides membership.
+    n*p.  One Howell form of their rows decides membership.  An entry that
+    is not an integer raises ValueError naming it (``exact_int``).
     """
+    v = [exact_int(c, i) for i, c in enumerate(v)]
     n = len(v)
     for p in budget.primes:
         q = p ** budget.exponent(p)

@@ -4,10 +4,9 @@ the basis, desuspension-tower membership, and the multiplicative layer.
 
 Two independent membership routes are kept deliberately: s_criterion tests
 the explicit binomial-sum congruences, s_oracle tests membership in the
-iterated Phi-image lattices over quotient rings; their agreement is the
-module's central check.  One memoized builder, ``_phi_image_lattice``,
-serves both lattice routes, s_oracle and tower_member; its rows are read
-off series' cached integer band of Phi^r, the one Phi^n kernel.
+stable lattice, spanned by the unit Adams series, of each quotient window;
+their agreement is the module's central check.  One memoized builder,
+``_stable_lattice``, serves both lattice routes, s_oracle and tower_member.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .series import (
     ProfiniteRing,
     TruncationExhausted,
     TruncSeries,
-    _phi_band,
     adams_series,
     exact_int,
     phi,
@@ -188,69 +186,67 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
     return CriterionReport(True, None, skipped)
 
 
-def _phi_image_rows(D: int, r: int, q: int) -> list[list[int]]:
-    """Truncations to degree < D of Phi^r(x^k), k = 1..D+r-1, mod q: these
-    span the full image of Phi^r on series, reduced mod (q, x^D), read off
-    the band of Phi^r at truncation D+r-1."""
-    rows = _phi_band(r, D + r - 1)
-    return [[rows[d][k] % q for d in range(D)] for k in range(1, D + r)]
+# bound on the stable lattices kept per process: a key (D, p, e) comes from
+# tower_member (D = trunc + 1) or an s_oracle window (m, p, n), so a session
+# revisits few, and the bound keeps a long one from growing
+_STABLE_LATTICE_CACHE_SIZE = 256
 
 
-# bound on the Phi-image lattices kept per process: a key is a window, a
-# level and a modulus, (D, e + 1, p^e) from tower_member and (m, r, p^n)
-# from s_oracle's walk, so a session revisits few, and the bound keeps a
-# long one from growing
-_PHI_LATTICE_CACHE_SIZE = 256
+@lru_cache(maxsize=_STABLE_LATTICE_CACHE_SIZE)
+def _stable_lattice(D: int, p: int, e: int):
+    """The Howell form of the unit Adams series (1-x)^k mod (p^e, x^D),
+    1 <= k < D + e, p not dividing k: an immutable ModMatrix shared by
+    every caller with the same (D, p, e).
 
-
-@lru_cache(maxsize=_PHI_LATTICE_CACHE_SIZE)
-def _phi_image_lattice(D: int, r: int, q: int):
-    """The image lattice L_r of Phi^r mod (q, x^D) as the Howell form of
-    ``_phi_image_rows``: an immutable ModMatrix, shared by every caller
-    with the same (D, r, q); the one builder of s_oracle and tower_member."""
+    It is the image L_r of Phi^r mod (p^e, x^D) for every r >= e.  L_r is
+    spanned by Phi^r(x^k), k < D + r (the rest vanish below degree D).  As
+    Phi (1-x)^k = k (1-x)^k and the change of basis from x^k to (1-x)^k is
+    triangular with diagonal +-1, L_r is the span of k^r (1-x)^k, k < D + r.
+    For r >= e a k divisible by p adds 0 and a unit k^r changes no span, so
+    L_r = U_r, the span of the unit rows with k < D + r; and U_r <= U_(r+1)
+    = L_(r+1) <= L_r: the chain is constant from r = e.  This is the
+    paper's generation of stable operations by multiplicative ones at
+    finite precision."""
     from .linalg import ModMatrix, howell_form
 
-    return howell_form(ModMatrix(q, _phi_image_rows(D, r, q), cols=D))
+    rows = [[(-1) ** j * math.comb(k, j) for j in range(D)] for k in range(1, D + e) if k % p]
+    return howell_form(ModMatrix(p**e, rows, cols=D))
 
 
-def _in_phi_image(G: TruncSeries, D: int, r: int, p: int, k: int) -> bool:
-    """Does G mod (p^k, x^D) lie in the image lattice of Phi^r: the one
-    lattice read of s_oracle and tower_member."""
+def _in_stable_lattice(G: TruncSeries, D: int, p: int, e: int) -> bool:
+    """Does G mod (p^e, x^D) lie in ``_stable_lattice(D, p, e)``?"""
     from .linalg import in_howell_span
 
-    target = [_coeff_residue(G, i, p, k) for i in range(D)]
-    return in_howell_span(_phi_image_lattice(D, r, p**k), target)
+    return in_howell_span(_stable_lattice(D, p, e), [_coeff_residue(G, i, p, e) for i in range(D)])
 
 
 def s_oracle(G: TruncSeries, p: int, e: int, T: int) -> bool:
-    """Membership in every iterated Phi-image lattice, per quotient window.
+    """Membership in the stable lattice of every quotient window.
 
     For each n <= e with q = p^n <= T+1 and m the largest multiple of q at
     most T+1, the ideal (q, x^m) is Phi-stable: the step x^m -> x^(m-1)
     carries the factor -m = 0 mod q, so Phi induces an operator on
-    Z/q[x]/(x^m), and the rows x^k with k >= m of ``_phi_image_lattice``
-    vanish below degree m; L_r = _phi_image_lattice(m, r, q) is the image
-    of Phi^r there.  G must lie in L_r for every r.  As L_(r+1) = Phi(L_r),
-    the chain decreases and is constant from its first repeat, which a
-    strictly decreasing chain in (Z/p^n)^m reaches within n*m steps; the
-    walk from r = 1 stops there and tests membership once.
+    Z/q[x]/(x^m), where the image of Phi^r is L_r mod (q, x^m).  G must lie
+    in L_r for every r; the chain decreases and is constant from r = n,
+    where it is ``_stable_lattice(m, p, n)``, the span of the unit Adams
+    series: one membership test per window decides.
 
     The oracle for the production route s_criterion, which it must agree
     with (cross-checked in the tests and in the ``s-dual-route`` suite).
-    ``p`` must be a prime, a budget prime for a profinite G: ValueError.
+    ``p`` must be a prime, a budget prime for a profinite G, and e and T
+    must be >= 0: ValueError.  e = 0 tests no window.
     """
     _check_primes(G, [p], "s_oracle")
+    for name, value in (("e", e), ("T", T)):
+        if value < 0:
+            raise ValueError(f"s_oracle {name} must be >= 0, got {value}")
     if T > G.trunc:
         raise PrecisionError("oracle window exceeds the stored truncation")
     for n in range(1, e + 1):
         q = p**n
         if q > T + 1:
             break
-        m = (T + 1) // q * q
-        r = 1
-        while _phi_image_lattice(m, r + 1, q) != _phi_image_lattice(m, r, q):
-            r += 1
-        if not _in_phi_image(G, m, r, p, n):
+        if not _in_stable_lattice(G, (T + 1) // q * q, p, n):
             return False
     return True
 
@@ -261,25 +257,24 @@ def tower_member(G: TruncSeries, n: int, budget: PrimeBudget) -> bool:
 
     The tower maps compose to Phi-powers, so this is membership of G's
     window mod (p^e, x^D), D = trunc + 1, in the image lattice L_r of Phi^r
-    for every r >= n.  As Phi^(r+1)(x^k) = k Phi^r(x^k) - k Phi^r(x^(k-1))
-    and Phi^r(x^(D+r)) vanishes below degree D, L_(r+1) lies in L_r; the
-    chain is constant once r >= e, so one row-span test per prime, at
-    r = e + 1 whatever the level n >= 1, decides: a certificate-free
-    membership test against the Howell form of the image rows (a test pins
-    L_r = L_(e+1) for r up to e + 6).  e is the budget exponent, lowered to
-    the least precision of a profinite G.  That Howell form depends only on
-    (D, e + 1, p^e), not on G or n: each process builds it once per key and
-    keeps at most _PHI_LATTICE_CACHE_SIZE of them (``_phi_image_lattice``,
-    the lattice builder s_oracle walks too).
+    for every r >= n.  The chain decreases and is constant from r = e, where
+    it is ``_stable_lattice(D, p, e)``, the span of the unit Adams series:
+    one certificate-free row-span test per budget prime decides, whatever
+    the level n >= 1.  e is the budget exponent, lowered to the least
+    precision of a profinite G.  The lattice depends only on (D, p, e):
+    each process builds it once per key and keeps at most
+    _STABLE_LATTICE_CACHE_SIZE of them.
 
     Pinned by tests for j <= 4: d x^j (stored at truncation j) passes level
     j+1 when d_j divides d, and fails for d = 1 and d = d_j/2.  This is no
     "iff" at finite precision: at budget (p)^e, d_j/p x^j passes level j+1
     exactly while e < e_min(p, j) = v_p(d_j) + v_p(j!) - (j mod (p-1)),
-    which is j + v_2(j!) at p = 2.  The law is a conjecture, not derived
-    here; a test checks it at every j with p | d_j for p = 2 (j <= 16),
-    p = 3 (j <= 20), p = 5 and 7 (j <= 22) and p = 11 (j <= 24).  It does
-    not extend to d_j/p^k for k >= 2.
+    which is j + v_2(j!) at p = 2.  So e_min(p, j) is the least e at which
+    d_j/p x^j leaves the unit-Adams span mod (p^e, x^(j+1)), where a
+    derivation of the law would start.  The law is a conjecture, not
+    derived here; a test checks it at every j with p | d_j for p = 2
+    (j <= 16), p = 3 (j <= 20), p = 5 and 7 (j <= 22) and p = 11 (j <= 24).
+    It does not extend to d_j/p^k for k >= 2.
 
     A Q or Z coefficient that is not an integer raises ValueError
     (``exact_int``) at every level, n < 1 (always a member) included, as
@@ -300,7 +295,7 @@ def tower_member(G: TruncSeries, n: int, budget: PrimeBudget) -> bool:
         if e < 1:
             i = next(i for i, c in enumerate(G.coeffs) if c.prec[p] == 0)
             raise PrecisionError(f"coefficient {i} has no digits at p={p}")
-        if not _in_phi_image(G, D, e + 1, p, e):
+        if not _in_stable_lattice(G, D, p, e):
             return False
     return True
 

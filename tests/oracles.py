@@ -7,8 +7,10 @@ validating profinite binary kernel, the twisted-Adams integrality rule,
 the substitution with one MultiSeries per power, the iterated partial
 derivative with one substitution per subset, the MultiSeries product on
 exponent tuples, the stable-membership congruences summed window by
-window, the e-basis coefficients by finite differences, the random-lift
-soundness check of a profinite route, and the primes by a sieve."""
+window, the image lattices of Phi^r spanned by its band and their walk to
+the first repeat, the e-basis coefficients by finite differences, the
+random-lift soundness check of a profinite route, and the primes by a
+sieve."""
 
 import math
 from fractions import Fraction
@@ -18,9 +20,9 @@ from typing import Sequence
 
 from ckops import NumericalPoly, ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
 from ckops.arith import PrecisionError, crt_lift, largest_prime_power, rational_mod
-from ckops.linalg import ModMatrix
+from ckops.linalg import ModMatrix, howell_form
 from ckops.multisym import MultiSeries, _as_multi, star_sum
-from ckops.series import IntegerRing, ProfiniteRing, RationalRing, SeqWindow, Z, exact_int
+from ckops.series import IntegerRing, ProfiniteRing, RationalRing, SeqWindow, Z, _phi_band, exact_int
 from ckops.stable import CriterionReport, _coeff_residue
 
 
@@ -291,6 +293,32 @@ def s_criterion_by_windows(G: TruncSeries, primes=None) -> CriterionReport:
                         skipped.append((p, n, m))
                         break
     return CriterionReport(True, None, skipped)
+
+
+def _phi_image_rows(D: int, r: int, q: int) -> list[list[int]]:
+    """Truncations to degree < D of Phi^r(x^k), k = 1..D+r-1, mod q: these
+    span the full image of Phi^r on series, reduced mod (q, x^D), read off
+    the band of Phi^r at truncation D+r-1."""
+    rows = _phi_band(r, D + r - 1)
+    return [[rows[d][k] % q for d in range(D)] for k in range(1, D + r)]
+
+
+def _phi_image_lattice(D: int, r: int, q: int) -> ModMatrix:
+    """The image lattice L_r of Phi^r mod (q, x^D) as the Howell form of
+    ``_phi_image_rows``: the generating set stable._stable_lattice replaced
+    with the unit Adams series."""
+    return howell_form(ModMatrix(q, _phi_image_rows(D, r, q), cols=D))
+
+
+def phi_image_walk(m: int, q: int) -> ModMatrix:
+    """L_r mod (q, x^m) walked from r = 1 to the chain's first repeat, where
+    it stays (q | m, so L_(r+1) = Phi(L_r)): the level walk s_oracle ran
+    before it read ``_stable_lattice``."""
+    cur = _phi_image_lattice(m, 1, q)
+    r = 1
+    while (nxt := _phi_image_lattice(m, r + 1, q)) != cur:
+        cur, r = nxt, r + 1
+    return cur
 
 
 def to_e_basis_by_differences(mono_coeffs) -> NumericalPoly | None:

@@ -504,3 +504,14 @@ def test_cli_exit_contract_fuzz(call):
         assert payload[key] is False, (argv, out)
     if code == 2:
         assert "error" in payload, (argv, out)
+
+
+def test_cli_output_matches_the_byte_identity_manifest():
+    # the quick lines of tests/byte_identity.manifest, each command in its
+    # own process: dn, basis, and every suite at --trunc 0 and 1
+    import byte_identity
+
+    quick = [c for c in byte_identity.commands() if c[0] != "verify" or c[-1] in ("0", "1")]
+    manifest = byte_identity.read_manifest()
+    assert len(quick) == 24 and all(" ".join(c) in manifest for c in quick)
+    assert byte_identity.run_all(quick) == [manifest[" ".join(c)] for c in quick]

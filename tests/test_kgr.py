@@ -208,6 +208,12 @@ def test_interval_generator_row():
     bud = PrimeBudget.uniform([2, 3], 6)
     assert interval_in_N([1, 5, 25], bud)
     assert interval_in_N([1, 7, 49], bud)
+    # each entry is read as an exact integer: [1, 2.5] once answered False
+    # and ["a"] raised a TypeError from string formatting
+    for v, bad in (([1, 2.5], "1 = 2.5"), (["a"], "0 = a"), ([1, Fraction(1, 2)], "1 = 1/2")):
+        with pytest.raises(ValueError, match=f"^coefficient {bad} is not an integer$"):
+            interval_in_N(v, bud)
+    assert interval_in_N([1, 5, Fraction(25)], bud) and interval_in_N([Fraction(4)], bud)
 
 
 def test_interval_dtilde_thresholds():

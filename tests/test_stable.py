@@ -36,7 +36,15 @@ from ckops import stable
 from ckops.arith import crt_lift, gbinom, largest_prime_power, set_primes_upto
 from ckops.linalg import ModMatrix, howell_form, in_row_span
 from ckops.series import exact_int
-from oracles import phi_by_steps, twisted_rule, vdm_value
+from oracles import (
+    _phi_image_lattice,
+    _phi_image_rows,
+    phi_by_steps,
+    phi_image_walk,
+    span_enumerate,
+    twisted_rule,
+    vdm_value,
+)
 
 
 def prof(budget, n):
@@ -205,6 +213,18 @@ def test_oracle_rejects_a_non_prime(bad):
     # s_oracle(adams_series(3, 6), 4, 2, 6) once answered True
     with pytest.raises(ValueError, match=f"s_oracle prime {bad!r} is not a prime"):
         s_oracle(adams_series(3, 6), bad, 2, 6)
+
+
+@pytest.mark.parametrize("e,T,bad", [(-1, 5, "e must be >= 0, got -1"),
+                                     (2, -1, "T must be >= 0, got -1"),
+                                     (-3, -2, "e must be >= 0, got -3")])
+def test_oracle_rejects_a_negative_exponent_or_window(e, T, bad):
+    # s_oracle(A, 2, -1, 5) and s_oracle(A, 2, 2, -1) once answered True
+    # without reading G; e = 0 tests no window and stays a vacuous member
+    A = adams_series(3, 6)
+    with pytest.raises(ValueError, match=f"^s_oracle {bad}$"):
+        s_oracle(A, 2, e, T)
+    assert s_oracle(A, 2, 0, 6) and s_oracle(TruncSeries(Z, 6, [1] * 7), 2, 0, 6)
 
 
 def test_oracle_rejects_a_prime_outside_the_budget():
@@ -538,16 +558,18 @@ def test_construct_Fn_integer_consistent_and_stable(budget):
 def test_Fn_span_is_the_phi_image_lattice():
     # ROADMAP item 15 on a grid: mod (p^e, x^(T+1)) the int_coeffs of
     # F_0..F_T span exactly the image lattice of Phi^(e+1), which is the
-    # lattice of stable operations there (F_n built at a budget that holds
-    # every d_n below; at a one-prime budget (p)^e some F_n cannot be built)
+    # lattice of stable operations there, the span of the unit Adams series
+    # (F_n built at a budget that holds every d_n below; at a one-prime
+    # budget (p)^e some F_n cannot be built)
     B = PrimeBudget.uniform([2, 3, 5, 7], 8)
     cases = 0
     for T in range(11):
         family = [construct_Fn(n, T, B).int_coeffs for n in range(T + 1)]
         for p in (2, 3, 5):
             for e in range(1, 5):
-                want = stable._phi_image_lattice(T + 1, e + 1, p**e)
+                want = _phi_image_lattice(T + 1, e + 1, p**e)
                 assert howell_form(ModMatrix(p**e, family)) == want, (T, p, e)
+                assert stable._stable_lattice(T + 1, p, e) == want, (T, p, e)
                 cases += 1
     assert cases == 132
 
@@ -762,15 +784,35 @@ def _random_tower_case(rng):
 
 
 def test_phi_image_lattice_is_constant_above_the_exponent():
-    # L_r mod (p^e, x^D) equals L_(e+1) for every r from e+2 to e+6, which
-    # lets tower_member test every level n >= 1 at r = e + 1
-    lattice = stable._phi_image_lattice
+    # the Phi-band lattice L_r mod (p^e, x^D) is the span of the unit Adams
+    # series for every r from e to e+6, which lets tower_member test every
+    # level n >= 1 against that one lattice
     for p in (2, 3, 5, 7):
         for e in range(1, 5):
             for D in range(1, 17):
-                stable_lattice = lattice(D, e + 1, p**e)
-                for n in range(e + 1, e + 6):
-                    assert lattice(D, n + 1, p**e) == stable_lattice, (p, e, D, n)
+                unit_span = stable._stable_lattice(D, p, e)
+                for r in range(e, e + 7):
+                    assert _phi_image_lattice(D, r, p**e) == unit_span, (p, e, D, r)
+
+
+@pytest.mark.parametrize("p,e,D", [(2, 8, 17), (2, 10, 40), (3, 6, 20), (5, 6, 30),
+                                   (7, 8, 25), (3, 10, 40)])
+def test_stable_lattice_is_the_phi_image_lattice_at_large_exponents(p, e, D):
+    # past the grid above: exponents up to 10, windows up to x^40
+    unit_span = stable._stable_lattice(D, p, e)
+    for r in (e, e + 1):
+        assert _phi_image_lattice(D, r, p**e) == unit_span, r
+
+
+def test_stable_lattice_is_every_s_oracle_window_walked():
+    # the walk s_oracle once ran in each window (q, x^m), q = p^n, from r = 1
+    # to the chain's first repeat, ends at the unit Adams span mod (p^n, x^m)
+    windows = {((T + 1) // p**n * p**n, p, n)
+               for p in (2, 3, 5, 7) for T in range(30)
+               for n in range(1, 5) if p**n <= T + 1}
+    for m, p, n in windows:
+        assert phi_image_walk(m, p**n) == stable._stable_lattice(m, p, n), (m, p, n)
+    assert len(windows) == 51
 
 
 def test_phi_image_rows_match_phi_by_steps():
@@ -782,15 +824,16 @@ def test_phi_image_rows_match_phi_by_steps():
                      for k in range(1, D + r)]
             for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
                 want = [[c % q for c in image] for image in steps]
-                assert stable._phi_image_rows(D, r, q) == want, (D, r, q)
+                assert _phi_image_rows(D, r, q) == want, (D, r, q)
 
 
 def test_phi_image_lattice_is_phi_power_of_identity_basis():
     # the identity s_oracle rests on: with q | m, the rows x^k (k >= m) of
-    # the memoized lattice vanish below degree m, so L_r mod (q, x^m) is the
-    # Howell form of Phi^r on the basis 1, x, ..., x^(m-1), here by phi_by_steps
+    # the Phi-band lattice vanish below degree m, so L_r mod (q, x^m) is the
+    # Howell form of Phi^r on the basis 1, x, ..., x^(m-1), here by
+    # phi_by_steps; from r = n, q = p^n, it is the unit Adams span
     for p in (2, 3, 5, 7):
-        q = p
+        q, n = p, 1
         while q <= 17:
             for m in range(q, 18, q):
                 for r in range(1, 7):
@@ -799,15 +842,17 @@ def test_phi_image_lattice_is_phi_power_of_identity_basis():
                         image = phi_by_steps(TruncSeries.monomial(Z, m - 1 + r, k), r)
                         rows.append([int(c) % q for c in image.coeffs[:m]])
                     want = howell_form(ModMatrix(q, rows, cols=m))
-                    assert stable._phi_image_lattice(m, r, q) == want, (q, m, r)
-            q *= p
+                    assert _phi_image_lattice(m, r, q) == want, (q, m, r)
+                    if r >= n:
+                        assert stable._stable_lattice(m, p, n) == want, (q, m, r)
+            q, n = q * p, n + 1
 
 
 def test_tower_member_single_lattice_matches_per_level_oracle():
     # every case twice: with the lattice memo emptied before it (cold), and
-    # with it kept from the cases before (warm); the cases repeat (D, r, q)
-    # keys with different G, including Zhat inputs whose lost digits lower q
-    lattice = stable._phi_image_lattice
+    # with it kept from the cases before (warm); the cases repeat (D, p, e)
+    # keys with different G, including Zhat inputs whose lost digits lower e
+    lattice = stable._stable_lattice
     assert lattice.cache_info().maxsize is not None
     for cold in (True, False):
         lattice.cache_clear()
