@@ -12,7 +12,7 @@ from itertools import repeat, zip_longest
 from .arith import PrecisionError, PrimeBudget, Struct, crt_lift, gbinom
 from .linalg import ModMatrix, howell_form, in_howell_span
 from .series import Q, SeqWindow, TruncSeries, _stirling_band, exact_int
-from .stable import a_min, construct_Fn, dn_tilde
+from .stable import _stable_lattice, construct_Fn, dn_tilde
 
 
 @lru_cache(maxsize=128)
@@ -82,25 +82,19 @@ def reflect(a: SeqWindow) -> SeqWindow:
 
 
 def interval_in_N(v, budget: PrimeBudget) -> bool:
-    """Membership of the tuple v in the lattice generated by the unit power
-    rows (1, r, ..., r^(n-1)), n = len(v), per budget prime p with q = p^e.
-    The rows are b's image of the unit Adams series, b(A_r)_j = r^j: this
-    is the sequence-side transpose of ``stable._stable_lattice``.
-
-    The n(p-1) units below n*p, ``a_min(p, n*(p-1))``, generate that
-    lattice: a row depends on r mod q only, every unit is r0 + p*t with
-    0 < r0 < p and t >= 0, and t -> row(r0 + p*t) is a polynomial of degree
-    < n, so Newton's forward differences write it as an integer combination
-    (weights C(t, k)) of its values at t = 0..n-1, the units r0 + p*t below
-    n*p.  One Howell form of their rows decides membership.  An entry that
-    is not an integer raises ValueError naming it (``exact_int``).
-    """
+    """Membership of v in the lattice N of the unit power rows (1, r, ...,
+    r^(n-1)), n = len(v), mod q = p^e per budget prime p.  As b(A_r)_j = r^j
+    and b is Z-linear, entry j < n reading degrees < n, N = b(U) for
+    U = ``stable._stable_lattice(n, p, e)``: one Howell form of U's rows
+    under b's Stirling band decides.  An entry that is not an integer
+    raises ValueError naming it (``exact_int``)."""
     v = [exact_int(c, i) for i, c in enumerate(v)]
     n = len(v)
+    band = _stirling_band(n - 1, n - 1)
     for p in budget.primes:
-        q = p ** budget.exponent(p)
-        rows = [[pow(r, j, q) for j in range(n)] for r in a_min(p, n * (p - 1))]
-        if not in_howell_span(howell_form(ModMatrix(q, rows, cols=n)), v):
+        U = _stable_lattice(n, p, budget.exponent(p))
+        rows = [[sum(map(operator.mul, b, row)) for b in band] for row in U.entries]
+        if not in_howell_span(howell_form(ModMatrix(U.modulus, rows, cols=n)), v):
             return False
     return True
 

@@ -6,7 +6,7 @@ Two independent membership routes are kept deliberately: s_criterion tests
 the explicit binomial-sum congruences, s_oracle tests membership in the
 stable lattice, spanned by the unit Adams series, of each quotient window;
 their agreement is the module's central check.  One memoized builder,
-``_stable_lattice``, serves both lattice routes, s_oracle and tower_member.
+``_stable_lattice``, serves s_oracle, tower_member and ``kgr.interval_in_N``.
 """
 
 from __future__ import annotations
@@ -103,11 +103,16 @@ class CriterionReport(Struct):
 
 
 def _coeff_residue(G: TruncSeries, i: int, p: int, k: int) -> int:
-    """[x^i] G mod p^k; a Q or Z coefficient must be an integer (``exact_int``)."""
+    """[x^i] G mod p^k; a Q or Z coefficient must be an integer (``exact_int``),
+    a Zhat one must hold k digits at p (PrecisionError naming i and both counts)."""
     c = G.coeffs[i]
-    if isinstance(c, ProfiniteApprox):
+    if not isinstance(c, ProfiniteApprox):
+        return exact_int(c, i) % p**k
+    try:
         return c.residue_mod(p, k)
-    return exact_int(c, i) % p**k
+    except PrecisionError:
+        raise PrecisionError(f"coefficient {i} has {c.prec[p]} of the {k} digits "
+                             f"needed at p={p}") from None
 
 
 def _check_primes(G: TruncSeries, primes, caller: str) -> None:
@@ -186,9 +191,9 @@ def s_criterion(G: TruncSeries, primes=None) -> CriterionReport:
     return CriterionReport(True, None, skipped)
 
 
-# bound on the stable lattices kept per process: a key (D, p, e) comes from
-# tower_member (D = trunc + 1) or an s_oracle window (m, p, n), so a session
-# revisits few, and the bound keeps a long one from growing
+# bound on the stable lattices kept per process: a key (D, p, e) comes from tower_member
+# (D = trunc + 1), an s_oracle window (m, p, n) or interval_in_N (len(v), p, e), so a
+# session revisits few, and the bound keeps a long one from growing
 _STABLE_LATTICE_CACHE_SIZE = 256
 
 

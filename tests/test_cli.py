@@ -508,10 +508,11 @@ def test_cli_exit_contract_fuzz(call):
 
 def test_cli_output_matches_the_byte_identity_manifest():
     # the quick lines of tests/byte_identity.manifest, each command in its
-    # own process: dn, basis, and every suite at --trunc 0 and 1
+    # own process: dn, basis, check over tests/check_inputs, and every suite
+    # at --trunc 0 and 1
     import byte_identity
 
     quick = [c for c in byte_identity.commands() if c[0] != "verify" or c[-1] in ("0", "1")]
     manifest = byte_identity.read_manifest()
-    assert len(quick) == 24 and all(" ".join(c) in manifest for c in quick)
+    assert len(quick) == 32 and all(" ".join(c) in manifest for c in quick)
     assert byte_identity.run_all(quick) == [manifest[" ".join(c)] for c in quick]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from ckops import (
 from ckops.arith import crt_lift
 from ckops.kgr import _basis_window, _fn_cached, assemble_TZ
 from ckops.linalg import ModMatrix, howell_form, in_howell_span
-from ckops.stable import a_min
+from ckops.stable import _stable_lattice, a_min
 from ckops.series import ProfiniteRing
 from oracles import combine_by_terms, span_enumerate, to_e_basis_by_differences
 
@@ -235,14 +236,19 @@ def _all_units_form(p, q, n):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_units_below_n_p_generate_the_unit_lattice(p):
-    # the generating set of interval_in_N: the n(p-1) units below n*p span
-    # the rows of every unit below q
-    q = p
+    # the n(p-1) units below n*p span the rows of every unit below q, and so
+    # does b's image of the stable lattice, interval_in_N's generating set:
+    # b(A_r)_j = r^j
+    q, e = p, 1
     while q <= 1000:
         for n in range(1, 7):
-            H = howell_form(ModMatrix(q, _unit_rows(a_min(p, n * (p - 1)), n, q), cols=n))
-            assert H == _all_units_form(p, q, n), (p, q, n)
-        q *= p
+            H = _all_units_form(p, q, n)
+            units = _unit_rows(a_min(p, n * (p - 1)), n, q)
+            assert howell_form(ModMatrix(q, units, cols=n)) == H, (p, q, n)
+            image = [b_map(TruncSeries(Z, n - 1, list(row)), n - 1).values
+                     for row in _stable_lattice(n, p, e).entries]
+            assert howell_form(ModMatrix(q, image, cols=n)) == H, (p, q, n)
+        q, e = q * p, e + 1
 
 
 def test_interval_matches_all_units_oracle():
@@ -269,17 +275,17 @@ def test_interval_matches_all_units_oracle():
 
 
 def test_interval_matches_enumeration_small():
-    rng = random.Random(2)
-    for _ in range(15):
-        p, e = rng.choice([(2, 3), (3, 2)])
-        n = rng.randint(1, 3)
+    # every v in (Z/q)^n against the brute-force span of all unit power
+    # rows, which shares no code with linalg; members counts that span
+    for p, e, n, members in ((2, 2, 3, 8), (2, 3, 3, 32), (3, 2, 3, 243),
+                             (2, 2, 4, 8), (3, 1, 5, 9), (2, 1, 6, 2)):
         bud = PrimeBudget.uniform([p], e)
         q = p**e
-        units = [r for r in range(1, q) if r % p]
-        rows = [[pow(r, j, q) for j in range(n)] for r in units]
+        rows = _unit_rows([r for r in range(1, q) if r % p], n, q)
         S = span_enumerate(ModMatrix(q, rows, cols=n))
-        v = [rng.randrange(q) for _ in range(n)]
-        assert interval_in_N(v, bud) == (tuple(v) in S)
+        assert len(S) == members, (p, e, n)
+        for v in itertools.product(range(q), repeat=n):
+            assert interval_in_N(v, bud) == (v in S), (p, e, v)
 
 
 # -- the canonical sequences -----------------------------------------------------------------

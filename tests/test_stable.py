@@ -227,6 +227,20 @@ def test_oracle_rejects_a_negative_exponent_or_window(e, T, bad):
     assert s_oracle(A, 2, 0, 6) and s_oracle(TruncSeries(Z, 6, [1] * 7), 2, 0, 6)
 
 
+def test_oracle_names_the_coefficient_that_lacks_digits():
+    # A_3 over (2)^4 with a_1 known mod 2 only: the window mod (4, x^4)
+    # reads a_1 mod 4, which once raised "need {2: 1} mod 2^2, stored
+    # precision 1", naming neither the degree nor the digits it has
+    budget = PrimeBudget.uniform([2], 4)
+    A = to_profinite(adams_series(3, 5), budget)
+    coeffs = list(A.coeffs)
+    coeffs[1] = ProfiniteApprox(budget, {2: coeffs[1].residue[2]}, {2: 1})
+    G = TruncSeries(A.ring, 5, coeffs)
+    with pytest.raises(PrecisionError, match=r"^coefficient 1 has 1 of the 2 digits needed at p=2$"):
+        s_oracle(G, 2, 3, 5)
+    assert s_oracle(G, 2, 1, 5)
+
+
 def test_oracle_rejects_a_prime_outside_the_budget():
     # once a bare KeyError: 3 from the coefficient residues
     A = to_profinite(adams_series(3, 6), PrimeBudget.uniform([2], 4))
