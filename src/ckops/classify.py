@@ -33,6 +33,7 @@ from .series import (
     ProfiniteRing,
     RationalRing,
     TruncSeries,
+    Z,
     chain_sum,
     chain_weights,
     lg_series,
@@ -88,7 +89,12 @@ def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
     Q^{n,m}) and can be larger: an in_Qnm member always passed here on
     seeded draws, but x^4/8 at T = 4, n = 3, m = 1 and x^2/2 at T = 3,
     n = m = 1 pass here and fail in_Qnm (cross-checked in the tests; the
-    ``ifandonlyif`` suite checks agreement on its own domain)."""
+    ``ifandonlyif`` suite checks agreement on its own domain).
+
+    Over Q it decides on integers, as the derivative route does: Phi^n is
+    Z-linear with an integer band, so Phi^n(G) = Phi^n(L*G) / L for L the
+    lcm of G's denominators.  Phi^n(G) is integral iff L divides every
+    coefficient of Phi^n(L*G), and then both have the same valuation."""
     if n < 1:
         raise ValueError("the Phi route applies to n >= 1")
     if G.trunc < n:
@@ -96,8 +102,12 @@ def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
     if isinstance(G.ring, ProfiniteRing):  # name an unknown input degree, not one of Phi^n(G)
         for i, c in enumerate(G.coeffs[1:], 1):  # Phi^n never reads a_0
             G.ring.is_zero(c, i)
+    L = 1
+    if isinstance(G.ring, RationalRing):
+        L = math.lcm(*[c.denominator for c in G.coeffs])
+        G = TruncSeries._trusted(Z, G.trunc, [c.numerator * (L // c.denominator) for c in G.coeffs])
     H = phi(G, n)
-    if not integer_coefficients(H):
+    if L > 1 and math.gcd(L, *H.coeffs) < L:  # L divides them all iff it is their gcd with L
         return False
     v = valuation(H)
     return v is None or v >= m - n
@@ -343,8 +353,6 @@ def classical_approx(G: TruncSeries, n: int, d: int) -> TruncSeries:
                 "input is outside the supported generator structure"
             )
         out.append(int(ci))
-    from .series import Z
-
     return TruncSeries(Z, d, out)
 
 

@@ -387,7 +387,8 @@ def integer_coefficients(S) -> bool:
     """All coefficients of a TruncSeries or MultiSeries integral: exact
     denominators over Q, trivially true over Z; profinite residues are
     integer-consistent by CRT construction, so the profinite answer is True
-    (documented finite-precision surrogate)."""
+    (documented finite-precision surrogate).  Its caller is in_Qnm; the Phi
+    route reads divisibility on integer numerators instead."""
     if not isinstance(S.ring, RationalRing):
         return True
     vals = S.coeffs.values() if isinstance(S, MultiSeries) else S.coeffs

@@ -1,13 +1,17 @@
 """Named identity suites runnable from the CLI: each returns (ok, report)
 with a minimized counterexample on failure and is deterministic under a
-fixed seed.
+fixed seed.  A passing report carries ``digest``, the CRC-32 of what the
+suite drew and compared (``_digest``), so its output changes when an input
+or a compared value does, not only when a check fails.
 
 Each suite imports what it calls beyond arith and series, so a process
 that runs one suite loads only that suite's modules."""
 
 from __future__ import annotations
 
+import json
 import random
+import zlib
 from fractions import Fraction
 
 from .arith import PrimeBudget, ProfiniteApprox
@@ -23,6 +27,13 @@ from .series import (
 
 
 _BUDGET = PrimeBudget.uniform((2, 3, 5, 7), 8)
+
+
+def _digest(trials) -> str:
+    """zlib.crc32 of the compact, sorted-key JSON of ``trials`` (a Fraction
+    as its str), as 8 hex digits."""
+    text = json.dumps(trials, sort_keys=True, separators=(",", ":"), default=str)
+    return f"{zlib.crc32(text.encode()):08x}"
 
 
 def suite_idempotents(T: int, seed: int) -> tuple[bool, dict]:
@@ -44,21 +55,26 @@ def suite_idempotents(T: int, seed: int) -> tuple[bool, dict]:
 
 
 def suite_adams(T: int, seed: int) -> tuple[bool, dict]:
+    trials = []
     for k in range(-3, 8):
         comp = Composer(adams_series(k, T))
         for m in range(-3, 8):
-            if comp.compose(adams_series(m, T)) != adams_series(k * m, T):
+            got = comp.compose(adams_series(m, T))
+            if got != adams_series(k * m, T):
                 return False, {"counterexample": f"A_{k} o A_{m}"}
+            trials.append([k, m, got.coeffs])
     for m in range(-3, 8):
         w = b_map(adams_series(m, T), T)
         if any(w[i] != m**i for i in range(T + 1)):
             return False, {"counterexample": f"b(A_{m})"}
-    return True, {"range": "-3..7"}
+        trials.append([m, w.values])
+    return True, {"range": "-3..7", "digest": _digest(trials)}
 
 
 def suite_aformula(T: int, seed: int) -> tuple[bool, dict]:
-    from .multisym import aformula_check
+    from .multisym import aformula_check, iter_partial
     rng = random.Random(seed)
+    trials = []
     for trial in range(10):
         n = rng.randint(1, 3)
         G = TruncSeries(
@@ -68,12 +84,15 @@ def suite_aformula(T: int, seed: int) -> tuple[bool, dict]:
         )
         if not aformula_check(G, n):
             return False, {"counterexample": {"trial": trial, "n": n, "G": G.to_json()}}
-    return True, {"count": 10}
+        # partial^n G: the side aformula_check compared with the formula
+        trials.append([n, G.coeffs, sorted(iter_partial(G, n).coeffs.items())])
+    return True, {"count": 10, "digest": _digest(trials)}
 
 
 def suite_integration(T: int, seed: int) -> tuple[bool, dict]:
     from .multisym import integrate_symmetric, iter_partial
     rng = random.Random(seed)
+    trials = []
     for trial in range(6):
         n = rng.randint(2, 4)
         L = TruncSeries(
@@ -83,7 +102,8 @@ def suite_integration(T: int, seed: int) -> tuple[bool, dict]:
         L2 = integrate_symmetric(D)
         if iter_partial(L2, n - 1) != D:
             return False, {"counterexample": {"trial": trial, "n": n}}
-    return True, {"count": 6}
+        trials.append([n, L.coeffs, L2.coeffs, sorted(D.coeffs.items())])
+    return True, {"count": 6, "digest": _digest(trials)}
 
 
 def random_membership_witness(rng, T: int, n: int):
@@ -122,6 +142,7 @@ def suite_ifandonlyif(T: int, seed: int) -> tuple[bool, dict]:
     if T < 1:  # both routes need n <= T, and n >= 1
         raise ValueError(f"ifandonlyif needs --trunc >= 1, got {T}")
     rng = random.Random(seed)
+    trials = []
     for trial in range(20):
         n = rng.randint(1, min(3, T))
         m = rng.randint(n, n + 2)
@@ -130,12 +151,14 @@ def suite_ifandonlyif(T: int, seed: int) -> tuple[bool, dict]:
         b = in_Opnm_phi(G, n, m)
         if a != b:
             return False, {"counterexample": {"trial": trial, "n": n, "m": m, "G": G.to_json()}}
-    return True, {"count": 20}
+        trials.append([n, m, G.coeffs, a])
+    return True, {"count": 20, "digest": _digest(trials)}
 
 
 def suite_s_dual_route(T: int, seed: int) -> tuple[bool, dict]:
     from .stable import s_criterion, s_oracle
     rng = random.Random(seed)
+    trials = []
     for trial in range(40):
         p = rng.choice([2, 3, 5])
         e = rng.randint(1, 3)
@@ -152,7 +175,8 @@ def suite_s_dual_route(T: int, seed: int) -> tuple[bool, dict]:
             return False, {
                 "counterexample": {"trial": trial, "p": p, "e": e, "series": G.to_json()}
             }
-    return True, {"count": 40}
+        trials.append([p, e, G.to_json()["coeffs"], got])
+    return True, {"count": 40, "digest": _digest(trials)}
 
 
 def _criterion_capped(report, e: int) -> bool:
@@ -182,13 +206,16 @@ def suite_kgr_duality(T: int, seed: int) -> tuple[bool, dict]:
     rng = random.Random(seed)
     if to_e_basis([Fraction(1, 2)]) is not None:
         return False, {"counterexample": "s/2 accepted as numerical"}
+    trials = []
     for trial in range(30):
         deg = rng.randint(0, min(8, T))  # pair needs deg f <= T
         f = NumericalPoly(tuple(rng.randint(-5, 5) for _ in range(deg + 1)))
         m = rng.randint(-10, 10)
-        if pair(f, adams_series(m, T)) != f(m):
+        value = pair(f, adams_series(m, T))
+        if value != f(m):
             return False, {"counterexample": {"trial": trial, "m": m, "f": f.e_coeffs}}
-    return True, {"count": 30}
+        trials.append([f.e_coeffs, m, value])
+    return True, {"count": 30, "digest": _digest(trials)}
 
 
 def suite_basis(T: int, seed: int) -> tuple[bool, dict]:

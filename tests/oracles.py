@@ -9,8 +9,8 @@ derivative with one substitution per subset, the MultiSeries product on
 exponent tuples, the stable-membership congruences summed window by
 window, the image lattices of Phi^r spanned by its band and their walk to
 the first repeat, the e-basis coefficients by finite differences, the
-random-lift soundness check of a profinite route, and the primes by a
-sieve."""
+random-lift soundness check of a profinite route, the primes by a
+sieve, and the Phi-route membership test on Fractions."""
 
 import math
 from fractions import Fraction
@@ -21,8 +21,9 @@ from typing import Sequence
 from ckops import NumericalPoly, ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
 from ckops.arith import PrecisionError, crt_lift, largest_prime_power, rational_mod
 from ckops.linalg import ModMatrix, howell_form
-from ckops.multisym import MultiSeries, _as_multi, star_sum
+from ckops.multisym import MultiSeries, _as_multi, integer_coefficients, star_sum
 from ckops.series import IntegerRing, ProfiniteRing, RationalRing, SeqWindow, Z, _phi_band, exact_int
+from ckops.series import phi, valuation
 from ckops.stable import CriterionReport, _coeff_residue
 
 
@@ -400,3 +401,21 @@ def primes_by_sieve(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(range(i * i, n + 1, i))
     return [i for i in range(2, n + 1) if sieve[i]]
+
+
+def in_Opnm_phi_by_fractions(G: TruncSeries, n: int, m: int) -> bool:
+    """The route ``classify.in_Opnm_phi`` had before it read L*G's integer
+    numerators: Phi^n(G) built in G's ring (Fractions over Q), integral when
+    every denominator is 1, then the valuation of that series."""
+    if n < 1:
+        raise ValueError("the Phi route applies to n >= 1")
+    if G.trunc < n:
+        raise PrecisionError(f"need truncation >= {n}, have {G.trunc}")
+    if isinstance(G.ring, ProfiniteRing):
+        for i, c in enumerate(G.coeffs[1:], 1):
+            G.ring.is_zero(c, i)
+    H = phi(G, n)
+    if not integer_coefficients(H):
+        return False
+    v = valuation(H)
+    return v is None or v >= m - n

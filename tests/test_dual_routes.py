@@ -16,8 +16,9 @@ from ckops import s_criterion, s_oracle, series, star_sum, tower_member
 from ckops.arith import crt_lift
 from ckops.multisym import subst_first
 from ckops.series import adams_coordinates
-from ckops.suites import random_membership_witness
-from oracles import compose_by_matvec, compose_by_scaling, iter_partial_by_subsets, multi_mul_by_terms
+from ckops.suites import phi_inverse, random_membership_witness
+from oracles import compose_by_matvec, compose_by_scaling, in_Opnm_phi_by_fractions, iter_partial_by_subsets
+from oracles import multi_mul_by_terms
 from oracles import lift_check, phi_by_steps, s_criterion_by_windows, subst_first_by_powers
 
 _BUDGET = PrimeBudget.uniform((2, 3, 5), 4)
@@ -539,6 +540,50 @@ def test_zhat_route_is_sound_on_random_lifts(route):
         assert not bad, (draw, args, bad[0])
         checked += bad is not None
     assert checked >= 20
+
+
+@st.composite
+def phi_route_input(draw):
+    """(G, n, m) over Q with 1 <= n <= T <= 14, or T = n - 1, and m from
+    n - 2 to n + 3.  G is the zero series, or an integer series plus
+    rational lg_r (r < n), perhaps plus a Phi-inverted half-integer bomb,
+    with a_0 zero, a nonzero integer or a non-integer, and perhaps a
+    non-integral top coefficient."""
+    T = draw(st.integers(1, 14))
+    n = draw(st.integers(1, T + 1))
+    m = draw(st.integers(n - 2, n + 3))
+    if draw(st.integers(0, 9)) == 0:
+        return TruncSeries.zero(Q, T), n, m
+    G = TruncSeries(Q, T, [0] + draw(st.lists(st.integers(-6, 6), min_size=T, max_size=T)))
+    for r in range(1, min(n, T + 1)):
+        G = G + lg_series(r, T).scale(draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))))
+    if draw(st.booleans()):
+        j, c = draw(st.integers(1, max(1, T - n))), draw(st.sampled_from([1, 3, 5]))
+        B = TruncSeries.monomial(Q, T, j, Fraction(c, 2))
+        for _ in range(n):
+            B = phi_inverse(B)
+        G = G + B.truncate(T)
+    a0 = draw(st.sampled_from([0, 0, 3, Fraction(1, 2), Fraction(-7, 3)]))
+    top = draw(st.sampled_from([0, 0, Fraction(1, 2), Fraction(2, 3)]))
+    return G + TruncSeries(Q, T, [a0] + [0] * (T - 1) + [top]), n, m
+
+
+def _verdict(route, *args):
+    """A route's verdict, or its exception's type and message."""
+    try:
+        return route(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=phi_route_input())
+def test_phi_route_on_integer_numerators_equals_fraction_oracle(case):
+    G, n, m = case
+    got = _verdict(in_Opnm_phi, G, n, m)
+    assert got == _verdict(in_Opnm_phi_by_fractions, G, n, m)
+    if G.trunc < n:
+        assert got == (PrecisionError, f"need truncation >= {n}, have {G.trunc}")
 
 
 # -- oracle-free: every membership test decides a group ----------------------
