@@ -28,7 +28,7 @@ from .arith import (
     vp,
     vp_fraction,
 )
-from .multisym import integer_coefficients, iter_partial
+from .multisym import iter_partial
 from .series import (
     ProfiniteRing,
     RationalRing,
@@ -54,6 +54,17 @@ def in_Qn(G: TruncSeries, n: int) -> bool:
     return in_Qnm(G, n, 0)
 
 
+def _numerators(G: TruncSeries) -> tuple[int, TruncSeries]:
+    """(L, L*G over Z) for G over Q, L the lcm of G's denominators, and
+    (1, G) over Z and Zhat: both membership routes apply a Z-linear map
+    with integer coefficients, whose image of G is integral iff L divides
+    every coefficient of its image of L*G, with the same valuation."""
+    if not isinstance(G.ring, RationalRing):
+        return 1, G
+    L = math.lcm(*[c.denominator for c in G.coeffs])
+    return L, TruncSeries._trusted(Z, G.trunc, [c.numerator * (L // c.denominator) for c in G.coeffs])
+
+
 def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
     """Membership plus the valuation condition v(partial^(n-1) G) >= m;
     for n < 1, G itself is integral with v(G) >= m.  For n >= 1 at a
@@ -61,21 +72,23 @@ def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
     truncation, so nothing could be checked: PrecisionError, as in
     in_Opnm_phi.
 
-    The derivative route, straight from the definition.  The Phi route
-    in_Opnm_phi tests a group that contains this one, not the same group:
-    on seeded draws in_Qnm True implies in_Opnm_phi True, and the converse
-    fails (x^4/8 at T = 4, n = 3, m = 1; x^2/2 at T = 3, n = m = 1).  The
-    two agree on every draw from the ``ifandonlyif`` suite's domain:
-    integer series plus lg_r (r < n) plus Phi-inverted non-integral terms."""
+    The derivative route, straight from the definition, decided on L*G's
+    integer numerators (``_numerators``).  The Phi route in_Opnm_phi tests
+    a group that contains this one, not the same group: on seeded draws
+    in_Qnm True implies in_Opnm_phi True, and the converse fails (x^4/8 at
+    T = 4, n = 3, m = 1; x^2/2 at T = 3, n = m = 1).  The two agree on
+    every draw from the ``ifandonlyif`` suite's domain: integer series
+    plus lg_r (r < n) plus Phi-inverted non-integral terms."""
+    L, N = _numerators(G)
     if n < 1:
-        v = valuation(G)
-        return integer_coefficients(G) and (v is None or v >= m)
+        v = valuation(N)
+        return L == 1 and (v is None or v >= m)
     if not G.ring.is_zero(G.coeffs[0], 0):
         raise NotInGroup("membership for n >= 1 needs a zero constant term")
     if G.trunc < n:
         raise PrecisionError(f"need truncation >= {n}, have {G.trunc}")
-    D = iter_partial(G, n - 1)
-    if not integer_coefficients(D):
+    D = iter_partial(N, n - 1)
+    if L > 1 and math.gcd(L, *D.coeffs.values()) < L:  # L divides them all iff it is their gcd with L
         return False
     v = D.total_valuation()
     return v is None or v >= m
@@ -91,10 +104,8 @@ def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
     n = m = 1 pass here and fail in_Qnm (cross-checked in the tests; the
     ``ifandonlyif`` suite checks agreement on its own domain).
 
-    Over Q it decides on integers, as the derivative route does: Phi^n is
-    Z-linear with an integer band, so Phi^n(G) = Phi^n(L*G) / L for L the
-    lcm of G's denominators.  Phi^n(G) is integral iff L divides every
-    coefficient of Phi^n(L*G), and then both have the same valuation."""
+    Over Q it decides on L*G's integer numerators, as the derivative route
+    does: Phi^n is Z-linear with an integer band (``_numerators``)."""
     if n < 1:
         raise ValueError("the Phi route applies to n >= 1")
     if G.trunc < n:
@@ -102,12 +113,9 @@ def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
     if isinstance(G.ring, ProfiniteRing):  # name an unknown input degree, not one of Phi^n(G)
         for i, c in enumerate(G.coeffs[1:], 1):  # Phi^n never reads a_0
             G.ring.is_zero(c, i)
-    L = 1
-    if isinstance(G.ring, RationalRing):
-        L = math.lcm(*[c.denominator for c in G.coeffs])
-        G = TruncSeries._trusted(Z, G.trunc, [c.numerator * (L // c.denominator) for c in G.coeffs])
-    H = phi(G, n)
-    if L > 1 and math.gcd(L, *H.coeffs) < L:  # L divides them all iff it is their gcd with L
+    L, N = _numerators(G)
+    H = phi(N, n)
+    if L > 1 and math.gcd(L, *H.coeffs) < L:
         return False
     v = valuation(H)
     return v is None or v >= m - n
@@ -209,7 +217,6 @@ def rho_n(G: TruncSeries, n: int, budget: PrimeBudget) -> list[ComponentClass]:
         # residues where the rational b allows them; obstructions elsewhere
         residues = {}
         obstructions = {}
-        pairs = []
         for p in budget.primes:
             k, q = largest_prime_power(p, window)
             if k == 0:
@@ -217,52 +224,40 @@ def rho_n(G: TruncSeries, n: int, budget: PrimeBudget) -> list[ComponentClass]:
             val = bvals[q]
             if val.denominator % p:
                 residues[p] = (k, rational_mod(val, q))
-                pairs.append((residues[p][1], q))
             else:
                 obstructions[p] = vp_fraction(val, p)
         # x is also the integer representative a nonzero class subtracts
-        x, M = crt_lift(pairs)
-        if pairs:
-            cand = rational_reconstruct(x, M)
-        else:
-            cand = None if obstructions else Fraction(0)
-        if cand is not None and obstructions:
-            # the reconstruction must also explain every denominator seen
-            for p, v in obstructions.items():
-                if cand == 0 or vp_fraction(cand, p) != v:
-                    cand = None
-                    break
-        witness = None
-        if cand is not None:
-            # verify the full congruence family: cand = b_i (mod i)
-            ok = True
-            for i in range(2, window + 1):
-                delta = cand - bvals[i]
-                for p in budget.primes:
-                    v = vp(i, p)
-                    if v and delta != 0 and vp_fraction(delta, p) < v:
-                        ok = False
-                        witness = (p, v, str(bvals[i]))
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(ComponentClass(r, True, cand, None, residues))
-                cur = cur - lg_series(r, G.trunc).scale(cand)
-                continue
+        x, M = crt_lift([(a, p**k) for p, (k, a) in residues.items()])
+        cand = rational_reconstruct(x, M) if residues else Fraction(0)
+        # the reconstruction must also explain every denominator seen
+        if cand is not None and any(cand == 0 or vp_fraction(cand, p) != v for p, v in obstructions.items()):
             cand = None
+        if cand is None:
+            p0 = next(iter(residues), budget.primes[0])
+            witness = (p0, *residues[p0]) if residues else (p0, obstructions.get(p0), None)
+        else:
+            witness = _refuting_congruence(cand, bvals, window, budget)
         if witness is None:
-            if residues:
-                p0 = next(iter(residues))
-                witness = (p0, *residues[p0])
-            else:
-                p0 = budget.primes[0]
-                witness = (p0, obstructions.get(p0), None)
-        out.append(ComponentClass(r, False, None, witness, residues))
-        # subtract an integer representative so deeper components stay readable
-        cur = cur - lg_series(r, G.trunc).scale(x)
+            out.append(ComponentClass(r, True, cand, None, residues))
+            cur = cur - lg_series(r, G.trunc).scale(cand)
+        else:
+            out.append(ComponentClass(r, False, None, witness, residues))
+            # subtract an integer representative so deeper components stay readable
+            cur = cur - lg_series(r, G.trunc).scale(x)
     out.reverse()
     return out
+
+
+def _refuting_congruence(cand: Fraction, bvals: dict, window: int, budget: PrimeBudget):
+    """The first congruence cand = b_i (mod i), 2 <= i <= window, that fails
+    at a budget prime p, as the witness (p, v_p(i), b_i); None if all hold."""
+    for i in range(2, window + 1):
+        delta = cand - bvals[i]
+        for p in budget.primes:
+            v = vp(i, p)
+            if v and delta != 0 and vp_fraction(delta, p) < v:
+                return p, v, str(bvals[i])
+    return None
 
 
 def N33_sequence(c: ProfiniteApprox, r: int, T: int) -> list[int]:
@@ -284,8 +279,8 @@ def N33_sequence(c: ProfiniteApprox, r: int, T: int) -> list[int]:
             m = n + k
             if m + 1 > T:  # coefficient beyond truncation: unconstrained
                 break
-            A = _gk_coeff(c, cs, k + 1, m)
-            B = _gk_coeff(c, cs, k, m)
+            A = _gk_coeff(c, cs, k + 1, m, T)
+            B = _gk_coeff(c, cs, k, m, T)
             num = A * m - B
             # shifting c_(n+1) by sign*t*(n+1)...(n+k) moves num by -t
             t = _residue_of(num, m + 1)
@@ -369,10 +364,12 @@ def _residue_of(x: ProfiniteApprox, m: int) -> int:
     return crt_lift(pairs)[0]
 
 
-def _gk_coeff(c: ProfiniteApprox, cs: list[int], k: int, m: int) -> ProfiniteApprox:
+def _gk_coeff(c: ProfiniteApprox, cs: list[int], k: int, m: int, T: int) -> ProfiniteApprox:
     """[x^m] of G_k = (c - c~) lg_k up to the sign convention of the
     weighted series, assembled from the chain weights with a single exact
     division (minimal precision loss).  Only c_1..c_(m-k+1) enter, which
-    the construction has already fixed."""
+    the construction has already fixed.  Row m of chain_weights(k, T) is
+    the same for every T >= m, so N33_sequence reads one table per depth,
+    the one its final check reads too."""
     vals = [c - ci for ci in cs[: m - k + 1]]
-    return chain_sum(ProfiniteRing(c.budget), vals, chain_weights(k, m)[m]) * ((-1) ** k)
+    return chain_sum(ProfiniteRing(c.budget), vals, chain_weights(k, T)[m]) * ((-1) ** k)

@@ -150,18 +150,24 @@ def fseq(
     return SeqWindow(start, vals)
 
 
+def _pivot(n: int) -> int:
+    """Where the n-th basis sequence reads n! d_n: -i for n = 2i, i+1 for
+    n = 2i+1."""
+    return n // 2 + 1 if n % 2 else -(n // 2)
+
+
 def _basis_window(n: int, lo: int, hi: int, T: int, budget: PrimeBudget) -> SeqWindow:
     """Window [lo, hi] of the n-th basis sequence: shift^(-i) reflect f^(2i)
-    for n = 2i, shift^i f^(2i+1) for n = 2i+1.  Its entry at the pivot -i
-    or i+1 is n! d_n; a window holding the pivot checks that, and a budget
-    whose modulus cannot hold n! d_n raises PrecisionError naming n.  A
-    window beside the pivot checks the modulus instead: the symmetric lift
-    of n! d_n needs 2 n! d_n <= modulus (f^(0) and f^(1) are exact)."""
-    i = n // 2
+    for n = 2i, shift^i f^(2i+1) for n = 2i+1.  Its entry at the pivot
+    (``_pivot``) is n! d_n; a window holding the pivot checks that, and a
+    budget whose modulus cannot hold n! d_n raises PrecisionError naming n.
+    A window beside the pivot checks the modulus instead: the symmetric
+    lift of n! d_n needs 2 n! d_n <= modulus (f^(0) and f^(1) are exact)."""
+    i, pivot = n // 2, _pivot(n)
     if n % 2:
-        f, pivot = shift(fseq(n, lo + i, hi + i + 1, T, budget), i), i + 1
+        f = shift(fseq(n, lo + i, hi + i + 1, T, budget), i)
     else:
-        f, pivot = shift(reflect(fseq(n, i - hi, i - lo + 1, T, budget)), -i), -i
+        f = shift(reflect(fseq(n, i - hi, i - lo + 1, T, budget)), -i)
     if lo <= pivot <= hi:
         if f[pivot] != dn_tilde(n):
             raise PrecisionError(f"basis sequence {n} reads {f[pivot]} at its pivot {pivot}, not {n}! "
@@ -174,9 +180,9 @@ def _basis_window(n: int, lo: int, hi: int, T: int, budget: PrimeBudget) -> SeqW
 
 def decompose_TZ(a: SeqWindow, m: int, T: int, budget: PrimeBudget) -> list[int]:
     """Coordinates b_0..b_(2m+1) of an integer window against the basis
-    ``_basis_window``: basis sequence n has its entry n! d_n at the pivot
-    -i (n = 2i) or i+1 (n = 2i+1) and zeros at the pivots before it, so
-    peel the pivots of [-m, m+1] in turn, then verify reassembly.
+    ``_basis_window``: basis sequence n has its entry n! d_n at its pivot
+    (``_pivot``) and zeros at the pivots before it, so peel the pivots of
+    [-m, m+1] in turn, then verify reassembly.
 
     A nonintegral quotient or a nonzero residual raises: the window is not
     in the lattice the basis spans.  A budget that cannot hold some n! d_n
@@ -188,7 +194,7 @@ def decompose_TZ(a: SeqWindow, m: int, T: int, budget: PrimeBudget) -> list[int]
     residual = [a[j] for j in range(lo, hi + 1)]
     out = []
     for n in range(2 * m + 2):
-        pivot = n // 2 + 1 if n % 2 else -(n // 2)
+        pivot = _pivot(n)
         f = _basis_window(n, lo, hi, T, budget)
         d, x = dn_tilde(n), residual[pivot - lo]
         if x % d:

@@ -382,14 +382,3 @@ def aformula_check(G: TruncSeries, n: int) -> bool:
     rhs.coeffs = {k: v for k, v in rhs.coeffs.items() if v != 0}
     return lhs == rhs
 
-
-def integer_coefficients(S) -> bool:
-    """All coefficients of a TruncSeries or MultiSeries integral: exact
-    denominators over Q, trivially true over Z; profinite residues are
-    integer-consistent by CRT construction, so the profinite answer is True
-    (documented finite-precision surrogate).  Its caller is in_Qnm; the Phi
-    route reads divisibility on integer numerators instead."""
-    if not isinstance(S.ring, RationalRing):
-        return True
-    vals = S.coeffs.values() if isinstance(S, MultiSeries) else S.coeffs
-    return all(v.denominator == 1 for v in vals)

@@ -512,11 +512,15 @@ def decompose_S0(G: TruncSeries, budget: PrimeBudget, family=None) -> list[int]:
     """Integer coordinates of G against F_0..F_T by triangular peel-off of
     the leading terms d_n x^n; a nonintegral quotient means G is not an
     integer combination within precision and raises with the degree; so
-    does a Q or Z coefficient that is not an integer (``exact_int``)."""
+    does a Q or Z coefficient that is not an integer (``exact_int``), and a
+    Zhat one without every digit of its budget (``_coeff_residue``)."""
     T = G.trunc
     if family is None:
         family = [construct_Fn(n, T, budget) for n in range(T + 1)]
     if isinstance(G.ring, ProfiniteRing):
+        for i in range(T + 1):  # a lift from fewer digits is another integer
+            for p, e in G.ring.budget.full_prec.items():
+                _coeff_residue(G, i, p, e)
         cur = [c.lift_symmetric() for c in G.coeffs]
     else:
         cur = [exact_int(c, i) for i, c in enumerate(G.coeffs)]

@@ -221,13 +221,15 @@ def suite_kgr_duality(T: int, seed: int) -> tuple[bool, dict]:
 def suite_basis(T: int, seed: int) -> tuple[bool, dict]:
     from .stable import construct_Fn, dn, s_criterion
     top = min(3, T)  # F_n needs its leading term d_n x^n inside the truncation
+    trials = []
     for n in range(top + 1):
         F = construct_Fn(n, T, _BUDGET)
         if F.int_coeffs[n] != dn(n).value or any(F.int_coeffs[i] for i in range(n)):
             return False, {"counterexample": f"F_{n} leading term"}
         if not s_criterion(F.series).ok:
             return False, {"counterexample": f"F_{n} fails the criterion"}
-    return True, {"range": f"0..{top}"}
+        trials.append(F.int_coeffs)
+    return True, {"range": f"0..{top}", "digest": _digest(trials)}
 
 
 SUITES = {

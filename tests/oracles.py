@@ -10,7 +10,8 @@ exponent tuples, the stable-membership congruences summed window by
 window, the image lattices of Phi^r spanned by its band and their walk to
 the first repeat, the e-basis coefficients by finite differences, the
 random-lift soundness check of a profinite route, the primes by a
-sieve, and the Phi-route membership test on Fractions."""
+sieve, and both membership routes on Fractions with the integrality
+test they read."""
 
 import math
 from fractions import Fraction
@@ -18,10 +19,10 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from ckops import NumericalPoly, ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
+from ckops import NotInGroup, NumericalPoly, ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
 from ckops.arith import PrecisionError, crt_lift, largest_prime_power, rational_mod
 from ckops.linalg import ModMatrix, howell_form
-from ckops.multisym import MultiSeries, _as_multi, integer_coefficients, star_sum
+from ckops.multisym import MultiSeries, _as_multi, iter_partial, star_sum
 from ckops.series import IntegerRing, ProfiniteRing, RationalRing, SeqWindow, Z, _phi_band, exact_int
 from ckops.series import phi, valuation
 from ckops.stable import CriterionReport, _coeff_residue
@@ -401,6 +402,36 @@ def primes_by_sieve(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(range(i * i, n + 1, i))
     return [i for i in range(2, n + 1) if sieve[i]]
+
+
+def integer_coefficients(S) -> bool:
+    """All coefficients of a TruncSeries or MultiSeries integral: exact
+    denominators over Q, trivially true over Z; profinite residues are
+    integer-consistent by CRT construction, so the profinite answer is True
+    (documented finite-precision surrogate).  The membership routes read
+    divisibility on L*G's integer numerators instead."""
+    if not isinstance(S.ring, RationalRing):
+        return True
+    vals = S.coeffs.values() if isinstance(S, MultiSeries) else S.coeffs
+    return all(v.denominator == 1 for v in vals)
+
+
+def in_Qnm_by_fractions(G: TruncSeries, n: int, m: int) -> bool:
+    """The route ``classify.in_Qnm`` had before it read L*G's integer
+    numerators: partial^(n-1) G in G's ring (Fractions over Q), integral
+    when every denominator is 1, then the valuation of that series."""
+    if n < 1:
+        v = valuation(G)
+        return integer_coefficients(G) and (v is None or v >= m)
+    if not G.ring.is_zero(G.coeffs[0], 0):
+        raise NotInGroup("membership for n >= 1 needs a zero constant term")
+    if G.trunc < n:
+        raise PrecisionError(f"need truncation >= {n}, have {G.trunc}")
+    D = iter_partial(G, n - 1)
+    if not integer_coefficients(D):
+        return False
+    v = D.total_valuation()
+    return v is None or v >= m
 
 
 def in_Opnm_phi_by_fractions(G: TruncSeries, n: int, m: int) -> bool:

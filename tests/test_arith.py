@@ -139,6 +139,19 @@ def test_compatible_lift_incompatible_raises(budget):
         compatible_lift(fam, 4)
 
 
+def test_compatible_lift_rejections(budget):
+    small = PrimeBudget.uniform([2, 3], 4)
+    fam = {i: ProfiniteApprox.from_int(small, 7) for i in range(1, 6)}
+    for args, exc, msg in [(({}, 0), ValueError, "m must be >= 1"),
+                           (({1: fam[1], 2: fam[2]}, 3), ValueError, "missing b_3"),
+                           ((fam, 5), PrecisionError, "prime 5 <= 5 is outside the budget")]:
+        with pytest.raises(exc) as info:
+            compatible_lift(*args)
+        assert str(info.value) == msg
+    # naming the primes to lift skips the ones outside the budget
+    assert compatible_lift(fam, 5, primes=(2, 3)) == 7
+
+
 def test_gen_binomial_examples(budget):
     r5 = ProfiniteApprox.from_int(budget, 5)
     assert gen_binomial(r5, 2, 3, 2) == 10 % 9

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from ckops import (
     ProfiniteRing,
     Q,
     TruncSeries,
+    Z,
     adams_series,
     classical_approx,
     decompose_Qn_hat,
@@ -308,6 +311,59 @@ def test_rho_beyond_truncation_raises_like_decompose(budget):
     assert classical_approx(G, 6, 2) == classical_approx(G, 5, 2)
 
 
+def _cc(*fields):
+    return classify.ComponentClass(*fields)
+
+
+@pytest.mark.parametrize("coeffs, n, want", [
+    # components 1 and 2 have no reconstruction: a zero candidate cannot
+    # explain component 2's obstruction at 2; component 3's window 3 holds
+    # no power of the budget primes 5 and 7
+    ([0, Fraction(2, 9), Fraction(-9, 8), -2, -4, Fraction(1, 4)], 4,
+     [_cc(1, False, None, (2, 2, 1), {2: (2, 1), 3: (1, 0), 5: (1, 0)}),
+      _cc(2, False, None, (3, 1, 0), {3: (1, 0)}),
+      _cc(3, False, None, (2, 1, 1), {2: (1, 1), 3: (1, 0)})]),
+    # window 1 holds no budget prime power: the zero class, with no residue
+    ([0, -3], 2, [_cc(1, True, Fraction(0), None, {})]),
+    # component 2 reconstructs a candidate the congruence at i = 2 refutes:
+    # the witness names that b_i
+    ([0, Fraction(3, 2), Fraction(-1, 2), 6, Fraction(-8, 3), Fraction(-9, 4), 3], 3,
+     [_cc(1, False, None, (3, 1, 0), {3: (1, 0), 5: (1, 0)}),
+      _cc(2, False, None, (2, 1, "38"), {2: (2, 3), 3: (1, 1), 5: (1, 0)})]),
+    # component 2 has only an obstruction: the witness is its valuation at
+    # the first budget prime
+    ([0, Fraction(-1, 3), Fraction(-8, 5), Fraction(5, 4)], 3,
+     [_cc(1, True, Fraction(0), None, {2: (1, 0), 3: (1, 0)}),
+      _cc(2, False, None, (2, -1, None), {})]),
+])
+def test_rho_branches(budget, coeffs, n, want):
+    assert rho_n(TruncSeries(Q, len(coeffs) - 1, coeffs), n, budget) == want
+
+
+@pytest.mark.parametrize("call, exc, msg", [
+    (lambda b: decompose_Qn_hat(TruncSeries(Q, 4, [0, 1]), 2), ValueError,
+     "a prime budget is required for rational input"),
+    (lambda b: decompose_Qn_hat(TruncSeries(Q, 4, [0, 1]), 0, b), ValueError, "n must be >= 1"),
+    (lambda b: decompose_Qn_hat(TruncSeries(Q, 4, [0, Fraction(1, 2)]), 1, b), NotInGroup,
+     "remainder coefficient 1 = 1/2 is not integral at p=2"),
+    (lambda b: classical_approx(TruncSeries(Q, 6, [0, Fraction(3, 2), Fraction(-1, 2), 6, Fraction(-8, 3),
+                                                   Fraction(-9, 4), 3]), 3, 4), PrecisionError,
+     "component 2 needs c mod 2^3, window 5 only determines 2^2"),
+    (lambda b: classical_approx(TruncSeries(Q, 7, [0, -5, Fraction(4, 3), Fraction(-5, 8), Fraction(-4, 9),
+                                                   Fraction(5, 8), Fraction(1, 8), Fraction(-1, 3)]), 3, 3),
+     NotInGroup, "component 2 has a rational obstruction at p=2"),
+    (lambda b: classical_approx(TruncSeries(Q, 4, [0, Fraction(1, 2)]), 1, 2), NotInGroup,
+     "truncation coefficient 1 = 1/2 is not integral; the input is outside the supported generator structure"),
+    (lambda b: N33_sequence(ProfiniteApprox.from_int(b, 7), 0, 4), ValueError, "r must be >= 1"),
+    (lambda b: N33_sequence(ProfiniteApprox.from_int(b, 7), 2, 11), PrecisionError,
+     "prime 11 of modulus 11 is outside the budget"),
+])
+def test_decomposition_rejections(budget, call, exc, msg):
+    with pytest.raises(exc) as info:
+        call(budget)
+    assert str(info.value) == msg
+
+
 # -- N33 ---------------------------------------------------------------------------
 
 
@@ -367,3 +423,79 @@ def test_classical_approx_weighted_target(wide_budget):
     q = Fraction(diff.coeffs[1]) / lg1.coeffs[1]
     tail = diff - lg1.scale(q)
     assert all(tail.coeffs[i] == 0 for i in range(d + 1))
+
+
+# -- seeded sweep --------------------------------------------------------------------
+
+_SWEEP_BUDGET = PrimeBudget.uniform([2, 3, 5, 7], 8)
+_SWEEP_ZHAT = ProfiniteRing(PrimeBudget.uniform([2, 3, 5], 4))
+# SHA-256 of the sweep's JSON lines; a change to any verdict, value or
+# exception of the six routes below changes it
+_SWEEP_SHA256 = "0ff80f385336509cbdc9897babc96d2aaa26ca52e525934dfa1e5008c12e4c45"
+
+
+def _sweep_value(rng, ring):
+    """A coefficient of the named ring: a small rational, an integer, or a
+    Zhat value holding all, some or none of the budget's digits."""
+    if ring == "Q":
+        return Fraction(rng.randint(-9, 9), rng.choice([1] * 12 + [2, 3, 4, 5, 8, 9]))
+    if ring == "Z":
+        return rng.randint(-30, 30)
+    budget = _SWEEP_ZHAT.budget
+    prec = {p: e if rng.random() < 0.7 else rng.randint(0, e) for p, e in budget.full_prec.items()}
+    return ProfiniteApprox(budget, {p: rng.randrange(p**e) for p, e in budget.full_prec.items()}, prec)
+
+
+def _sweep_series(rng, ring, T, n):
+    """G over Q, Z or Zhat, usually with a zero constant term; over Q
+    perhaps plus rational lg_r with r < n."""
+    R = {"Q": Q, "Z": Z, "Zhat": _SWEEP_ZHAT}[ring]
+    a0 = _sweep_value(rng, ring) if rng.random() < 0.15 else R.zero()
+    G = TruncSeries(R, T, [a0] + [_sweep_value(rng, ring) for _ in range(T)])
+    if ring == "Q":
+        for r in range(1, min(n, T + 1)):
+            if rng.random() < 0.5:
+                G = G + lg_series(r, T).scale(Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+    return G
+
+
+def _sweep_json(x):
+    if isinstance(x, (TruncSeries, ProfiniteApprox)):
+        return x.to_json()
+    if isinstance(x, (classify.Component, classify.ComponentClass)):
+        return [type(x).__name__, *x._fields()]
+    return str(x)  # a Fraction
+
+
+def _sweep_lines():
+    rng = random.Random(34)
+    budget = _SWEEP_BUDGET
+    lines = []
+
+    def record(name, call, *args):
+        try:
+            out = call(*args)
+        except Exception as exc:
+            out = [type(exc).__name__, str(exc)]
+        lines.append(json.dumps([name, out], default=_sweep_json, sort_keys=True))
+
+    for trial in range(400):
+        ring = ("Q", "Q", "Z", "Zhat")[trial % 4]
+        T, n = rng.randint(1, 7), rng.randint(0, 4)
+        G = _sweep_series(rng, ring, T, n)
+        m = rng.randint(n - 2, n + 2)
+        record("in_Qnm", in_Qnm, G, n, m)
+        record("in_Opnm_phi", in_Opnm_phi, G, n, m)
+        record("rho_n", rho_n, G, n, budget)
+        record("decompose_Qn_hat", decompose_Qn_hat, G, n, budget)
+        record("classical_approx", classical_approx, G, n, rng.randint(0, T))
+    for _ in range(30):
+        c = ProfiniteApprox(budget, {p: rng.randrange(p**e) for p, e in budget.full_prec.items()})
+        record("N33_sequence", N33_sequence, c, rng.randint(0, 3), rng.randint(1, 12))
+    return lines
+
+
+def test_classify_sweep_matches_pinned_hash():
+    lines = _sweep_lines()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _SWEEP_SHA256, digest

@@ -199,7 +199,7 @@ def test_verify_suites(capsys):
     assert code == 0 and json.loads(out)["ok"] is True
     # the basis suite checks F_0..F_min(3, T), whose leading terms fit the truncation
     code, out = run(capsys, "verify", "basis", "--trunc", "2")
-    assert code == 0 and json.loads(out)["report"] == {"range": "0..2"}
+    assert code == 0 and json.loads(out)["report"] == {"range": "0..2", "digest": "4a13e6d2"}
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))

@@ -17,7 +17,8 @@ from ckops.arith import crt_lift
 from ckops.multisym import subst_first
 from ckops.series import adams_coordinates
 from ckops.suites import phi_inverse, random_membership_witness
-from oracles import compose_by_matvec, compose_by_scaling, in_Opnm_phi_by_fractions, iter_partial_by_subsets
+from oracles import compose_by_matvec, compose_by_scaling, in_Opnm_phi_by_fractions, in_Qnm_by_fractions
+from oracles import iter_partial_by_subsets
 from oracles import multi_mul_by_terms
 from oracles import lift_check, phi_by_steps, s_criterion_by_windows, subst_first_by_powers
 
@@ -584,6 +585,46 @@ def test_phi_route_on_integer_numerators_equals_fraction_oracle(case):
     assert got == _verdict(in_Opnm_phi_by_fractions, G, n, m)
     if G.trunc < n:
         assert got == (PrecisionError, f"need truncation >= {n}, have {G.trunc}")
+
+
+@st.composite
+def derivative_route_input(draw):
+    """(G, n, m) over Q (half the draws), Z or Zhat with n from -1 to 4,
+    T from n - 1 to 7 (so n < 1 and T < n both occur) and m from n - 2 to
+    n + 3.  Over Q, G is an integer series plus rational lg_r (r < n),
+    usually plus a rational monomial of degree >= n; a Zhat series holds
+    every digit, or each value anywhere from no digit to all of them.  a_0
+    is the exact zero three times in four, else a drawn value."""
+    ring = draw(st.sampled_from(["Q", "Q", "Z", "Zhat"]))
+    n = draw(st.integers(-1, 4))
+    T = draw(st.integers(max(0, n - 1), 7))
+    m = draw(st.integers(n - 2, n + 3))
+    R = _RINGS[ring]
+    if ring == "Q":
+        G = TruncSeries(Q, T, draw(st.lists(st.integers(-6, 6), min_size=T + 1, max_size=T + 1)))
+        for r in range(1, min(n, T + 1)):
+            G = G + lg_series(r, T).scale(draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))))
+        if draw(st.integers(0, 3)):  # partial^(n-1) x^j = 0 for j < n
+            G = G + TruncSeries.monomial(Q, T, draw(st.integers(min(max(n, 0), T), T)), draw(_COEFFS["Q"]))
+    else:
+        values = profinite(least=4) if ring == "Zhat" and draw(st.booleans()) else _COEFFS[ring]
+        G = TruncSeries(R, T, draw(st.lists(values, min_size=T + 1, max_size=T + 1)))
+    a0 = draw(_COEFFS[ring]) if draw(st.integers(0, 3)) == 0 else R.zero()
+    return TruncSeries(R, T, [a0, *G.coeffs[1:]]), n, m
+
+
+_NO_DIGIT = ProfiniteApprox(_BUDGET, {2: 0, 3: 0, 5: 0}, {2: 0, 3: 2, 5: 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=derivative_route_input())
+@example(case=(TruncSeries(Q, 3, [0, 0, Fraction(1, 2)]), 0, 1))  # n < 1, not integral
+@example(case=(TruncSeries(Q, 3, [0, 0, Fraction(1, 2)]), 4, 2))  # T < n
+@example(case=(TruncSeries(Q, 4, [Fraction(1, 3), 1]), 2, 1))  # nonzero a_0
+@example(case=(TruncSeries(_ZHAT, 3, [_ZHAT.zero(), 1, _NO_DIGIT, 2]), 2, 1))  # a value without digits
+def test_derivative_route_on_integer_numerators_equals_fraction_oracle(case):
+    G, n, m = case
+    assert _verdict(in_Qnm, G, n, m) == _verdict(in_Qnm_by_fractions, G, n, m)
 
 
 # -- oracle-free: every membership test decides a group ----------------------

@@ -29,7 +29,8 @@ from ckops import (
     star_sum,
 )
 from ckops import multisym
-from ckops.multisym import integer_coefficients, subst_first
+from ckops.multisym import subst_first
+from oracles import integer_coefficients
 
 
 def univ_in_var(ts, var, nvars):

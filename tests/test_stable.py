@@ -636,6 +636,23 @@ def test_decompose_S0_adams_difference(budget):
     assert recon == G
 
 
+def test_decompose_S0_over_zhat(budget):
+    G = construct_Fn(2, 6, budget).series + construct_Fn(3, 6, budget).series.scale(5)
+    assert decompose_S0(G, budget) == [0, 0, 1, 5, 0, 0, 0]
+
+
+def test_decompose_S0_over_zhat_needs_every_digit(budget):
+    G = construct_Fn(2, 6, budget).series + construct_Fn(3, 6, budget).series.scale(5)
+    # a_4 cut to one digit per prime: its symmetric lift from those digits
+    # (-210) would read as a false non-membership at degree 4
+    a4 = G.coeffs[4]
+    short = ProfiniteApprox(budget, {p: a4.residue[p] % p for p in budget.primes}, dict.fromkeys(budget.primes, 1))
+    G = TruncSeries(G.ring, 6, [*G.coeffs[:4], short, *G.coeffs[5:]])
+    with pytest.raises(PrecisionError) as info:
+        decompose_S0(G, budget)
+    assert str(info.value) == "coefficient 4 has 1 of the 8 digits needed at p=2"
+
+
 def test_decompose_S0_rejects_nonmember(budget):
     G = TruncSeries(Z, 8, [0, 1])  # leading coefficient 1, d_1 = 2
     with pytest.raises(ValueError, match="degree 1"):
