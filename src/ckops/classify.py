@@ -74,11 +74,19 @@ def in_Qnm(G: TruncSeries, n: int, m: int) -> bool:
 
     The derivative route, straight from the definition, decided on L*G's
     integer numerators (``_numerators``).  The Phi route in_Opnm_phi tests
-    a group that contains this one, not the same group: on seeded draws
-    in_Qnm True implies in_Opnm_phi True, and the converse fails (x^4/8 at
-    T = 4, n = 3, m = 1; x^2/2 at T = 3, n = m = 1).  The two agree on
-    every draw from the ``ifandonlyif`` suite's domain: integer series
-    plus lg_r (r < n) plus Phi-inverted non-integral terms."""
+    a group that contains this one at every truncation, over Q and Z, not
+    the same group.  For 0 <= d <= T - n,
+        [x^d] Phi^n G = (-1)^n ((d+1) c(1,...,1,d+1) - d c(1,...,1,d)),
+    with c(k) = [x^k] partial^(n-1) G and n - 1 ones: in Adams coordinates
+    b_j, [x^d] Phi^n G = (-1)^d sum_j b_j j^n C(j,d) and c(k) =
+    (-1)^|k| sum_j b_j prod_i C(j,k_i), and j C(j,d) = (d+1) C(j,d+1) +
+    d C(j,d).  So L divides every Phi^n coefficient of L*G if it divides
+    every derivative coefficient, and v(partial^(n-1) G) >= m gives
+    v(Phi^n G) >= m - n: in_Qnm True implies in_Opnm_phi True.  The
+    converse fails (x^4/8 at T = 4, n = 3, m = 1; x^2/2 at T = 3,
+    n = m = 1).  The two agree on every draw from the ``ifandonlyif``
+    suite's domain: integer series plus lg_r (r < n) plus Phi-inverted
+    non-integral terms."""
     L, N = _numerators(G)
     if n < 1:
         v = valuation(N)
@@ -99,8 +107,10 @@ def in_Opnm_phi(G: TruncSeries, n: int, m: int) -> bool:
 
     Univariate, and valid over profinite coefficients.  Its group
     contains in_Qnm's (the derivative route, from the definition of
-    Q^{n,m}) and can be larger: an in_Qnm member always passed here on
-    seeded draws, but x^4/8 at T = 4, n = 3, m = 1 and x^2/2 at T = 3,
+    Q^{n,m}) at every truncation, over Q and Z: each [x^d] Phi^n G is an
+    integer combination of two coefficients of partial^(n-1) G (the
+    identity in in_Qnm's docstring), so an in_Qnm member passes here.  It
+    can be larger: x^4/8 at T = 4, n = 3, m = 1 and x^2/2 at T = 3,
     n = m = 1 pass here and fail in_Qnm (cross-checked in the tests; the
     ``ifandonlyif`` suite checks agreement on its own domain).
 

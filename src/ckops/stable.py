@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from types import MappingProxyType
 
 from .arith import (
     PrecisionError,
@@ -43,9 +44,15 @@ from .series import (
 
 class DnRecord(Struct):
     """The leading-coefficient invariant d_n at index n with its
-    factorization ``per_prime``, {p: v_p(d_n)}."""
+    factorization ``per_prime``, {p: v_p(d_n)}.  Read-only, fields and
+    mapping alike: ``dn`` hands the same record to every caller."""
 
     __slots__ = ("n", "value", "per_prime")
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):  # set once, by the constructor
+            raise AttributeError(f"DnRecord.{name} is read-only")
+        super().__setattr__(name, value)
 
     def factorization(self) -> str:
         if not self.per_prime:
@@ -55,9 +62,17 @@ class DnRecord(Struct):
         )
 
 
+@lru_cache(maxsize=128, typed=True)
 def dn(n: int) -> DnRecord:
     """d_n, via v_p(d_n) = k + v_p(k!) - v_p(n!) with k = floor(n/(p-1));
-    v_p vanishes once p - 1 > n."""
+    v_p vanishes once p - 1 > n.
+
+    A bounded table: each process derives d_n once per n it reads (the
+    bound keeps a long session from growing).  ``typed`` gives True and 1
+    separate slots, so the TypeError for an n that is not exactly an int
+    is raised before a cached record can answer; n < 0 raises ValueError."""
+    if type(n) is not int:
+        raise TypeError(f"dn needs an int n, got {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     per = {}
@@ -69,7 +84,7 @@ def dn(n: int) -> DnRecord:
     value = 1
     for p, e in per.items():
         value *= p**e
-    return DnRecord(n, value, per)
+    return DnRecord(n, value, MappingProxyType(per))
 
 
 def dn_tilde(n: int) -> int:

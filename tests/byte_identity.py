@@ -6,8 +6,9 @@ cached bytecode.  The manifest, ``byte_identity.manifest`` beside this
 file, holds one line per command: the SHA-256 of its stdout, its exit code
 and its arguments.  The commands are every identity suite at --trunc 0, 1,
 3, 8, 12 and 16, the suites that run in seconds at 32, adams at 48, dn in
-its three formats, basis --n 0..4, the seeded suites on two more draws, and
-check over the input files in ``check_inputs/``.
+its three formats and to n = 40, basis --n 0..4 and the largest F_n the
+stable_basis benchmark builds (n = 6 at --trunc 16), the seeded suites on
+two more draws, and check over the input files in ``check_inputs/``.
 
     python tests/byte_identity.py            # exit 1 if any line differs
     python tests/byte_identity.py --update   # rewrite it, print what changed
@@ -73,7 +74,9 @@ def commands() -> list[tuple[str, ...]]:
     # Composer's triangular table past T = 32
     out.append(("verify", "adams", "--trunc", "48"))
     out += [("dn", "--format", f) for f in ("json", "csv", "text")]
+    out.append(("dn", "--max", "40"))
     out += [("basis", "--n", str(n)) for n in range(5)]
+    out.append(("basis", "--n", "6", "--trunc", "16"))
     # --trunc last: a seeded line is no quick line of tests/test_cli.py
     out += [("verify", s, "--seed", str(seed), "--trunc", "8") for s in SEEDED for seed in (1, 2)]
     out += [("check", "--input", INPUTS + f, "--test", *rest) for f, *rest in CHECKS]

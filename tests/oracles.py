@@ -10,8 +10,8 @@ exponent tuples, the stable-membership congruences summed window by
 window, the image lattices of Phi^r spanned by its band and their walk to
 the first repeat, the e-basis coefficients by finite differences, the
 random-lift soundness check of a profinite route, the primes by a
-sieve, and both membership routes on Fractions with the integrality
-test they read."""
+sieve, both membership routes on Fractions with the integrality
+test they read, and d_n derived afresh on every call."""
 
 import math
 from fractions import Fraction
@@ -20,12 +20,13 @@ from operator import mul
 from typing import Sequence
 
 from ckops import NotInGroup, NumericalPoly, ProfiniteApprox, Q, TruncationExhausted, TruncSeries, lg_series
-from ckops.arith import PrecisionError, crt_lift, largest_prime_power, rational_mod
+from ckops.arith import (PrecisionError, crt_lift, largest_prime_power, rational_mod,
+                         set_primes_upto, vp_factorial)
 from ckops.linalg import ModMatrix, howell_form
 from ckops.multisym import MultiSeries, _as_multi, iter_partial, star_sum
 from ckops.series import IntegerRing, ProfiniteRing, RationalRing, SeqWindow, Z, _phi_band, exact_int
 from ckops.series import phi, valuation
-from ckops.stable import CriterionReport, _coeff_residue
+from ckops.stable import CriterionReport, DnRecord, _coeff_residue
 
 
 def span_enumerate(A: ModMatrix) -> set[tuple[int, ...]]:
@@ -402,6 +403,23 @@ def primes_by_sieve(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(range(i * i, n + 1, i))
     return [i for i in range(2, n + 1) if sieve[i]]
+
+
+def dn_by_derivation(n: int) -> DnRecord:
+    """d_n as ``stable.dn`` derived it before it became a table: every call
+    lists the primes up to n + 1 and sums the floor formula afresh."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    per = {}
+    for p in set_primes_upto(n + 1):
+        k = n // (p - 1)
+        v = k + vp_factorial(k, p) - vp_factorial(n, p)
+        if v:
+            per[p] = v
+    value = 1
+    for p, e in per.items():
+        value *= p**e
+    return DnRecord(n, value, per)
 
 
 def integer_coefficients(S) -> bool:

@@ -24,6 +24,7 @@ from ckops import (
     in_Qnm,
     iter_partial,
     lg_series,
+    phi,
     rho_n,
     weighted_lg,
 )
@@ -157,6 +158,27 @@ def test_derivative_group_lies_inside_phi_group():
         members += d
         disagreements += d != p
     assert members and disagreements
+
+
+def test_phi_coefficients_are_two_derivative_coefficients():
+    # the containment lemma of in_Qnm's docstring: for 0 <= d <= T - n,
+    # [x^d] Phi^n G = (-1)^n ((d+1) c(1..1, d+1) - d c(1..1, d)), with
+    # c(k) = [x^k] partial^(n-1) G and n - 1 ones, over Q and Z
+    rng = random.Random(35)
+    cases = [(T, T) for T in range(1, 8)] + [(T, rng.randint(1, min(T, 5)))
+                                             for T in (rng.randint(1, 10) for _ in range(60))]
+    checked = 0
+    for i, (T, n) in enumerate(cases):
+        ring = (Q, Z)[i % 2]
+        G = TruncSeries(ring, T, [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 8]))
+                                  if ring is Q else rng.randint(-30, 30) for _ in range(T + 1)])
+        D, H = iter_partial(G, n - 1), phi(G, n)
+        ones = (1,) * (n - 1)
+        for d in range(T - n + 1):
+            c_next, c_d = D.get(ones + (d + 1,)), D.get(ones + (d,))
+            assert H.coeffs[d] == (-1) ** n * ((d + 1) * c_next - d * c_d), (T, n, d, G.to_json())
+            checked += 1
+    assert checked > 200
 
 
 @pytest.mark.parametrize("T, n, m, k, c", [(4, 3, 1, 4, Fraction(1, 8)), (3, 1, 1, 2, Fraction(1, 2))])

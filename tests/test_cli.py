@@ -514,5 +514,5 @@ def test_cli_output_matches_the_byte_identity_manifest():
 
     quick = [c for c in byte_identity.commands() if c[0] != "verify" or c[-1] in ("0", "1")]
     manifest = byte_identity.read_manifest()
-    assert len(quick) == 32 and all(" ".join(c) in manifest for c in quick)
+    assert len(quick) == 34 and all(" ".join(c) in manifest for c in quick)
     assert byte_identity.run_all(quick) == [manifest[" ".join(c)] for c in quick]

@@ -1,11 +1,15 @@
+import hashlib
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from ckops import (
     BasisSeries,
+    DnRecord,
     PrecisionError,
     PrimeBudget,
     ProfiniteApprox,
@@ -34,11 +38,13 @@ from ckops import (
 )
 from ckops import stable
 from ckops.arith import crt_lift, gbinom, largest_prime_power, set_primes_upto
+from ckops.kgr import assemble_TZ, decompose_TZ
 from ckops.linalg import ModMatrix, howell_form, in_row_span
-from ckops.series import exact_int
+from ckops.series import SeqWindow, exact_int
 from oracles import (
     _phi_image_lattice,
     _phi_image_rows,
+    dn_by_derivation,
     phi_by_steps,
     phi_image_walk,
     span_enumerate,
@@ -63,6 +69,30 @@ def test_dn_table():
     assert [dn(n).value for n in range(8)] == [1, 2, 12, 8, 240, 96, 4032, 1152]
     assert dn(2).per_prime == {2: 2, 3: 1}
     assert dn(6).per_prime == {2: 6, 3: 2, 7: 1}
+
+
+def test_dn_is_a_bounded_read_only_table():
+    assert dn.cache_info().maxsize is not None
+    assert dn(5) is dn(5)
+    with pytest.raises(TypeError):
+        dn(5).per_prime[2] = 7
+    with pytest.raises(TypeError):
+        del dn(5).per_prime[2]
+    for field in ("n", "value", "per_prime"):
+        with pytest.raises(AttributeError, match=f"DnRecord.{field} is read-only"):
+            setattr(dn(5), field, 1)
+    for n in range(61):
+        assert dn(n) == dn_by_derivation(n), n
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        dn(-1)
+
+
+def test_dn_names_an_n_that_is_not_an_int():
+    dn(1)
+    for bad in (True, False, 2.0, "3", None, Fraction(4)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            dn(bad)
+    assert dn(1) == DnRecord(1, 2, {2: 1}) and type(dn(1).n) is int
 
 
 def test_dn_vanishing_beyond_p_minus_one():
@@ -981,3 +1011,71 @@ def test_stable_mult_check(deep_budget):
     assert not stable_mult_check(prof(deep_budget, 6), 8)
     bud25 = PrimeBudget.uniform([2, 5], 16)
     assert stable_mult_check(prof(bud25, 3), 8)
+
+
+# -- seeded sweep --------------------------------------------------------------------
+
+# the benchmark's budget, one that builds F_0..F_6 with little room, one whose
+# G_i weight denominators exceed its precision, one that cannot separate nodes
+_SWEEP_BUDGETS = tuple(PrimeBudget.uniform(ps, e) for ps, e in
+                       (([2, 3, 5, 7], 8), ([2, 3], 6), ([2, 3], 3), ([2], 2)))
+_SWEEP_KGR_BUDGET = PrimeBudget.uniform([2, 3, 5, 7, 11, 13], 8)
+# SHA-256 of the sweep's JSON lines; a change to any d_n, F_n, decomposition
+# or graded window below, or to any exception they raise, changes it
+_SWEEP_SHA256 = "4287508f774f15e6d8085f9e7c99a4da5d3475824f875c53a3b71fcf5d5c57c3"
+
+
+def _basis_sweep_lines():
+    rng = random.Random(35)
+    lines = []
+
+    def record(name, call, *args):
+        try:
+            out = call(*args)
+        except Exception as exc:
+            out = [type(exc).__name__, str(exc)]
+        lines.append(json.dumps([name, out], sort_keys=True))
+        return out
+
+    for n in range(41):
+        record("dn", lambda n: [dn(n).value, dn(n).factorization(), sorted(dn(n).per_prime.items())], n)
+
+    def basis(n, T, budget):
+        F = construct_Fn(n, T, budget)
+        return [F.int_coeffs, [(cof.to_json(), node) for cof, node in F.combination]]
+
+    for budget in _SWEEP_BUDGETS:
+        for T in (12, 16):
+            for n in range(7):
+                record("construct_Fn", basis, n, T, budget)
+    budget = _SWEEP_BUDGETS[0]
+    ring = ProfiniteRing(budget)
+    family = [construct_Fn(n, 12, budget) for n in range(7)]
+    for trial in range(40):
+        coords = [rng.randint(-3, 3) for _ in range(7)]
+        ints = [sum(c * F.int_coeffs[i] for c, F in zip(coords, family)) for i in range(13)]
+        if trial % 4 == 3:  # off the span
+            ints[rng.randint(0, 12)] += rng.choice([1, 2, 3])
+        G = TruncSeries(Z, 12, ints)
+        if trial % 3 == 1:
+            G = G.map_coeffs(ring.coerce, ring)
+        record("decompose_S0", decompose_S0, G, budget, family)
+    for trial in range(4):  # the default family F_0..F_6
+        G = TruncSeries(ring, 6, [rng.randint(-99, 99) * dn(i).value for i in range(7)])
+        record("decompose_S0", decompose_S0, G, budget)
+    kb = _SWEEP_KGR_BUDGET
+    for trial in range(12):
+        m = trial % 3
+        bs = [rng.randint(-4, 4) for _ in range(2 * m + 2)]
+        win = record("assemble_TZ", lambda *a: list(assemble_TZ(*a).values), bs, -m, m + 1, 16, kb)
+        if trial % 4 == 3:
+            win[rng.randrange(len(win))] += 1
+        record("decompose_TZ", decompose_TZ, SeqWindow(-m, win), m, 16, kb)
+    record("decompose_TZ", decompose_TZ, SeqWindow(-3, [0] * 8), 3, 16, _SWEEP_BUDGETS[1])
+    return lines
+
+
+def test_basis_sweep_matches_pinned_hash():
+    lines = _basis_sweep_lines()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _SWEEP_SHA256, digest
